@@ -22,7 +22,8 @@ from .path_space import (
     zero_vector,
 )
 
-PIVOT_TOL = 1e-9
+#: Singular values at or below this mark the kernel of c_{n-2}.
+KERNEL_TOL = 1e-9
 
 
 class EssentialBasis:
@@ -56,11 +57,18 @@ class EssentialBasis:
 def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     """Orthonormal basis of the length-n essential subspace (cached).
 
-    Per (source, range) block, the kernel of the stacked annihilation
-    operators is computed on the lexicographically ordered elementary
-    basis, then orthonormalized by modified Gram-Schmidt in that seed
-    order, which makes the basis deterministic.
+    For n < 2 no annihilation acts and the elementary paths are the basis.
+    For n >= 2 the basis grows from the cached length-(n-1) basis: grouped
+    by its last edge (r -> t), an essential vector of length n has every
+    part in E_{n-1}, so E_n is the kernel of the last annihilation c_{n-2}
+    on the orthonormal candidates xi_a . (r -> t).  Per (source, range)
+    block, that kernel is read off the SVD of the small matrix of c_{n-2}
+    in candidate coordinates.  The result is deterministic but its
+    orthonormal gauge within each block is whatever the SVD returns.
+    Raises `CutoffError` for n beyond the space's cutoff.
     """
+    if n > space.cutoff:
+        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
     cache = space.cache.setdefault("essential_basis", {})
     if n not in cache:
         cache[n] = _build_basis(space, n)
@@ -68,89 +76,65 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
 
 
 def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
+    if n < 2:
+        # no annihilation operator acts; elementary paths are the basis
+        parts = [
+            ((p[0], p[-1]), [PathVector.unit(p)]) for p in space.enumerate_paths(n)
+        ]
+    else:
+        prev = essential_basis(space, n - 1)
+        nv = space.graph.num_vertices
+        parts = [
+            ((s, t), _block_kernel(space, prev, s, t))
+            for s in range(nv)
+            for t in range(nv)
+        ]
     vectors: list[PathVector] = []
     endpoints: list[tuple[int, int]] = []
     blocks: dict[tuple[int, int], tuple[int, ...]] = {}
-    nv = space.graph.num_vertices
-    for s in range(nv):
-        for r in range(nv):
-            block_vectors = _block_kernel(space, n, s, r)
-            if not block_vectors:
-                continue
-            first = len(vectors)
+    for key, block_vectors in parts:  # lexicographic in (source, range)
+        if block_vectors:
+            blocks[key] = tuple(range(len(vectors), len(vectors) + len(block_vectors)))
             vectors.extend(block_vectors)
-            endpoints.extend([(s, r)] * len(block_vectors))
-            blocks[(s, r)] = tuple(range(first, len(vectors)))
+            endpoints.extend([key] * len(block_vectors))
     return EssentialBasis(n, vectors, endpoints, blocks)
 
 
-def _block_kernel(space, n, source, target) -> list[PathVector]:
-    paths = space.enumerate_paths(n, source=source, target=target)
-    if not paths:
+def _block_kernel(space, prev: EssentialBasis, source, target) -> list[PathVector]:
+    """Block (source, target) of E_n as the kernel of c_{n-2} on the
+    candidates xi_a . (r -> target), xi_a in block (source, r) of E_{n-1}."""
+    adjacency = space.graph.adjacency
+    candidates = [
+        a
+        for r in range(space.graph.num_vertices)
+        if adjacency[r, target]
+        for a in prev.blocks.get((source, r), ())
+    ]
+    if not candidates:
         return []
-    if n < 2:
-        # no annihilation operator acts; elementary paths are the basis
-        return [PathVector.unit(p) for p in paths]
-    col = {p: j for j, p in enumerate(paths)}
-    targets = space.enumerate_paths(n - 2, source=source, target=target)
-    row = {p: k for k, p in enumerate(targets)}
-    rows_per_op = len(targets)
-    a = np.zeros(((n - 1) * rows_per_op, len(paths)))
-    for j, p in enumerate(paths):
-        for i in range(n - 1):
-            image = space.annihilate(i, PathVector.unit(p))
-            for q, c in image.coeffs.items():
-                a[i * rows_per_op + row[q], j] = c.real
-    kernel = _nullspace_columns(a)
-    ortho = _gram_schmidt(kernel)
-    out = []
-    for column in ortho:
-        coeffs = {paths[j]: column[j] for j in range(len(paths))}
-        out.append(PathVector(n, coeffs))
-    return out
-
-
-def _nullspace_columns(a: np.ndarray) -> list[np.ndarray]:
-    """Kernel seed vectors from row reduction, one per free column, in
-    lexicographic column order."""
-    m = a.copy().astype(float)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[piv, c]) < PIVOT_TOL:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] / m[r, c]
-        for k in range(rows):
-            if k != r and m[k, c] != 0.0:
-                m[k] -= m[k, c] * m[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    seeds = []
-    for c in free:
-        v = np.zeros(cols)
-        v[c] = 1.0
-        for k, pc in enumerate(pivots):
-            v[pc] = -m[k, c]
-        seeds.append(v)
-    return seeds
-
-
-def _gram_schmidt(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for v in vectors:
-        w = v.copy()
-        for u in out:
-            w -= (u @ w) * u
-        norm = np.linalg.norm(w)
-        if norm > PIVOT_TOL:
-            out.append(w / norm)
-    return out
+    # c_{n-2} sends q . (r -> t) to q[:-1] when q[-2] = t, with weight
+    # sqrt(mu[r] / mu[t]); a path q can occur in several candidates
+    col: dict = {}
+    row: dict = {}
+    spread, image = [], []
+    for j, a in enumerate(candidates):
+        r = prev.endpoints[a][1]
+        w = space.sqrt_mu[r] / space.sqrt_mu[target]
+        for q, c in prev.vectors[a].coeffs.items():
+            spread.append((j, col.setdefault(q, len(col)), c.real))
+            if q[-2] == target:
+                image.append((row.setdefault(q[:-1], len(row)), j, c.real * w))
+    m = np.zeros((len(row), len(candidates)))
+    for i, j, c in image:
+        m[i, j] += c
+    # the full V^T spans the candidates; rows past the rank span the kernel
+    _, sing, vt = np.linalg.svd(m)
+    kernel = vt[int(np.sum(sing > KERNEL_TOL)) :]
+    x = np.zeros((len(candidates), len(col)))
+    for j, i, c in spread:
+        x[j, i] = c
+    paths = [q + (target,) for q in col]
+    return [PathVector(prev.length + 1, dict(zip(paths, v))) for v in kernel @ x]
 
 
 def is_essential(space: PathSpace, x: PathVector, tol: float = 1e-9) -> bool:

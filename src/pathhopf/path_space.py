@@ -184,6 +184,8 @@ class PathSpace:
         self.mu = tuple(float(v) for v in self.spectrum.mu)
         self.sqrt_mu = tuple(math.sqrt(v) for v in self.mu)
         self.cutoff = default_cutoff() if cutoff is None else int(cutoff)
+        if self.cutoff < 0:
+            raise CutoffError(f"cutoff must be nonnegative, got {self.cutoff}")
         self.cache: dict = {}
 
     # -- enumeration ------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, CutoffError
+from .errors import BasisError, CutoffError, PathHopfError
 from .essential_decomp import decompose, essential_basis
 from .path_space import (
     PathSpace,
@@ -213,8 +213,10 @@ def _pair_decomp(space, n1, a, n2, c):
     return cache[key]
 
 
-def _basis_product(space, n1, a, b, n2, c, d) -> AlgebraElement:
-    """Cached product of two basis elements (n1,a,b) . (n2,c,d)."""
+def _basis_product(space, n1, a, b, n2, c, d) -> dict:
+    """Cached coefficients of the product of two basis elements
+    (n1,a,b) . (n2,c,d).  The memo holds plain dicts: an element would
+    point back at `space` and tie every space into a reference cycle."""
     if n1 + n2 > space.cutoff:
         raise CutoffError(
             f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}"
@@ -225,7 +227,7 @@ def _basis_product(space, n1, a, b, n2, c, d) -> AlgebraElement:
         out = _combine_terms(
             space, _pair_decomp(space, n1, a, n2, c), _pair_decomp(space, n1, b, n2, d)
         )
-        cache[key] = AlgebraElement(space, out)
+        cache[key] = {k: z for k, z in out.items() if abs(z) > 1e-14}
     return cache[key]
 
 
@@ -240,9 +242,9 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     for (n1, a, b), zx in x.coeffs.items():
         for (n2, c, d), zy in y.coeffs.items():
             prod = _basis_product(space, n1, a, b, n2, c, d)
-            if prod.coeffs:
+            if prod:
                 z = zx * zy
-                for k, zc in prod.coeffs.items():
+                for k, zc in prod.items():
                     out[k] = out.get(k, 0.0) + z * zc
     return AlgebraElement(space, out)
 
@@ -313,15 +315,15 @@ def multiply_tensor_square(u: TensorSquare, v: TensorSquare) -> TensorSquare:
     for (p, q), zu in u.coeffs.items():
         for (r, s), zv in v.coeffs.items():
             pr = _basis_product(space, *p, *r)
-            if pr.is_zero():
+            if not pr:
                 continue
             qs = _basis_product(space, *q, *s)
-            if qs.is_zero():
+            if not qs:
                 continue
             z = zu * zv
-            for k1, z1 in pr.coeffs.items():
+            for k1, z1 in pr.items():
                 zz = z * z1
-                for k2, z2 in qs.coeffs.items():
+                for k2, z2 in qs.items():
                     key = (k1, k2)
                     out[key] = out.get(key, 0.0) + zz * z2
     return TensorSquare(space, out)
@@ -471,8 +473,13 @@ def verify_axioms(
     or three arguments run on `samples` seeded random tuples drawn from that
     pool.  `weight_fn` overrides the antipode's endpoint factor, which is
     how a deliberately corrupted antipode can be shown to fail.  Failures
-    are reported as residuals, never raised.
+    are reported as residuals, never raised.  An empty check (no samples,
+    or a negative `max_length`) raises `PathHopfError`.
     """
+    if samples < 1:
+        raise PathHopfError(f"samples must be at least 1, got {samples}")
+    if max_length < 0:
+        raise PathHopfError(f"max_length must be nonnegative, got {max_length}")
     if 2 * max_length > space.cutoff:
         raise CutoffError(
             f"products at max_length {max_length} exceed the cutoff {space.cutoff}"

@@ -206,6 +206,39 @@ def test_cutoff_env_override(monkeypatch, capture):
     assert "cutoff" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("essentials", TRI, "--length", "3", "--cutoff", "2"),
+        ("dims", TRI, "--max", "3", "--cutoff", "2"),
+        ("export", TRI, "--max", "3", "--cutoff", "2"),
+    ],
+)
+def test_basis_commands_respect_cutoff(capture, argv):
+    code, out, err = capture(*argv)
+    assert code == 1
+    assert out == ""
+    assert "cutoff" in err
+    assert "Traceback" not in err
+
+
+def test_negative_cutoff_flag_rejected(capture):
+    code, _, err = capture("spectrum", A3, "--cutoff", "-5")
+    assert code == 1
+    assert "cutoff" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [("--max-length", "1", "--samples", "0"), ("--max-length", "-1")]
+)
+def test_verify_refuses_empty_check(capture, extra):
+    code, out, err = capture("verify", A3, *extra)
+    assert code == 1
+    assert "PASS" not in out
+    assert "error" in err
+    assert "Traceback" not in err
+
+
 def test_negative_tolerance_rejected(capture):
     code, _, err = capture("spectrum", A3, "--tol", "-1")
     assert code == 1

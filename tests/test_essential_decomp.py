@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pathhopf import (
     CutoffError,
+    Graph,
     PathSpace,
     coxeter_info,
     decompose,
@@ -314,7 +315,70 @@ def test_components_mutually_orthogonal(seed, n):
                 assert abs(inner_product(pieces[i], pieces[j])) < 1e-9
 
 
+def test_essential_basis_respects_cutoff(tri):
+    tight = PathSpace(tri.graph, tri.spectrum, cutoff=2)
+    assert len(essential_basis(tight, 2)) == 9
+    with pytest.raises(CutoffError, match="cutoff"):
+        essential_basis(tight, 3)
+
+
 def test_decompose_respects_cutoff(tri):
     tight = PathSpace(tri.graph, tri.spectrum, cutoff=3)
     with pytest.raises(CutoffError):
         decompose(tight, unit((0, 1, 0, 1, 0)))
+
+
+# -- oracles independent of the basis builder ---------------------------------------
+
+# (vertex count, edges, top length); the top lengths run past the Coxeter
+# bound on the finite graphs, where every block must be empty
+FUSION_GRAPHS = {
+    "A6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 6),
+    "D5": (5, [(0, 1), (1, 2), (2, 3), (2, 4)], 8),
+    "E6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)], 11),
+    "E8": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)], 10),
+    "A_aff_2": (3, [(0, 1), (1, 2), (0, 2)], 8),
+    "D_aff_4": (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 7),
+}
+
+
+def edge_graph(name):
+    k, edges, _ = FUSION_GRAPHS[name]
+    adjacency = np.zeros((k, k), dtype=int)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    return Graph(name=name, vertices=tuple(str(v) for v in range(k)), adjacency=adjacency)
+
+
+@pytest.mark.parametrize("name", sorted(FUSION_GRAPHS))
+def test_block_dims_match_fusion_recursion(name):
+    # graph fusion: N_0 = I, N_1 = G, N_{k+1} = G N_k - N_{k-1}; the
+    # (s, r) block of E_n has dimension max(N_n[s, r], 0)
+    graph = edge_graph(name)
+    top = FUSION_GRAPHS[name][2]
+    space = PathSpace(graph, cutoff=top)
+    g = graph.adjacency
+    fusion = [np.eye(len(g), dtype=int), g]
+    while len(fusion) <= top:
+        fusion.append(g @ fusion[-1] - fusion[-2])
+    for n in range(top + 1):
+        got = np.zeros_like(g)
+        for s, r in essential_basis(space, n).endpoints:
+            got[s, r] += 1
+        assert np.array_equal(got, np.maximum(fusion[n], 0)), (name, n)
+
+
+def test_e8_length_ten_basis_is_orthonormal_and_essential():
+    space = PathSpace(edge_graph("E8"), cutoff=10)
+    basis = essential_basis(space, 10)
+    assert len(basis) > 0
+    paths = sorted({p for xi in basis.vectors for p in xi.coeffs})
+    column = {p: j for j, p in enumerate(paths)}
+    dense = np.zeros((len(basis), len(paths)), dtype=complex)
+    for a, xi in enumerate(basis.vectors):
+        assert xi.endpoints() == basis.endpoints[a]
+        for p, c in xi.coeffs.items():
+            dense[a, column[p]] = c
+        for i in range(9):
+            assert space.annihilate(i, xi).norm() < 1e-9
+    assert np.allclose(dense @ dense.conj().T, np.eye(len(basis)), atol=1e-10)

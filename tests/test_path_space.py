@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathhopf import (
+    CutoffError,
     OperatorWord,
+    PathSpace,
     concat,
     inner_product,
     star,
@@ -22,6 +24,15 @@ Q = 2 ** 0.25  # sqrt(mu_1 / mu_0) on the three-vertex chain
 
 def gamma():
     return pv({(1, 2, 1): 1 / ROOT2, (1, 0, 1): -1 / ROOT2})
+
+
+# -- construction -------------------------------------------------------------
+
+
+def test_negative_cutoff_rejected(a3):
+    assert PathSpace(a3.graph, a3.spectrum, cutoff=0).cutoff == 0
+    with pytest.raises(CutoffError, match="nonnegative"):
+        PathSpace(a3.graph, a3.spectrum, cutoff=-5)
 
 
 # -- enumeration --------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Projector, product, coproduct, counit, star, antipode, and axiom checks."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pathhopf import (
     CoefficientKey,
     CutoffError,
     OperatorWord,
+    PathHopfError,
     PathSpace,
     PathVector,
     antipode,
@@ -245,6 +248,23 @@ def test_multiply_respects_cutoff(tri):
     x = AlgebraElement.basis_element(tight, 2, 0, 0)
     with pytest.raises(CutoffError):
         multiply(x, x)
+
+
+def test_space_is_freed_without_the_cycle_collector(a3):
+    # the memo tables hold plain values, so dropping the last reference
+    # frees a space even while the cycle collector is off
+    space = PathSpace(a3.graph, a3.spectrum)
+    x = AlgebraElement.basis_element(space, 1, 0, 0)
+    one = identity(space)
+    assert not multiply(one, x).is_zero()
+    assert space.cache["basis_product"]
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del x, one, space
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_chain_algebra_dimension(a3):
@@ -510,6 +530,15 @@ def test_verify_axioms_rejects_cutoff_overflow(tri):
     tight = PathSpace(tri.graph, tri.spectrum, cutoff=3)
     with pytest.raises(CutoffError):
         verify_axioms(tight, 2, samples=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "max_length, samples, message",
+    [(1, 0, "samples"), (1, -3, "samples"), (-1, 5, "max_length")],
+)
+def test_verify_axioms_rejects_empty_check(a3, max_length, samples, message):
+    with pytest.raises(PathHopfError, match=message):
+        verify_axioms(a3, max_length, samples=samples, seed=0)
 
 
 # -- serialization ---------------------------------------------------------------------
