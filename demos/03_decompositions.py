@@ -2,9 +2,14 @@
 
 Any path vector splits uniquely into normal-ordered creation words applied
 to essential vectors; components of different word length are orthogonal.
-The splitting coefficients come from a tridiagonal system whose determinant
-has a closed form, and the recursion always peels off the largest active
-annihilation index first.
+`decompose` finds the split with one small linear solve per word length:
+the Gram matrix of the vectors c†_w xi depends only on beta and the words,
+so the essential part of each word is the inverse Gram matrix applied to
+the projections of the annihilated path onto the essential basis.  On a
+finite ADE graph the word set is truncated at the Coxeter number (the
+Jones-Wenzl truncation), which keeps the c†_w xi independent.  The
+tridiagonal system of the older recursive splitter is shown at the end; it
+is no longer on the `decompose` path.
 """
 
 from pathhopf import (
@@ -20,6 +25,7 @@ from pathhopf import (
     tridiagonal_det,
     tridiagonal_solve,
 )
+from pathhopf.essential_decomp import creation_words, word_gram
 
 
 def show(space, x, label):
@@ -63,7 +69,16 @@ for p in pieces[1:]:
 print("components sum back to the walk:", (total - x).sup_norm() < 1e-12)
 print()
 
-# splitting coefficients and the determinant closed form
+# the creation words and their Gram matrix
+for label, space in (("triangle", triangle), ("chain", chain)):
+    print(f"{label} words at length 4 by level:", creation_words(space, 4))
+for label, space in (("triangle", triangle), ("chain (truncated, h = 4)", chain)):
+    print(f"{label} Gram matrix of the level-1 words at length 4:")
+    for row in word_gram(space, 4, 1):
+        print("  " + " ".join(f"{v + 0.0:9.6f}" for v in row.round(12)))
+print()
+
+# the recursive splitter's coefficients and the determinant closed form
 print("splitting coefficients, beta = 2, size 3:", tridiagonal_solve(2.0, 3))
 for beta in (1.0, 2.0, 2.3):
     dets = [tridiagonal_det(beta, k) for k in range(1, 6)]

@@ -18,8 +18,8 @@ class CutoffError(PathHopfError):
 
 
 class SingularSystemError(PathHopfError):
-    """The tridiagonal splitting system is (near-)singular; the input is
-    inconsistent with the graph's maximum essential length."""
+    """`tridiagonal_solve` met a (near-)singular splitting system: the size
+    is inconsistent with the graph's maximum essential length."""
 
 
 class BasisError(PathHopfError):

@@ -1,23 +1,33 @@
 """Essential paths and the orthogonal decomposition of path space.
 
 A path vector is essential when every annihilation operator kills it.  The
-degree-n slice splits as the orthogonal direct sum, over l, of spans of
-creation words of length l applied to essential vectors of length n - 2l;
-`decompose` computes the canonical term list realizing that splitting and
-`project_component` reads off the orthogonal projections.
+degree-n slice splits as the orthogonal direct sum, over l, of the spans of
+c†_w xi for creation words w of length l and essential xi of length
+m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
+on beta and the words, not on the block or the basis vector.  So
+`decompose` solves one small word-Gram system per block and level instead
+of splitting recursively; its per-length tables (walks, the c_k as index
+arrays, dense basis blocks, inverted Gram matrices) are built lazily and
+cached on the space.  On a finite ADE graph with Coxeter number h, the
+words keep only creations c†_k with k >= L - h + 1, L the length they make
+(the Jones-Wenzl truncation).  `project_component` reads off the
+orthogonal projections.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, SingularSystemError
+from .errors import BasisError, CutoffError, GraphError, SingularSystemError
+from .graph_core import coxeter_info
 from .path_space import (
     OperatorWord,
     PathSpace,
     PathVector,
+    format_path,
     inner_product,
     zero_vector,
 )
@@ -145,6 +155,10 @@ def is_essential(space: PathSpace, x: PathVector, tol: float = 1e-9) -> bool:
 
 
 # -- tridiagonal splitting system -------------------------------------------
+#
+# Not on the `decompose` path: these stay public for the closed-form
+# determinant law, and the tests keep the recursive splitter built on
+# `tridiagonal_solve` as an oracle for `decompose`.
 
 
 def tridiagonal_matrix(beta: float, size: int) -> np.ndarray:
@@ -221,51 +235,295 @@ class Decomposition:
 def decompose(space: PathSpace, x: PathVector) -> Decomposition:
     """Split `x` into normal-ordered creation words applied to essentials.
 
-    Recursive splitting: take the largest index i with c_i x != 0, write
-    x = sum_k alpha_k c†_k (c_i x) + residual with alpha from
-    `tridiagonal_solve` (so the residual is killed by c_i, ..., c_{n-2}),
-    then recurse on c_i x and on the residual.  Words are normal-ordered via
-    the exchange rule and merged; recompose returns the input.
+    Per (source, range) block and per level l >= 1, with m = n - 2l, the
+    essential part of word w is
+    eta_w = sum_{w'} (G^-1)_{w,w'} B_m B_m^T (c_{w'} x),
+    where G = `word_gram(space, n, l)` and B_m is the block of the E_m
+    basis; the essential part of x is x - sum_{|w| >= 1} c†_w eta_w.  The
+    words are `creation_words(space, n)`: strictly increasing, every index
+    <= n - 2, and on a finite ADE graph truncated so that the c†_w xi stay
+    independent.  recompose returns the input.
     """
-    if x.length > space.cutoff:
-        raise CutoffError(
-            f"path length {x.length} exceeds the cutoff {space.cutoff}"
-        )
-    acc: dict[OperatorWord, PathVector] = {}
-    _decompose_into(space, x, acc)
-    terms = [
-        (w, v) for w, v in acc.items() if not v.is_zero()
-    ]
-    terms.sort(key=lambda t: (len(t[0]), t[0].indices))
-    return Decomposition(length=x.length, terms=tuple(terms))
-
-
-def _decompose_into(space, x, acc):
-    if x.is_zero():
-        return
     n = x.length
-    i = None
-    ci_x = None
-    for j in reversed(range(n - 1)):
-        img = space.annihilate(j, x)
-        if not img.is_zero():
-            i, ci_x = j, img
+    tables = _tables(space)
+    parts: dict = {}
+    for (s, r), y in _blocks(space, tables, x):
+        vectors = {
+            w: tables.basis(space, n - 2 * len(w), s, r)[0] @ c
+            for w, c in _solve_block(space, tables, n, s, r, y).items()
+        }
+        vectors[()] = y - tables.lift(space, n, s, r, vectors)
+        for w, v in vectors.items():
+            paths = tables.block(space, n - 2 * len(w), s, r)
+            parts.setdefault(w, {}).update(zip(paths, v.tolist()))
+    terms = [(OperatorWord(w), PathVector(n - 2 * len(w), c)) for w, c in parts.items()]
+    terms = [t for t in terms if not t[1].is_zero()]
+    terms.sort(key=lambda t: (len(t[0]), t[0].indices))
+    return Decomposition(length=n, terms=tuple(terms))
+
+
+def decompose_coordinates(space: PathSpace, x: PathVector) -> tuple:
+    """`decompose` read against the essential bases: a tuple of
+    (word indices, m, {index in essential_basis(space, m): coefficient}),
+    ordered by word length and then word, with coefficients of at most
+    1e-14 left out."""
+    n = x.length
+    tables = _tables(space)
+    parts: dict = {}
+    for (s, r), y in _blocks(space, tables, x):
+        solved = _solve_block(space, tables, n, s, r, y)
+        basis = tables.basis(space, n, s, r)[0]
+        if basis.shape[1]:
+            solved[()] = y @ basis
+        for w, coeffs in solved.items():
+            m = n - 2 * len(w)
+            offsets = tables.basis(space, m, s, r)[1]
+            coords = parts.setdefault((w, m), {})
+            for a, c in zip(offsets, coeffs.tolist()):
+                if abs(c) > 1e-14:
+                    coords[a] = c
+    return tuple(
+        sorted(
+            ((w, m, c) for (w, m), c in parts.items() if c),
+            key=lambda t: (len(t[0]), t[0]),
+        )
+    )
+
+
+def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
+    """The creation words `decompose` uses at length n: entry l lists the
+    level-l words in lexicographic order.
+
+    A word (i_1, ..., i_l) is strictly increasing, and c†_{i_j} makes the
+    length L = n - 2(l - j) with i_j <= L - 2.  On a finite ADE graph with
+    Coxeter number h also i_j >= L - h + 1 (the Jones-Wenzl truncation):
+    the Jones-Wenzl projection on h - 1 strands vanishes on paths, so the
+    dropped words would make the c†_w xi linearly dependent.  Every suffix
+    of a word is a word.
+    """
+    return _tables(space).words(n)
+
+
+def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
+    """Gram matrix G of the vectors c†_w xi over the level-l words at
+    length n, rows in `creation_words(space, n)[l]` order, for a unit
+    essential xi of length m = n - 2l.
+
+    For essential xi and xi', <c†_w xi, c†_w' xi'> = G[w, w'] <xi, xi'>,
+    so G depends on beta and the words only; it is built from the first
+    basis vector of E_m.  Raises `BasisError` when E_m is empty.
+    """
+    return _tables(space).gram(space, n, l)
+
+
+def _blocks(space: PathSpace, tables, x: PathVector) -> list:
+    """`x` split by (source, range) into dense arrays over the block's walks,
+    real when every coefficient is."""
+    n = x.length
+    if n > space.cutoff:
+        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
+    parts: dict = {}
+    for p, c in x.coeffs.items():
+        parts.setdefault((p[0], p[-1]), {})[p] = c
+    out = []
+    for (s, r), part in sorted(parts.items()):
+        if not (0 <= s < space.graph.num_vertices and 0 <= r < space.graph.num_vertices):
+            raise GraphError(f"{format_path(next(iter(part)))} is not a walk of length {n}")
+        values = np.array(list(part.values()))
+        if not values.imag.any():
+            values = values.real
+        y = np.zeros(len(tables.block(space, n, s, r)), dtype=values.dtype)
+        y[tables.positions(space, n, s, r, part)] = values
+        out.append(((s, r), y))
+    return out
+
+
+def _solve_block(space, tables, n, s, r, y) -> dict:
+    """Word -> coefficients of eta_w over block (s, r) of E_{n-2|w|}, for
+    every word of length >= 1 whose basis block is not empty.
+
+    The images c_w y are computed level by level: c_{(i,) + v} y is
+    c_i (c_v y), so each word costs one sparse annihilation of its suffix's
+    image, and a word whose image vanishes drops every word that extends it.
+    """
+    out = {}
+    images = {(): y}
+    for l, words in enumerate(tables.words(n)[1:], start=1):
+        m = n - 2 * l
+        images = {
+            w: z
+            for w in words
+            if w[1:] in images
+            for z in (tables.annihilate(space, m + 2, s, r, w[0], images[w[1:]]),)
+            if z.any()
+        }
+        if not images:
             break
-    if i is None:
-        word = OperatorWord()
-        acc[word] = acc.get(word, zero_vector(n)) + x
-        return
-    alpha = tridiagonal_solve(space.beta, n - 1 - i)
-    sub: dict[OperatorWord, PathVector] = {}
-    _decompose_into(space, ci_x, sub)
-    residual = x
-    for offset, a in enumerate(alpha):
-        k = i + offset
-        residual = residual - float(a) * space.create(k, ci_x)
-        for w, v in sub.items():
-            wk = w.then(k)
-            acc[wk] = acc.get(wk, zero_vector(n)) + float(a) * v
-    _decompose_into(space, residual, acc)
+        basis = tables.basis(space, m, s, r)[0]
+        if not basis.shape[1]:
+            continue
+        rhs = np.zeros((len(words), basis.shape[1]), dtype=y.dtype)
+        for j, w in enumerate(words):
+            if w in images:
+                rhs[j] = images[w] @ basis
+        out.update(zip(words, tables.gram_inverse(space, n, l) @ rhs))
+    return out
+
+
+def _spread(index, weight, values, size: int) -> np.ndarray:
+    """The length-`size` array of sums of weight * values by index."""
+    if np.iscomplexobj(values):
+        return _spread(index, weight, values.real, size) + 1j * _spread(
+            index, weight, values.imag, size
+        )
+    return np.bincount(index, weights=weight * values, minlength=size)
+
+
+def _tables(space: PathSpace) -> "_DecompositionTables":
+    tables = space.cache.get("decompose_tables")
+    if tables is None:
+        tables = space.cache["decompose_tables"] = _DecompositionTables(space)
+    return tables
+
+
+class _DecompositionTables:
+    """What `decompose` reads, filled on first use at each length.
+
+    Per (length, source, range) block: the walks in lexicographic order;
+    every c_k to length - 2 as index arrays (src, dst, weight), read the
+    other way for c†_k; and the block of the essential basis as a dense
+    real matrix.  Per (length, level): the creation words and the inverse
+    of their Gram matrix.  No dense map on all paths of a length is kept.
+    Holds no reference to the space, so the space's cache does not point
+    back at it.
+    """
+
+    def __init__(self, space: PathSpace):
+        info = coxeter_info(space.spectrum)
+        self.coxeter = None if info is None else info.coxeter_number
+        self.sqrt_mu = np.asarray(space.sqrt_mu)
+        self.walks: dict = {}
+        self.annihilators: dict = {}
+        self.bases: dict = {}
+        self.levels: dict = {}
+        self.inverses: dict = {}
+
+    def block(self, space, length, s, r):
+        """Walks of `length` from s to r in lexicographic order."""
+        key = (length, s, r)
+        if key not in self.walks:
+            groups: dict = {t: [] for t in range(space.graph.num_vertices)}
+            for p in space.enumerate_paths(length, source=s):
+                groups[p[-1]].append(p)
+            for t, paths in groups.items():
+                self.walks[(length, s, t)] = paths
+        return self.walks[key]
+
+    def positions(self, space, length, s, r, paths):
+        """Positions of `paths` in `block(space, length, s, r)`; raises
+        `GraphError` for one that is not in it."""
+        walks = self.block(space, length, s, r)
+        out = np.fromiter((bisect_left(walks, p) for p in paths), np.intp)
+        for p, j in zip(paths, out.tolist()):
+            if j == len(walks) or walks[j] != p:
+                raise GraphError(f"{format_path(p)} is not a walk of length {length}")
+        return out
+
+    def annihilator(self, space, length, s, r, k):
+        """c_k from `length` on block (s, r) as arrays (src, dst, weight):
+        (c_k y)[dst] sums weight * y[src]."""
+        key = (length, s, r)
+        if key not in self.annihilators:
+            paths = self.block(space, length, s, r)
+            walks = np.array(paths, dtype=np.intp).reshape(len(paths), length + 1)
+            maps = []
+            for i in range(length - 1):
+                src = np.flatnonzero(walks[:, i] == walks[:, i + 2])
+                kept = np.delete(walks[src], (i + 1, i + 2), axis=1).tolist()
+                dst = self.positions(space, length - 2, s, r, list(map(tuple, kept)))
+                weight = self.sqrt_mu[walks[src, i + 1]] / self.sqrt_mu[walks[src, i]]
+                maps.append((src, dst, weight))
+            self.annihilators[key] = maps
+        return self.annihilators[key][k]
+
+    def annihilate(self, space, length, s, r, k, y):
+        """c_k from `length` to length - 2."""
+        src, dst, weight = self.annihilator(space, length, s, r, k)
+        return _spread(dst, weight, y[src], len(self.block(space, length - 2, s, r)))
+
+    def create(self, space, length, s, r, k, z):
+        """c†_k from length - 2 to `length`."""
+        src, dst, weight = self.annihilator(space, length, s, r, k)
+        return _spread(src, weight, z[dst], len(self.block(space, length, s, r)))
+
+    def lift(self, space, n, s, r, vectors):
+        """The sum of c†_w vectors[w] over the words w != () at length n.
+
+        Horner's rule along suffixes, deepest level first: each word passes
+        c†_{w[0]} of its vector, plus what its extensions passed to it, up
+        to its suffix w[1:].
+        """
+        passed: dict = {}
+        for l in range(n // 2, 0, -1):
+            for w in self.words(n)[l]:
+                parts = [v for v in (vectors.get(w), passed.pop(w, None)) if v is not None]
+                if parts:
+                    v = self.create(space, n - 2 * l + 2, s, r, w[0], sum(parts))
+                    passed[w[1:]] = passed[w[1:]] + v if w[1:] in passed else v
+        return passed.get((), 0.0)
+
+    def basis(self, space, m, s, r):
+        """Block (s, r) of E_m, one column per basis vector, and the indices
+        of those vectors in `essential_basis(space, m)`."""
+        key = (m, s, r)
+        if key not in self.bases:
+            basis = essential_basis(space, m)
+            offsets = basis.blocks.get((s, r), ())
+            dense = np.zeros((len(self.block(space, m, s, r)), len(offsets)))
+            for j, a in enumerate(offsets):
+                coeffs = basis.vectors[a].coeffs
+                rows = self.positions(space, m, s, r, list(coeffs))
+                dense[rows, j] = [c.real for c in coeffs.values()]  # the basis is real
+            self.bases[key] = (dense, offsets)
+        return self.bases[key]
+
+    def words(self, n):
+        """See `creation_words`."""
+        if n not in self.levels:
+            levels: list = [[] for _ in range(n // 2 + 1)]
+
+            def grow(suffix, length):
+                levels[len(suffix)].append(suffix)
+                low = 0 if self.coxeter is None else max(0, length - self.coxeter + 1)
+                high = length - 2 if not suffix else min(length - 2, suffix[0] - 1)
+                for i in range(low, high + 1):
+                    grow((i,) + suffix, length - 2)
+
+            grow((), n)
+            self.levels[n] = [sorted(words) for words in levels]
+        return self.levels[n]
+
+    def gram(self, space, n, l):
+        """`word_gram(space, n, l)`, computed afresh."""
+        m = n - 2 * l
+        basis = essential_basis(space, m)
+        if not basis.vectors:
+            raise BasisError(f"no essential paths of length {m}")
+        s, r = basis.endpoints[0]
+        rows = []
+        for word in self.words(n)[l]:
+            v = self.basis(space, m, s, r)[0][:, 0]
+            for j, i in enumerate(word):
+                v = self.create(space, m + 2 * j + 2, s, r, i, v)
+            rows.append(v)
+        stacked = np.array(rows)
+        return stacked @ stacked.T
+
+    def gram_inverse(self, space, n, l):
+        key = (n, l)
+        if key not in self.inverses:
+            self.inverses[key] = np.linalg.inv(self.gram(space, n, l))
+        return self.inverses[key]
 
 
 def recompose(space: PathSpace, d: Decomposition) -> PathVector:

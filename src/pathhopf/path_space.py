@@ -85,14 +85,14 @@ class PathVector:
     def __add__(self, other: "PathVector") -> "PathVector":
         if not isinstance(other, PathVector):
             return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
         if self.length != other.length:
             raise ValueError(
                 f"cannot add path vectors of lengths {self.length} and {other.length}"
             )
+        if not self.coeffs:
+            return other
+        if not other.coeffs:
+            return self
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
             out[p] = out.get(p, 0.0) + c

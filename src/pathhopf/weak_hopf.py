@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisError, CutoffError, PathHopfError
-from .essential_decomp import decompose, essential_basis
+from .essential_decomp import decompose_coordinates, essential_basis
 from .path_space import (
     PathSpace,
     PathVector,
@@ -152,20 +152,6 @@ def coefficient_C(space: PathSpace, key: CoefficientKey, base_length: int) -> co
 # -- the projection onto essential endomorphisms ------------------------------
 
 
-def _expanded_terms(space, x: PathVector):
-    """Decompose `x` and expand each essential part over the basis.
-
-    Returns a tuple of (word indices, base length, ((index, coeff), ...)).
-    """
-    out = []
-    for word, xi in decompose(space, x).terms:
-        basis = essential_basis(space, xi.length)
-        expansion = tuple(sorted(basis.expand(xi).items()))
-        if expansion:
-            out.append((word.indices, xi.length, expansion))
-    return tuple(out)
-
-
 def _combine_terms(space, left_terms, right_terms) -> dict:
     """Pair decomposition terms of equal word length through C."""
     out: dict = {}
@@ -178,8 +164,8 @@ def _combine_terms(space, left_terms, right_terms) -> dict:
             c = coefficient_C(space, CoefficientKey(iw, jw), m)
             if abs(c) < 1e-14:
                 continue
-            for a, ca in left_exp:
-                for b, cb in right_exp:
+            for a, ca in left_exp.items():
+                for b, cb in right_exp.items():
                     k = (m, a, b)
                     out[k] = out.get(k, 0.0) + c * ca * cb
     return out
@@ -195,7 +181,9 @@ def projector_P(space: PathSpace, left: PathVector, right: PathVector) -> Algebr
     """
     if left.length != right.length:
         raise ValueError("projector factors must have equal path length")
-    out = _combine_terms(space, _expanded_terms(space, left), _expanded_terms(space, right))
+    out = _combine_terms(
+        space, decompose_coordinates(space, left), decompose_coordinates(space, right)
+    )
     return AlgebraElement(space, out)
 
 
@@ -203,13 +191,13 @@ def projector_P(space: PathSpace, left: PathVector, right: PathVector) -> Algebr
 
 
 def _pair_decomp(space, n1, a, n2, c):
-    """Cached expanded decomposition of basis_vector(n1, a) * basis_vector(n2, c)."""
+    """Cached decomposition coordinates of basis_vector(n1, a) * basis_vector(n2, c)."""
     cache = space.cache.setdefault("pair_decomp", {})
     key = (n1, a, n2, c)
     if key not in cache:
         left = essential_basis(space, n1).vectors[a]
         right = essential_basis(space, n2).vectors[c]
-        cache[key] = _expanded_terms(space, concat(left, right))
+        cache[key] = decompose_coordinates(space, concat(left, right))
     return cache[key]
 
 

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from pathhopf import Graph, PathVector, decompose
+from pathhopf import (
+    Decomposition,
+    Graph,
+    OperatorWord,
+    PathVector,
+    decompose,
+    tridiagonal_solve,
+    zero_vector,
+)
 from pathhopf.weak_hopf import element_in_path_coordinates
 
 
@@ -84,3 +92,47 @@ def operator_residual(space, op_lhs, op_rhs, n):
         x = PathVector.unit(p)
         worst = max(worst, sup_diff(op_lhs(x), op_rhs(x)))
     return worst
+
+
+def recursive_decompose(space, x):
+    """The recursive splitter, kept as an oracle for `decompose`.
+
+    Take the largest index i with c_i x != 0, write
+    x = sum_k alpha_k c†_k (c_i x) + residual with alpha from
+    `tridiagonal_solve` (so the residual is killed by c_i, ..., c_{n-2}),
+    then recurse on c_i x and on the residual; words are normal-ordered
+    with `OperatorWord.then` and merged.
+    """
+    acc = {}
+    _decompose_into(space, x, acc)
+    terms = [(w, v) for w, v in acc.items() if not v.is_zero()]
+    terms.sort(key=lambda t: (len(t[0]), t[0].indices))
+    return Decomposition(length=x.length, terms=tuple(terms))
+
+
+def _decompose_into(space, x, acc):
+    if x.is_zero():
+        return
+    n = x.length
+    i = None
+    ci_x = None
+    for j in reversed(range(n - 1)):
+        img = space.annihilate(j, x)
+        if not img.is_zero():
+            i, ci_x = j, img
+            break
+    if i is None:
+        word = OperatorWord()
+        acc[word] = acc.get(word, zero_vector(n)) + x
+        return
+    alpha = tridiagonal_solve(space.beta, n - 1 - i)
+    sub = {}
+    _decompose_into(space, ci_x, sub)
+    residual = x
+    for offset, a in enumerate(alpha):
+        k = i + offset
+        residual = residual - float(a) * space.create(k, ci_x)
+        for w, v in sub.items():
+            wk = w.then(k)
+            acc[wk] = acc.get(wk, zero_vector(n - 2 * len(wk))) + float(a) * v
+    _decompose_into(space, residual, acc)

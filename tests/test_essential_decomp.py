@@ -12,6 +12,7 @@ from pathhopf import (
     CutoffError,
     Graph,
     PathSpace,
+    PathVector,
     coxeter_info,
     decompose,
     essential_basis,
@@ -24,7 +25,9 @@ from pathhopf import (
     tridiagonal_matrix,
     tridiagonal_solve,
 )
-from pathhopf.errors import SingularSystemError
+from pathhopf.errors import GraphError, SingularSystemError
+from pathhopf.essential_decomp import creation_words, word_gram
+from pathhopf.weak_hopf import CoefficientKey, coefficient_C
 import frozen_cases
 from helpers import (
     assert_decomposition,
@@ -32,6 +35,7 @@ from helpers import (
     path_graph,
     pv,
     random_vector,
+    recursive_decompose,
     sup_diff,
     unit,
 )
@@ -342,30 +346,43 @@ FUSION_GRAPHS = {
 }
 
 
+# more graphs for the decomposition oracles: (vertex count, edges)
+ORACLE_GRAPHS = {
+    "A3": (3, [(0, 1), (1, 2)]),
+    "D4": (4, [(0, 1), (0, 2), (0, 3)]),
+}
+
+
 def edge_graph(name):
-    k, edges, _ = FUSION_GRAPHS[name]
+    k, edges = (ORACLE_GRAPHS.get(name) or FUSION_GRAPHS[name])[:2]
     adjacency = np.zeros((k, k), dtype=int)
     for i, j in edges:
         adjacency[i, j] = adjacency[j, i] = 1
     return Graph(name=name, vertices=tuple(str(v) for v in range(k)), adjacency=adjacency)
 
 
+def fusion_dims(g, top):
+    """Graph fusion: N_0 = I, N_1 = G, N_{k+1} = G N_k - N_{k-1}; the (s, r)
+    block of E_n has dimension max(N_n[s, r], 0).  On a finite graph with
+    Coxeter number h this holds for n < 2h only: N_{2h} = I."""
+    fusion = [np.eye(len(g), dtype=int), g]
+    while len(fusion) <= top:
+        fusion.append(g @ fusion[-1] - fusion[-2])
+    return [np.maximum(f, 0) for f in fusion[: top + 1]]
+
+
 @pytest.mark.parametrize("name", sorted(FUSION_GRAPHS))
 def test_block_dims_match_fusion_recursion(name):
-    # graph fusion: N_0 = I, N_1 = G, N_{k+1} = G N_k - N_{k-1}; the
-    # (s, r) block of E_n has dimension max(N_n[s, r], 0)
     graph = edge_graph(name)
     top = FUSION_GRAPHS[name][2]
     space = PathSpace(graph, cutoff=top)
     g = graph.adjacency
-    fusion = [np.eye(len(g), dtype=int), g]
-    while len(fusion) <= top:
-        fusion.append(g @ fusion[-1] - fusion[-2])
+    fusion = fusion_dims(g, top)
     for n in range(top + 1):
         got = np.zeros_like(g)
         for s, r in essential_basis(space, n).endpoints:
             got[s, r] += 1
-        assert np.array_equal(got, np.maximum(fusion[n], 0)), (name, n)
+        assert np.array_equal(got, fusion[n]), (name, n)
 
 
 def test_e8_length_ten_basis_is_orthonormal_and_essential():
@@ -382,3 +399,111 @@ def test_e8_length_ten_basis_is_orthonormal_and_essential():
         for i in range(9):
             assert space.annihilate(i, xi).norm() < 1e-9
     assert np.allclose(dense @ dense.conj().T, np.eye(len(basis)), atol=1e-10)
+
+
+# -- the word-Gram solve against the recursive splitter -----------------------
+
+def solid_terms(d, tol=1e-10):
+    """{word indices: vector}, without terms that are float dust."""
+    return {w.indices: v for w, v in d.terms if v.sup_norm() > tol}
+
+
+def assert_matches_oracle(space, x):
+    got = solid_terms(decompose(space, x))
+    want = solid_terms(recursive_decompose(space, x))
+    assert set(got) == set(want), (sorted(got), sorted(want))
+    for word, vector in got.items():
+        assert sup_diff(vector, want[word]) < 1e-9, word
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("A3", n) for n in range(8)]
+    + [("D4", n) for n in range(8)]
+    + [("A_aff_2", n) for n in range(9)],
+)
+def test_decompose_matches_recursion_on_unit_paths(name, n):
+    space = PathSpace(edge_graph(name))
+    for p in space.enumerate_paths(n):
+        assert_matches_oracle(space, unit(p))
+
+
+@pytest.mark.parametrize("name", ["E6", "D_aff_4"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_decompose_matches_recursion_on_block_vectors(name, n):
+    space = PathSpace(edge_graph(name))
+    rng = np.random.default_rng(1000 * n + len(name))
+    ends = sorted({(p[0], p[-1]) for p in space.enumerate_paths(n)})
+    for trial in range(3):
+        s, r = ends[int(rng.integers(len(ends)))]
+        paths = space.enumerate_paths(n, source=s, target=r)
+        coeffs = rng.standard_normal(len(paths))
+        if trial:
+            coeffs = coeffs + 1j * rng.standard_normal(len(paths))
+        assert_matches_oracle(space, pv(dict(zip(paths, coeffs))))
+
+
+@pytest.mark.parametrize("path", [(0, 2, 1), (0, 1, 7), (7, 1, 0), (0, 1)])
+def test_decompose_rejects_a_non_walk(a3, path):
+    with pytest.raises(GraphError, match="is not a walk of length 2"):
+        decompose(a3, PathVector(2, {path: 1.0}))
+
+
+# -- the truncated word set ------------------------------------------------------
+
+
+def ballot(n, l):
+    """Number of normal-ordered words of length l at length n, untruncated."""
+    return math.comb(n, l) - (math.comb(n, l - 1) if l else 0)
+
+
+@pytest.mark.parametrize("name, top", [("A3", 7), ("D5", 10), ("E6", 12), ("A_aff_2", 10)])
+def test_word_counts_times_fusion_dims_count_walks(name, top):
+    # on every block, sum_l |W(n, l)| * dim E_{n-2l}[s, r] is the number of
+    # walks from s to r.  On the finite graphs top runs past the Coxeter
+    # bound h - 2 but stays below 2h, where N_{2h} = I and max(N, 0) stops
+    # being the dimension
+    graph = edge_graph(name)
+    space = PathSpace(graph, cutoff=top)
+    g = graph.adjacency
+    dims = fusion_dims(g, top)
+    walks = np.eye(len(g), dtype=int)
+    for n in range(top + 1):
+        levels = creation_words(space, n)
+        total = sum(len(levels[l]) * dims[n - 2 * l] for l in range(n // 2 + 1))
+        assert np.array_equal(total, walks), (name, n)
+        walks = walks @ g
+
+
+def test_untruncated_words_at_beta_two_and_overcount_on_a3():
+    tri = PathSpace(edge_graph("A_aff_2"))
+    for n in range(9):
+        assert [len(w) for w in creation_words(tri, n)] == [
+            ballot(n, l) for l in range(n // 2 + 1)
+        ]
+    # on A3 at n = 4 the untruncated words give 3 * dim E_2[0, 2] = 3
+    # vectors in the (0, 2) block, which holds only 2 walks
+    a3 = PathSpace(edge_graph("A3"))
+    dims = fusion_dims(a3.graph.adjacency, 4)
+    assert ballot(4, 1) * dims[2][0, 2] + ballot(4, 2) * dims[0][0, 2] == 3
+    assert len(a3.enumerate_paths(4, source=0, target=2)) == 2
+    assert [len(w) for w in creation_words(a3, 4)] == [1, 2, 2]
+
+
+@pytest.mark.parametrize("name, top", [("A3", 6), ("A_aff_2", 8), ("E6", 8)])
+def test_word_gram_is_positive_definite_and_matches_coefficient_C(name, top):
+    space = PathSpace(edge_graph(name))
+    for n in range(2, top + 1):
+        for l in range(1, n // 2 + 1):
+            m = n - 2 * l
+            if not len(essential_basis(space, m)):
+                continue
+            words = creation_words(space, n)[l]
+            gram = word_gram(space, n, l)
+            assert gram.shape == (len(words), len(words))
+            assert np.allclose(gram, gram.T, atol=1e-12)
+            assert np.linalg.eigvalsh(gram).min() > 1e-9, (name, n, l)
+            for a, wa in enumerate(words):
+                for b, wb in enumerate(words):
+                    c = coefficient_C(space, CoefficientKey(wb, wa), m)
+                    assert abs(gram[a, b] - c) < 1e-12, (name, n, l, wa, wb)

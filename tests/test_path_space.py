@@ -12,6 +12,7 @@ from pathhopf import (
     CutoffError,
     OperatorWord,
     PathSpace,
+    PathVector,
     concat,
     inner_product,
     star,
@@ -85,6 +86,29 @@ def test_inner_product_conjugate_linear_first_slot():
     y = pv({(0, 1): 3.0})
     assert inner_product(x, y) == -6j
     assert inner_product(y, x) == 6j
+
+
+# -- vector arithmetic --------------------------------------------------------
+
+
+def test_add_rejects_length_mismatch_even_with_zero_operand():
+    zero2 = PathVector(2)
+    for left, right in (
+        (unit((0, 1)), unit((0, 1, 0))),
+        (zero2, unit((0, 1))),
+        (unit((0, 1)), zero2),
+        (zero2, PathVector(0)),
+    ):
+        with pytest.raises(ValueError, match="lengths"):
+            left + right
+        with pytest.raises(ValueError, match="lengths"):
+            left - right
+
+
+def test_add_zero_of_equal_length_is_identity():
+    x = unit((0, 1, 0))
+    assert sup_diff(PathVector(2) + x, x) == 0.0
+    assert sup_diff(x + PathVector(2), x) == 0.0
 
 
 # -- concatenation ------------------------------------------------------------
