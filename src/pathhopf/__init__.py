@@ -11,7 +11,6 @@ and verifies the axioms.  `cli` is the command-line surface.
 
 from .errors import (
     BasisError,
-    ConvergenceError,
     CutoffError,
     GraphError,
     PathHopfError,
@@ -82,7 +81,6 @@ __all__ = [
     "AxiomResult",
     "BasisError",
     "CoefficientKey",
-    "ConvergenceError",
     "CoxeterInfo",
     "CutoffError",
     "Decomposition",

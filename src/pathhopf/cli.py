@@ -356,6 +356,7 @@ def _dispatch(args, out: list) -> int:
             top = info.max_essential_length
         else:
             top = 4
+        bases = [essential_basis(space, n) for n in range(top + 1)]
         doc = {
             "graph": {
                 "name": graph.name,
@@ -371,18 +372,18 @@ def _dispatch(args, out: list) -> int:
             "mu": [_round(v) for v in space.mu],
             "coxeter_number": info.coxeter_number if info else None,
             "max_essential_length": info.max_essential_length if info else None,
-            "essential_dims": [len(essential_basis(space, n)) for n in range(top + 1)],
+            "essential_dims": [len(basis) for basis in bases],
             "essential_basis": {
                 str(n): [
                     {
                         "index": a,
-                        "source": essential_basis(space, n).endpoints[a][0],
-                        "range": essential_basis(space, n).endpoints[a][1],
-                        "terms": _vector_obj(essential_basis(space, n).vectors[a]),
+                        "source": basis.endpoints[a][0],
+                        "range": basis.endpoints[a][1],
+                        "terms": _vector_obj(xi),
                     }
-                    for a in range(len(essential_basis(space, n)))
+                    for a, xi in enumerate(basis.vectors)
                 ]
-                for n in range(top + 1)
+                for n, basis in enumerate(bases)
             },
         }
         out.append(json.dumps(doc, indent=2))

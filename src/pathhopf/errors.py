@@ -9,10 +9,6 @@ class GraphError(PathHopfError):
     """Malformed graph input or violated graph invariant."""
 
 
-class ConvergenceError(PathHopfError):
-    """An iterative solver failed to converge within its iteration cap."""
-
-
 class CutoffError(PathHopfError):
     """A requested computation would exceed the configured path-length cutoff."""
 

@@ -17,15 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GraphError
+from .errors import GraphError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
-
-#: Convergence target for the power iteration (see `perron_frobenius`).
-_PF_RESIDUAL = 1e-13
-_PF_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,34 +162,23 @@ def _connected(adj: np.ndarray) -> bool:
 def perron_frobenius(graph: Graph) -> Spectrum:
     """Largest adjacency eigenvalue and positive eigenvector of `graph`.
 
-    Power iteration with the deterministic all-ones start vector.  The
-    iteration runs on the shifted matrix M + (max degree + 1)·I: bipartite
-    graphs have -beta in their spectrum, so the unshifted iteration would
-    oscillate instead of converging.  The eigenvalue is read off as the
-    Rayleigh quotient of M itself; iteration stops once the residual
-    ``max|M mu - beta mu|`` of the min-normalized eigenvector is below
-    1e-13 (cap 10**6 sweeps).
+    The top eigenpair of the symmetric adjacency matrix from
+    `np.linalg.eigh`, sign-fixed and scaled so the smallest entry is 1.
+    Raises `GraphError` when the eigenvalue is not simple or the vector not
+    strictly positive (a disconnected graph), or when the residual
+    ``max|M mu - beta mu|`` exceeds 1e-12 times ``max(mu)``.
     """
     m = graph.adjacency.astype(float)
-    n = graph.num_vertices
-    shift = float(m.sum(axis=1).max()) + 1.0
-    x = np.ones(n)
-    x /= np.linalg.norm(x)
-    beta = float(x @ (m @ x))
-    for _ in range(_PF_MAX_ITER):
-        y = m @ x + shift * x
-        y /= np.linalg.norm(y)
-        x = y
-        beta = float(x @ (m @ x))
-        low = x.min()
-        if low <= 0.0:
-            continue
-        mu = x / low
-        if np.max(np.abs(m @ mu - beta * mu)) < _PF_RESIDUAL:
-            return Spectrum(beta=beta, mu=mu)
-    raise ConvergenceError(
-        f"power iteration did not converge in {_PF_MAX_ITER} iterations"
-    )
+    values, vectors = np.linalg.eigh(m)
+    beta, x = float(values[-1]), vectors[:, -1]
+    x = x if x.sum() > 0 else -x
+    # a connected graph has a simple top eigenvalue with a positive vector
+    if np.any(values[:-1] > beta - 1e-9) or x.min() <= 1e-12 * x.max():
+        raise GraphError(f"{graph.name!r} has no simple positive Perron-Frobenius vector")
+    mu = x / x.min()
+    if np.max(np.abs(m @ mu - beta * mu)) > 1e-12 * mu.max():
+        raise GraphError(f"Perron-Frobenius residual too large for {graph.name!r}")
+    return Spectrum(beta=beta, mu=mu)
 
 
 def coxeter_info(spectrum: Spectrum, tol: float = DEFAULT_TOL) -> CoxeterInfo | None:

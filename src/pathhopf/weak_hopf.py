@@ -1,16 +1,24 @@
 """Weak *-Hopf algebra on graded endomorphisms of essential paths.
 
 Elements live in the direct sum over n of E_n (x) E_n, stored sparsely
-against the orthonormal essential bases.  The product concatenates slotwise
-and projects back onto essentials through the contraction coefficients
-C(i...; j...); coproduct, counit, star, and antipode complete the weak
-*-Hopf structure, and `verify_axioms` checks every axiom numerically.
+against the orthonormal essential bases under keys (n, a, b) for
+xi_a (x) xi_b.  The product concatenates slotwise and projects back onto
+essentials through the contraction coefficients C(i...; j...).
+
+Coproduct, counit, star and antipode are each written once, on one basis
+key (`_delta_key`, `_counit_key`, `_star_key`, `_antipode_key`).  A key map
+returns {slot tuple: coefficient}, where a slot tuple holds the keys of a
+tensor-power basis element: two for the coproduct, one for star and
+antipode, none for the counit.  `_linear` extends a key map to an element
+and `_on_slot` to one slot of a tensor-power element, so the public maps
+and `verify_axioms` read the same definitions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -246,7 +254,7 @@ def identity(space: PathSpace) -> AlgebraElement:
     )
 
 
-# -- star ----------------------------------------------------------------------
+# -- structure maps on one basis key -------------------------------------------
 
 
 def _star_columns(space, n):
@@ -258,36 +266,85 @@ def _star_columns(space, n):
     return cache[n]
 
 
+def _pf_weight(space, s_left, r_left, s_right, r_right) -> float:
+    mu = space.mu
+    return math.sqrt((mu[s_right] * mu[r_left]) / (mu[r_right] * mu[s_left]))
+
+
+def _delta_key(space, key) -> dict:
+    """xi_a (x) xi_b -> sum over the length-n basis of (a, c) boxtimes (c, b)."""
+    n, a, b = key
+    return {((n, a, c), (n, c, b)): 1.0 for c in range(len(essential_basis(space, n)))}
+
+
+def _counit_key(key) -> dict:
+    """The pairing of the two slots: 1 on diagonal keys, 0 elsewhere."""
+    return {(): 1.0} if key[1] == key[2] else {}
+
+
+def _star_key(space, key) -> dict:
+    """Time reversal of both slots; the caller conjugates coefficients."""
+    n, a, b = key
+    cols = _star_columns(space, n)
+    return {
+        ((n, a2, b2),): sa * sb for a2, sa in cols[a].items() for b2, sb in cols[b].items()
+    }
+
+
+def _antipode_key(space, key, weight_fn=None) -> dict:
+    """The star with the slots swapped, times the endpoint factor F of
+    xi_a and xi_b: `_pf_weight`, or `weight_fn` when one is given."""
+    n, a, b = key
+    ends = essential_basis(space, n).endpoints
+    f = (weight_fn or partial(_pf_weight, space))(*ends[a], *ends[b])
+    return {((n, b2, a2),): f * w for ((_, a2, b2),), w in _star_key(space, key).items()}
+
+
+def _linear(coeffs: dict, image) -> dict:
+    """Apply a key map to an element's coefficients.  A one-slot image is
+    stored under its plain key, so maps into the algebra give algebra keys."""
+    out: dict = {}
+    for key, z in coeffs.items():
+        for part, w in image(key).items():
+            k = part[0] if len(part) == 1 else part
+            out[k] = out.get(k, 0.0) + z * w
+    return out
+
+
+def _on_slot(coeffs: dict, slot: int, image) -> dict:
+    """Apply a key map to one slot of tensor-power keys, splicing its slot
+    tuple in place of that slot."""
+    out: dict = {}
+    for key, z in coeffs.items():
+        head, tail = key[:slot], key[slot + 1 :]
+        for part, w in image(key[slot]).items():
+            k = head + part + tail
+            out[k] = out.get(k, 0.0) + z * w
+    return out
+
+
+def _sup_diff(u: dict, v: dict) -> float:
+    """Largest coefficient of u - v."""
+    diffs = (abs(u.get(k, 0.0) - v.get(k, 0.0)) for k in u.keys() | v.keys())
+    return max(diffs, default=0.0)
+
+
+# -- star, coproduct, counit, antipode ---------------------------------------------
+
+
 def star_alg(x: AlgebraElement) -> AlgebraElement:
     """Involution: time-reverse both slots, conjugate coefficients.
 
     Antilinear, involutive, and an antihomomorphism for `multiply`.
     """
-    space = x.space
-    out: dict = {}
-    for (n, a, b), z in x.coeffs.items():
-        zc = z.conjugate()
-        cols = _star_columns(space, n)
-        for a2, sa in cols[a].items():
-            for b2, sb in cols[b].items():
-                k = (n, a2, b2)
-                out[k] = out.get(k, 0.0) + zc * sa * sb
-    return AlgebraElement(space, out)
-
-
-# -- coproduct and counit -------------------------------------------------------
+    conj = {k: z.conjugate() for k, z in x.coeffs.items()}
+    return AlgebraElement(x.space, _linear(conj, partial(_star_key, x.space)))
 
 
 def coproduct(x: AlgebraElement) -> TensorSquare:
     """Split each xi_a (x) xi_b into the sum over the full same-length basis
     of (xi_a (x) xi_c) boxtimes (xi_c (x) xi_b)."""
-    space = x.space
-    out: dict = {}
-    for (n, a, b), z in x.coeffs.items():
-        for c in range(len(essential_basis(space, n))):
-            key = ((n, a, c), (n, c, b))
-            out[key] = out.get(key, 0.0) + z
-    return TensorSquare(space, out)
+    return TensorSquare(x.space, _linear(x.coeffs, partial(_delta_key, x.space)))
 
 
 def counit(x: AlgebraElement) -> complex:
@@ -317,14 +374,6 @@ def multiply_tensor_square(u: TensorSquare, v: TensorSquare) -> TensorSquare:
     return TensorSquare(space, out)
 
 
-# -- antipode -------------------------------------------------------------------
-
-
-def _pf_weight(space, s_left, r_left, s_right, r_right) -> float:
-    mu = space.mu
-    return math.sqrt((mu[s_right] * mu[r_left]) / (mu[r_right] * mu[s_left]))
-
-
 def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
     """S(xi (x) omega) = F(xi, omega) omega* (x) xi*.
 
@@ -332,75 +381,8 @@ def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
     sqrt(mu[s(omega)] mu[r(xi)] / (mu[r(omega)] mu[s(xi)])); `weight_fn`
     replaces it (same four endpoint arguments) for perturbation studies.
     """
-    space = x.space
-    fn = weight_fn
-    out: dict = {}
-    for (n, a, b), z in x.coeffs.items():
-        basis = essential_basis(space, n)
-        s_a, r_a = basis.endpoints[a]
-        s_b, r_b = basis.endpoints[b]
-        if fn is None:
-            f = _pf_weight(space, s_a, r_a, s_b, r_b)
-        else:
-            f = fn(s_a, r_a, s_b, r_b)
-        cols = _star_columns(space, n)
-        zf = z * f
-        for b2, sb in cols[b].items():
-            for a2, sa in cols[a].items():
-                k = (n, b2, a2)
-                out[k] = out.get(k, 0.0) + zf * sb * sa
-    return AlgebraElement(space, out)
-
-
-# -- generic tensor helpers (internal) -------------------------------------------
-
-
-def _expand_slot(space, coeffs: dict, slot: int) -> dict:
-    """Apply the coproduct to one slot of a tensor-power coefficient dict."""
-    out: dict = {}
-    for key, z in coeffs.items():
-        n, a, b = key[slot]
-        for c in range(len(essential_basis(space, n))):
-            new = key[:slot] + ((n, a, c), (n, c, b)) + key[slot + 1 :]
-            out[new] = out.get(new, 0.0) + z
-    return out
-
-
-def _counit_slot(space, coeffs: dict, slot: int) -> dict:
-    """Apply the counit to one slot of a tensor-power coefficient dict."""
-    out: dict = {}
-    for key, z in coeffs.items():
-        n, a, b = key[slot]
-        if a != b:
-            continue
-        new = key[:slot] + key[slot + 1 :]
-        out[new] = out.get(new, 0.0) + z
-    return out
-
-
-def _dict_diff_sup(d1: dict, d2: dict) -> float:
-    sup = 0.0
-    for k in d1.keys() | d2.keys():
-        sup = max(sup, abs(d1.get(k, 0.0) - d2.get(k, 0.0)))
-    return sup
-
-
-def _flip(u: TensorSquare) -> TensorSquare:
-    return TensorSquare(u.space, {(q, p): z for (p, q), z in u.coeffs.items()})
-
-
-def _map_slots(space, u: TensorSquare, fn) -> TensorSquare:
-    """Apply a linear map (given by its action on basis elements, as an
-    AlgebraElement) to both slots of a tensor square."""
-    out: dict = {}
-    for (p, q), z in u.coeffs.items():
-        fp = fn(AlgebraElement.basis_element(space, *p))
-        fq = fn(AlgebraElement.basis_element(space, *q))
-        for k1, z1 in fp.coeffs.items():
-            for k2, z2 in fq.coeffs.items():
-                key = (k1, k2)
-                out[key] = out.get(key, 0.0) + z * z1 * z2
-    return TensorSquare(space, out)
+    image = partial(_antipode_key, x.space, weight_fn=weight_fn)
+    return AlgebraElement(x.space, _linear(x.coeffs, image))
 
 
 # -- axiom verification -----------------------------------------------------------
@@ -478,10 +460,9 @@ def verify_axioms(
         for a in range(len(essential_basis(space, n)))
         for b in range(len(essential_basis(space, n)))
     ]
-    basis_els = [AlgebraElement.basis_element(space, *t) for t in triples_pool]
     rng = np.random.default_rng(seed)
     randoms = [_random_element(space, triples_pool, rng) for _ in range(samples)]
-    singles = basis_els + randoms
+    singles = [AlgebraElement.basis_element(space, *t) for t in triples_pool] + randoms
     pairs = [
         (singles[int(rng.integers(len(singles)))], singles[int(rng.integers(len(singles)))])
         for _ in range(samples)
@@ -490,111 +471,89 @@ def verify_axioms(
         tuple(singles[int(rng.integers(len(singles)))] for _ in range(3))
         for _ in range(samples)
     ]
+    singles = [(x,) for x in singles]
+
     one = identity(space)
-    delta_one = coproduct(one)
-    s_fn = lambda el: antipode(el, weight_fn=weight_fn)
+    delta = partial(_delta_key, space)
+    delta_one = coproduct(one).coeffs
+    star_key = partial(_star_key, space)
+    s_key = partial(_antipode_key, space, weight_fn=weight_fn)
+    s_fn = partial(antipode, weight_fn=weight_fn)
 
-    residuals: dict[str, float] = {}
+    def both_slots(u, image):
+        return _on_slot(_on_slot(u, 0, image), 1, image)
 
-    def note(name, value):
-        residuals[name] = max(residuals.get(name, 0.0), value)
+    def counit_slot(x, slot):
+        return _linear(x.coeffs, lambda k: _on_slot(delta(k), slot, _counit_key))
 
-    for x, y, z in triples:
-        note(
-            "product associativity",
-            (multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm(),
+    def pairing(left, right):
+        """counit(left * right) on coefficient dicts."""
+        return sum(
+            zl * zr * w
+            for kl, zl in left.items()
+            for kr, zr in right.items()
+            for (_, e, f), w in _basis_product(space, *kl, *kr).items()
+            if e == f
         )
-    for x in singles:
-        note("unit element", (multiply(one, x) - x).sup_norm())
-        note("unit element", (multiply(x, one) - x).sup_norm())
-        note("star involution", (star_alg(star_alg(x)) - x).sup_norm())
-    for x, y in pairs:
-        note(
-            "star antihomomorphism",
-            (star_alg(multiply(x, y)) - multiply(star_alg(y), star_alg(x))).sup_norm(),
-        )
-        note(
-            "coproduct multiplicative",
-            (
-                coproduct(multiply(x, y))
-                - multiply_tensor_square(coproduct(x), coproduct(y))
-            ).sup_norm(),
-        )
-    for x in singles:
-        dx = coproduct(x)
-        note(
-            "coproduct star-compatible",
-            (coproduct(star_alg(x)) - _map_slots(space, dx, star_alg)).sup_norm(),
-        )
-        note(
-            "coassociativity",
-            _dict_diff_sup(
-                _expand_slot(space, dx.coeffs, 0), _expand_slot(space, dx.coeffs, 1)
-            ),
-        )
-        note(
-            "counit left inverse",
-            _dict_diff_sup(
-                {k[0]: z for k, z in _counit_slot(space, dx.coeffs, 0).items()},
-                x.coeffs,
-            ),
-        )
-        note(
-            "counit right inverse",
-            _dict_diff_sup(
-                {k[0]: z for k, z in _counit_slot(space, dx.coeffs, 1).items()},
-                x.coeffs,
-            ),
-        )
-    for x, y in pairs:
-        direct = counit(multiply(x, y))
-        split = 0j
-        for ((_, v, u), t2), z1 in delta_one.coeffs.items():
-            left = counit(multiply(x, AlgebraElement.basis_element(space, 0, v, u)))
-            if abs(left) < 1e-14:
-                continue
-            right = counit(multiply(AlgebraElement.basis_element(space, *t2), y))
-            split += z1 * left * right
-        note("counit of product", abs(direct - split))
-    for x in singles:
-        val = counit(multiply(x, star_alg(x)))
-        note("counit positivity", max(0.0, -val.real, abs(val.imag)))
-    for x, y in pairs:
-        note(
-            "antipode product rule",
-            (s_fn(multiply(x, y)) - multiply(s_fn(y), s_fn(x))).sup_norm(),
-        )
-    for x in singles:
-        note(
-            "antipode star double",
-            (star_alg(s_fn(star_alg(s_fn(x)))) - x).sup_norm(),
-        )
-        note(
-            "antipode coproduct rule",
-            (
-                coproduct(s_fn(x)) - _map_slots(space, _flip(coproduct(x)), s_fn)
-            ).sup_norm(),
-        )
-        note("antipode cancellation", _antipode_cancellation_residual(space, x, s_fn, delta_one))
 
-    order = [
-        "product associativity",
-        "unit element",
-        "star involution",
-        "star antihomomorphism",
-        "coproduct multiplicative",
-        "coproduct star-compatible",
-        "coassociativity",
-        "counit left inverse",
-        "counit right inverse",
-        "counit of product",
-        "counit positivity",
-        "antipode product rule",
-        "antipode star double",
-        "antipode coproduct rule",
-        "antipode cancellation",
-    ]
-    results = tuple(AxiomResult(name, residuals[name]) for name in order)
+    def counit_of_product(x, y):
+        split = sum(
+            z * pairing(x.coeffs, {t1: 1.0}) * pairing({t2: 1.0}, y.coeffs)
+            for (t1, t2), z in delta_one.items()
+        )
+        return abs(counit(multiply(x, y)) - split)
+
+    def positivity(value):
+        return max(0.0, -value.real, abs(value.imag))
+
+    def cancellation(x):
+        """sum S(x_(1)) x_(2) boxtimes x_(3) against sum 1_(1) boxtimes x 1_(2)."""
+        lhs: dict = {}
+        sweedler3 = _on_slot(coproduct(x).coeffs, 0, delta)
+        for (p, q, r), z in _on_slot(sweedler3, 0, s_key).items():
+            for k, w in _basis_product(space, *p, *q).items():
+                lhs[k, r] = lhs.get((k, r), 0.0) + z * w
+        rhs: dict = {}
+        for (t1, t2), z1 in delta_one.items():
+            for kx, zx in x.coeffs.items():
+                for k, w in _basis_product(space, *kx, *t2).items():
+                    rhs[t1, k] = rhs.get((t1, k), 0.0) + z1 * zx * w
+        return _sup_diff(lhs, rhs)
+
+    checks = (
+        ("product associativity", triples,
+         lambda x, y, z: (multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm()),
+        ("unit element", singles,
+         lambda x: max((multiply(one, x) - x).sup_norm(), (multiply(x, one) - x).sup_norm())),
+        ("star involution", singles, lambda x: (star_alg(star_alg(x)) - x).sup_norm()),
+        ("star antihomomorphism", pairs,
+         lambda x, y: (star_alg(multiply(x, y)) - multiply(star_alg(y), star_alg(x))).sup_norm()),
+        ("coproduct multiplicative", pairs,
+         lambda x, y: (coproduct(multiply(x, y))
+                       - multiply_tensor_square(coproduct(x), coproduct(y))).sup_norm()),
+        ("coproduct star-compatible", singles,
+         lambda x: _sup_diff(coproduct(star_alg(x)).coeffs, both_slots(
+             {k: z.conjugate() for k, z in coproduct(x).coeffs.items()}, star_key))),
+        ("coassociativity", singles,
+         lambda x: _sup_diff(_on_slot(coproduct(x).coeffs, 0, delta),
+                             _on_slot(coproduct(x).coeffs, 1, delta))),
+        ("counit left inverse", singles, lambda x: _sup_diff(counit_slot(x, 0), x.coeffs)),
+        ("counit right inverse", singles, lambda x: _sup_diff(counit_slot(x, 1), x.coeffs)),
+        ("counit of product", pairs, counit_of_product),
+        ("counit positivity", singles,
+         lambda x: positivity(counit(multiply(x, star_alg(x))))),
+        ("antipode product rule", pairs,
+         lambda x, y: (s_fn(multiply(x, y)) - multiply(s_fn(y), s_fn(x))).sup_norm()),
+        ("antipode star double", singles,
+         lambda x: (star_alg(s_fn(star_alg(s_fn(x)))) - x).sup_norm()),
+        ("antipode coproduct rule", singles,
+         lambda x: _sup_diff(coproduct(s_fn(x)).coeffs, both_slots(
+             {(q, p): z for (p, q), z in coproduct(x).coeffs.items()}, s_key))),
+        ("antipode cancellation", singles, cancellation),
+    )
+    results = tuple(
+        AxiomResult(name, max(fn(*args) for args in pool)) for name, pool, fn in checks
+    )
     return VerificationReport(
         graph=space.graph.name,
         max_length=max_length,
@@ -603,25 +562,6 @@ def verify_axioms(
         tolerance=tolerance,
         results=results,
     )
-
-
-def _antipode_cancellation_residual(space, x, s_fn, delta_one) -> float:
-    """Residual of: sum S(a_(1)) a_(2) boxtimes a_(3) = sum 1_1 boxtimes a 1_2."""
-    sweedler3 = _expand_slot(space, coproduct(x).coeffs, 0)
-    lhs: dict = {}
-    for (k1, k2, k3), z in sweedler3.items():
-        prod = multiply(s_fn(AlgebraElement.basis_element(space, *k1)),
-                        AlgebraElement.basis_element(space, *k2))
-        for kp, zp in prod.coeffs.items():
-            key = (kp, k3)
-            lhs[key] = lhs.get(key, 0.0) + z * zp
-    rhs: dict = {}
-    for (t1, t2), z1 in delta_one.coeffs.items():
-        prod = multiply(x, AlgebraElement.basis_element(space, *t2))
-        for kp, zp in prod.coeffs.items():
-            key = (t1, kp)
-            rhs[key] = rhs.get(key, 0.0) + z1 * zp
-    return _dict_diff_sup(lhs, rhs)
 
 
 # -- serialization (external JSON surface) -----------------------------------------

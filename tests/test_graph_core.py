@@ -119,6 +119,31 @@ def test_perron_frobenius_invariants_on_path_graphs(k):
     assert abs(s.mu.min() - 1.0) < 1e-15
 
 
+def test_perron_frobenius_long_chain():
+    # the A80 spectral gap is about 0.005, where a power iteration crawls
+    g = path_graph(80)
+    s = perron_frobenius(g)
+    assert abs(s.beta - 2 * math.cos(math.pi / 81)) < 1e-12
+    assert np.max(np.abs(g.adjacency @ s.mu - s.beta * s.mu)) < 1e-10
+    assert np.all(s.mu > 0)
+
+
+@pytest.mark.parametrize(
+    "edges, k",
+    [
+        ([(0, 1), (1, 2), (3, 4)], 5),  # A3 beside A2: mu vanishes on A2
+        ([(0, 1), (2, 3)], 4),  # two equal edges: beta is not simple
+    ],
+)
+def test_perron_frobenius_rejects_disconnected_graph(edges, k):
+    adjacency = np.zeros((k, k), dtype=int)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    graph = Graph("split", tuple(str(v) for v in range(k)), adjacency)
+    with pytest.raises(GraphError, match="Perron-Frobenius"):
+        perron_frobenius(graph)
+
+
 def test_perron_frobenius_d4():
     g = load_fixture("d4")
     s = perron_frobenius(g)

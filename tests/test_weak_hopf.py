@@ -526,6 +526,48 @@ def test_verify_axioms_negative_control(a3):
     assert not report.all_passed
 
 
+def test_verify_axioms_names_and_pinned_negative_control(a3):
+    # the flattened antipode's residual from the sweep before the structure
+    # maps were written on basis keys; a changed sample or map moves it
+    report = verify_axioms(a3, 2, samples=20, seed=0, weight_fn=lambda *a: 1.0)
+    assert abs(report.residual("antipode cancellation") - 0.9127236773870986) < 1e-9
+    assert [r.name for r in report.results] == [
+        "product associativity",
+        "unit element",
+        "star involution",
+        "star antihomomorphism",
+        "coproduct multiplicative",
+        "coproduct star-compatible",
+        "coassociativity",
+        "counit left inverse",
+        "counit right inverse",
+        "counit of product",
+        "counit positivity",
+        "antipode product rule",
+        "antipode star double",
+        "antipode coproduct rule",
+        "antipode cancellation",
+    ]
+
+
+@pytest.mark.parametrize("space_name", ["a3", "tri"])
+def test_structure_maps_are_linear_star_antilinear(space_name, request):
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(5)
+    x = random_element(space, 2, rng, terms=6) + 1j * random_element(space, 2, rng)
+    y = random_element(space, 2, rng, terms=6) - 2j * random_element(space, 2, rng)
+    c = 0.7 - 1.3j
+    bent = lambda s_l, r_l, s_r, r_r: 1.0 + s_l + 2 * r_r
+    for fn, scale in [
+        (coproduct, c),
+        (antipode, c),
+        (lambda el: antipode(el, weight_fn=bent), c),
+        (star_alg, c.conjugate()),
+    ]:
+        assert (fn(x + c * y) - (fn(x) + scale * fn(y))).sup_norm() < 1e-12
+    assert abs(counit(x + c * y) - (counit(x) + c * counit(y))) < 1e-12
+
+
 def test_verify_axioms_rejects_cutoff_overflow(tri):
     tight = PathSpace(tri.graph, tri.spectrum, cutoff=3)
     with pytest.raises(CutoffError):
