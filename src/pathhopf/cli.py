@@ -222,6 +222,8 @@ def run(argv: list[str]) -> int:
 
 
 def _dispatch(args, out: list) -> int:
+    if args.command in ("dims", "export") and (args.max_length or 0) < 0:
+        raise PathHopfError(f"--max must be nonnegative, got {args.max_length}")
     graph = _load_graph(args.graph)
     space = PathSpace(graph, cutoff=args.cutoff)
     fmt = args.format

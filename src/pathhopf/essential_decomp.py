@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -73,8 +74,9 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     part in E_{n-1}, so E_n is the kernel of the last annihilation c_{n-2}
     on the orthonormal candidates xi_a . (r -> t).  Per (source, range)
     block, that kernel is read off the SVD of the small matrix of c_{n-2}
-    in candidate coordinates.  The result is deterministic but its
-    orthonormal gauge within each block is whatever the SVD returns.
+    in candidate coordinates.  The result is deterministic; within each
+    block the orthonormal vectors are the SVD's, each signed so that its
+    first coefficient above 1e-9, in lexicographic path order, is positive.
     Raises `CutoffError` for n beyond the space's cutoff.
     """
     if n > space.cutoff:
@@ -144,7 +146,15 @@ def _block_kernel(space, prev: EssentialBasis, source, target) -> list[PathVecto
     for j, i, c in spread:
         x[j, i] = c
     paths = [q + (target,) for q in col]
-    return [PathVector(prev.length + 1, dict(zip(paths, v))) for v in kernel @ x]
+    vectors = kernel @ x
+    out = []
+    for v, keep in zip(vectors.tolist(), (np.abs(vectors) > 1e-9).tolist()):
+        # fix the sign the SVD leaves free: the first coefficient above
+        # 1e-9, in lexicographic path order, is positive
+        if min(compress(zip(paths, v), keep))[1] < 0:
+            v = [-c for c in v]
+        out.append(PathVector(prev.length + 1, dict(zip(paths, v))))
+    return out
 
 
 def is_essential(space: PathSpace, x: PathVector, tol: float = 1e-9) -> bool:
@@ -310,8 +320,10 @@ def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
     essential xi of length m = n - 2l.
 
     For essential xi and xi', <c†_w xi, c†_w' xi'> = G[w, w'] <xi, xi'>,
-    so G depends on beta and the words only; it is built from the first
-    basis vector of E_m.  Raises `BasisError` when E_m is empty.
+    so G depends on beta and the words only, and G[w, w'] is the
+    contraction scalar C(w'; w) the product reads.  It is built once from
+    the first basis vector of E_m and cached; the returned array is
+    read-only.  Raises `BasisError` when E_m is empty.
     """
     return _tables(space).gram(space, n, l)
 
@@ -392,8 +404,9 @@ class _DecompositionTables:
     Per (length, source, range) block: the walks in lexicographic order;
     every c_k to length - 2 as index arrays (src, dst, weight), read the
     other way for c†_k; and the block of the essential basis as a dense
-    real matrix.  Per (length, level): the creation words and the inverse
-    of their Gram matrix.  No dense map on all paths of a length is kept.
+    real matrix.  Per length: the creation words and each word's position
+    in its level.  Per (length, level): their Gram matrix and its inverse.
+    No dense map on all paths of a length is kept.
     Holds no reference to the space, so the space's cache does not point
     back at it.
     """
@@ -406,6 +419,8 @@ class _DecompositionTables:
         self.annihilators: dict = {}
         self.bases: dict = {}
         self.levels: dict = {}
+        self.word_index: dict = {}
+        self.grams: dict = {}
         self.inverses: dict = {}
 
     def block(self, space, length, s, r):
@@ -501,29 +516,47 @@ class _DecompositionTables:
 
             grow((), n)
             self.levels[n] = [sorted(words) for words in levels]
+            self.word_index[n] = {
+                w: i for words in self.levels[n] for i, w in enumerate(words)
+            }
         return self.levels[n]
 
     def gram(self, space, n, l):
-        """`word_gram(space, n, l)`, computed afresh."""
-        m = n - 2 * l
-        basis = essential_basis(space, m)
-        if not basis.vectors:
-            raise BasisError(f"no essential paths of length {m}")
-        s, r = basis.endpoints[0]
-        rows = []
-        for word in self.words(n)[l]:
-            v = self.basis(space, m, s, r)[0][:, 0]
-            for j, i in enumerate(word):
-                v = self.create(space, m + 2 * j + 2, s, r, i, v)
-            rows.append(v)
-        stacked = np.array(rows)
-        return stacked @ stacked.T
+        """`word_gram(space, n, l)`, cached and read-only."""
+        key = (n, l)
+        if key not in self.grams:
+            m = n - 2 * l
+            basis = essential_basis(space, m)
+            if not basis.vectors:
+                raise BasisError(f"no essential paths of length {m}")
+            s, r = basis.endpoints[0]
+            rows = []
+            for word in self.words(n)[l]:
+                v = self.basis(space, m, s, r)[0][:, 0]
+                for j, i in enumerate(word):
+                    v = self.create(space, m + 2 * j + 2, s, r, i, v)
+                rows.append(v)
+            stacked = np.array(rows)
+            gram = stacked @ stacked.T
+            gram.setflags(write=False)
+            self.grams[key] = gram
+        return self.grams[key]
 
     def gram_inverse(self, space, n, l):
         key = (n, l)
         if key not in self.inverses:
             self.inverses[key] = np.linalg.inv(self.gram(space, n, l))
         return self.inverses[key]
+
+    def contraction(self, space, n, jw, iw) -> float:
+        """C(iw; jw) on essentials of length n - 2|jw|, for words of equal
+        length in `words(n)`: the entry G[jw, iw] of the level's Gram
+        matrix, and 1 for the empty words."""
+        if not jw:
+            return 1.0
+        gram = self.gram(space, n, len(jw))
+        index = self.word_index[n]
+        return float(gram[index[jw], index[iw]])
 
 
 def recompose(space: PathSpace, d: Decomposition) -> PathVector:

@@ -3,7 +3,8 @@
 Elements live in the direct sum over n of E_n (x) E_n, stored sparsely
 against the orthonormal essential bases under keys (n, a, b) for
 xi_a (x) xi_b.  The product concatenates slotwise and projects back onto
-essentials through the contraction coefficients C(i...; j...).
+essentials through the contraction scalars C(i...; j...), which it reads
+off the cached creation-word Gram matrices (`word_gram`).
 
 Coproduct, counit, star and antipode are each written once, on one basis
 key (`_delta_key`, `_counit_key`, `_star_key`, `_antipode_key`).  A key map
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import BasisError, CutoffError, PathHopfError
-from .essential_decomp import decompose_coordinates, essential_basis
+from .essential_decomp import _tables, decompose_coordinates, essential_basis
 from .path_space import (
     PathSpace,
     PathVector,
@@ -125,11 +126,12 @@ class TensorSquare(_GradedCoefficients):
 def coefficient_C(space: PathSpace, key: CoefficientKey, base_length: int) -> complex:
     """Evaluate the contraction scalar C on essentials of `base_length`.
 
-    Computed by direct operator application to one essential basis vector:
-    apply the creations j_1, ..., j_n, then the annihilations i_n, ..., i_1,
-    and pair with the same vector.  The value is independent of the chosen
-    basis vector; a second one is checked when available and a discrepancy
-    raises `BasisError`.
+    The direct definition, by operator application to one essential basis
+    vector: apply the creations j_1, ..., j_n, then the annihilations
+    i_n, ..., i_1, and pair with the same vector.  The value is independent
+    of the chosen basis vector; a second one is checked when available and a
+    discrepancy raises `BasisError`.  The product does not call it: it reads
+    the same scalars off `word_gram`.
     """
     cache = space.cache.setdefault("coefficient_C", {})
     cache_key = (key.i_indices, key.j_indices, base_length)
@@ -161,15 +163,16 @@ def coefficient_C(space: PathSpace, key: CoefficientKey, base_length: int) -> co
 
 
 def _combine_terms(space, left_terms, right_terms) -> dict:
-    """Pair decomposition terms of equal word length through C."""
+    """Pair the decomposition terms of two equal-length vectors through
+    C(i; j), read from the word-Gram matrices."""
+    tables = _tables(space)
     out: dict = {}
     for jw, m, left_exp in left_terms:
+        n = m + 2 * len(jw)
         for iw, m2, right_exp in right_terms:
-            if len(jw) != len(iw):
-                continue  # unequal creation counts project to zero
             if m != m2:
-                continue
-            c = coefficient_C(space, CoefficientKey(iw, jw), m)
+                continue  # unequal creation counts project to zero
+            c = tables.contraction(space, n, jw, iw)
             if abs(c) < 1e-14:
                 continue
             for a, ca in left_exp.items():
@@ -474,10 +477,13 @@ def verify_axioms(
     singles = [(x,) for x in singles]
 
     one = identity(space)
-    delta = partial(_delta_key, space)
+    # the key maps' images, memoised for this call only (`weight_fn` may
+    # differ on the next call on the same space); callers share each image
+    # and only read it
+    delta = lru_cache(maxsize=None)(partial(_delta_key, space))
     delta_one = coproduct(one).coeffs
-    star_key = partial(_star_key, space)
-    s_key = partial(_antipode_key, space, weight_fn=weight_fn)
+    star_key = lru_cache(maxsize=None)(partial(_star_key, space))
+    s_key = lru_cache(maxsize=None)(partial(_antipode_key, space, weight_fn=weight_fn))
     s_fn = partial(antipode, weight_fn=weight_fn)
 
     def both_slots(u, image):
@@ -506,13 +512,22 @@ def verify_axioms(
     def positivity(value):
         return max(0.0, -value.real, abs(value.imag))
 
+    @lru_cache(maxsize=None)
+    def s_then_multiply(key):
+        """m (S (x) id) Delta on one basis key, as a one-slot key map."""
+        out: dict = {}
+        for (p, q), z in delta(key).items():
+            for (sp,), w in s_key(p).items():
+                for k, v in _basis_product(space, *sp, *q).items():
+                    out[k,] = out.get((k,), 0.0) + z * w * v
+        return out
+
     def cancellation(x):
-        """sum S(x_(1)) x_(2) boxtimes x_(3) against sum 1_(1) boxtimes x 1_(2)."""
-        lhs: dict = {}
-        sweedler3 = _on_slot(coproduct(x).coeffs, 0, delta)
-        for (p, q, r), z in _on_slot(sweedler3, 0, s_key).items():
-            for k, w in _basis_product(space, *p, *q).items():
-                lhs[k, r] = lhs.get((k, r), 0.0) + z * w
+        """sum S(x_(1)) x_(2) boxtimes x_(3) against sum 1_(1) boxtimes x 1_(2).
+
+        The left side is grouped as (m (S (x) id) Delta (x) id) Delta x, so
+        each basis key's m (S (x) id) Delta is summed once per call."""
+        lhs = _on_slot(coproduct(x).coeffs, 0, s_then_multiply)
         rhs: dict = {}
         for (t1, t2), z1 in delta_one.items():
             for kx, zx in x.coeffs.items():

@@ -3,11 +3,20 @@
 import numpy as np
 
 from pathhopf import (
+    AlgebraElement,
+    CoefficientKey,
     Decomposition,
     Graph,
     OperatorWord,
     PathVector,
+    antipode,
+    coefficient_C,
+    concat,
+    coproduct,
     decompose,
+    essential_basis,
+    identity,
+    multiply,
     tridiagonal_solve,
     zero_vector,
 )
@@ -136,3 +145,54 @@ def _decompose_into(space, x, acc):
             wk = w.then(k)
             acc[wk] = acc.get(wk, zero_vector(n - 2 * len(wk))) + float(a) * v
     _decompose_into(space, residual, acc)
+
+
+def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
+    """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient}, from
+    the paper's formula with C evaluated by `coefficient_C`.
+
+    Decompose xi_a xi_c and xi_b xi_d, expand their essential parts against
+    the bases, and pair terms with creation words j (left) and i (right) of
+    equal length through C(i; j).  `memo` caches the decompositions of
+    concatenated basis vectors across calls.
+    """
+    memo = {} if memo is None else memo
+
+    def terms(p, q):
+        if (n1, p, n2, q) not in memo:
+            x = concat(essential_basis(space, n1).vectors[p], essential_basis(space, n2).vectors[q])
+            memo[n1, p, n2, q] = [
+                (w.indices, xi.length, essential_basis(space, xi.length).expand(xi))
+                for w, xi in decompose(space, x).terms
+            ]
+        return memo[n1, p, n2, q]
+
+    out = {}
+    for jw, m, left in terms(a, c):
+        for iw, m2, right in terms(b, d):
+            if len(jw) != len(iw):
+                continue
+            cij = coefficient_C(space, CoefficientKey(iw, jw), m)
+            for e, ce in left.items():
+                for f, cf in right.items():
+                    out[m, e, f] = out.get((m, e, f), 0.0) + cij * ce * cf
+    return out
+
+
+def sweedler_cancellation(x, weight_fn=None):
+    """sup |sum S(x_(1)) x_(2) boxtimes x_(3) - sum 1_(1) boxtimes x 1_(2)|,
+    each side summed term by term through the public `coproduct`,
+    `antipode` and `multiply`."""
+    space = x.space
+    basis = AlgebraElement.basis_element
+    lhs = {}
+    for (p, q), z in coproduct(x).coeffs.items():
+        for (p1, p2), z1 in coproduct(basis(space, *p)).coeffs.items():
+            left = multiply(antipode(basis(space, *p1), weight_fn), basis(space, *p2))
+            for k, w in left.coeffs.items():
+                lhs[k, q] = lhs.get((k, q), 0.0) + z * z1 * w
+    rhs = {}
+    for (t1, t2), z in coproduct(identity(space)).coeffs.items():
+        for k, w in multiply(x, basis(space, *t2)).coeffs.items():
+            rhs[t1, k] = rhs.get((t1, k), 0.0) + z * w
+    return max((abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in lhs.keys() | rhs.keys()), default=0.0)

@@ -239,6 +239,17 @@ def test_verify_refuses_empty_check(capture, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("dims", A3, "--max", "-1"), ("export", A3, "--max", "-2")]
+)
+def test_negative_max_rejected(capture, argv):
+    code, out, err = capture(*argv)
+    assert code == 1
+    assert out == ""
+    assert "--max must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_negative_tolerance_rejected(capture):
     code, _, err = capture("spectrum", A3, "--tol", "-1")
     assert code == 1

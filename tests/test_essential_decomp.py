@@ -26,6 +26,7 @@ from pathhopf import (
     tridiagonal_solve,
 )
 from pathhopf.errors import GraphError, SingularSystemError
+from pathhopf.graph_core import Spectrum
 from pathhopf.essential_decomp import creation_words, word_gram
 from pathhopf.weak_hopf import CoefficientKey, coefficient_C
 import frozen_cases
@@ -121,6 +122,29 @@ def test_basis_deterministic(tri):
     assert len(b1) == len(b2)
     for x, y in zip(b1.vectors, b2.vectors):
         assert sup_diff(x, y) == 0.0
+
+
+@pytest.mark.parametrize("name", ["a3", "d4", "tri", "E6"])
+def test_basis_vectors_lead_with_a_positive_coefficient(name, request):
+    # the sign rule: the first coefficient above 1e-9, in lexicographic
+    # path order, is positive
+    space = PathSpace(edge_graph(name)) if name == "E6" else request.getfixturevalue(name)
+    for n in range(7):
+        for a, xi in enumerate(essential_basis(space, n).vectors):
+            lead = next(c for _, c in xi.terms() if abs(c) > 1e-9)
+            assert lead.real > 0, (name, n, a)
+
+
+@pytest.mark.parametrize("eps", [1e-13, -1e-13, 3e-13])
+def test_d4_basis_is_stable_under_rounding_in_mu(d4, eps):
+    # without the sign rule, the SVD's sign of a length-4 vector flips
+    # under these nudges; the one two-dimensional block (length 2) does not
+    # rotate
+    mu = np.asarray(d4.mu) * (1 + eps * np.arange(len(d4.mu)))
+    nudged = PathSpace(d4.graph, spectrum=Spectrum(beta=d4.beta, mu=mu))
+    for n in range(7):
+        for x, y in zip(essential_basis(d4, n).vectors, essential_basis(nudged, n).vectors):
+            assert sup_diff(x, y) < 1e-9, (n, eps)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -510,3 +534,13 @@ def test_word_gram_is_positive_definite_and_matches_coefficient_C(name, top):
                 for b, wb in enumerate(words):
                     c = coefficient_C(space, CoefficientKey(wb, wa), m)
                     assert abs(gram[a, b] - c) < 1e-12, (name, n, l, wa, wb)
+
+
+def test_word_gram_is_cached_and_read_only(tri):
+    first = word_gram(tri, 6, 2)
+    assert np.array_equal(word_gram(tri, 6, 2), first)
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        word_gram(tri, 6, 2)[:] = 1.0
+    assert np.array_equal(word_gram(tri, 6, 2), first)

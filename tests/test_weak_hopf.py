@@ -29,6 +29,7 @@ from pathhopf import (
     essential_basis,
     identity,
     inner_product,
+    load_fixture,
     multiply,
     multiply_tensor_square,
     project_component,
@@ -37,8 +38,16 @@ from pathhopf import (
     star_alg,
     verify_axioms,
 )
-from pathhopf.weak_hopf import TensorSquare
-from helpers import assert_element_coords, pv, random_vector, sup_diff, unit
+from pathhopf.weak_hopf import TensorSquare, _basis_product, _random_element
+from helpers import (
+    assert_element_coords,
+    pv,
+    random_vector,
+    reference_basis_product,
+    sup_diff,
+    sweedler_cancellation,
+    unit,
+)
 
 ROOT2 = math.sqrt(2)
 
@@ -103,6 +112,26 @@ def test_coefficient_word_pairs_match_hand_contraction(tri):
     # c_0 c_1 c_1† c_0† = beta^2
     c = coefficient_C(tri, CoefficientKey((0, 1), (0, 1)), 0)
     assert abs(c - tri.beta**2) < 1e-12
+
+
+@pytest.mark.parametrize("space_name", ["a3", "tri", "d4"])
+def test_basis_product_matches_reference_with_coefficient_C(space_name, request):
+    # the product reads C off the word-Gram matrices; the reference
+    # evaluates it by operator application
+    space = request.getfixturevalue(space_name)
+    keys = {}
+    for n in range(5):
+        dim = len(essential_basis(space, n))
+        keys[n] = [(n, a, b) for a in range(dim) for b in range(dim)]
+    memo = {}
+    for n1 in range(5):
+        for n2 in range(5 - n1):
+            for k1 in keys[n1]:
+                for k2 in keys[n2]:
+                    got = _basis_product(space, *k1, *k2)
+                    want = reference_basis_product(space, *k1, *k2, memo)
+                    for k in got.keys() | want.keys():
+                        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-12, (k1, k2, k)
 
 
 # -- projector --------------------------------------------------------------------
@@ -548,6 +577,40 @@ def test_verify_axioms_names_and_pinned_negative_control(a3):
         "antipode coproduct rule",
         "antipode cancellation",
     ]
+
+
+@pytest.mark.parametrize("space_name, samples", [("a3", 20), ("tri", 10)])
+def test_cancellation_matches_direct_sweedler_sum(space_name, samples, request):
+    # the verifier's pool: every basis key up to length 2, then the seeded
+    # random elements
+    space = request.getfixturevalue(space_name)
+    flat = lambda *ends: 1.0
+    report = verify_axioms(space, 2, samples=samples, seed=0, weight_fn=flat)
+    pool = [
+        (n, a, b)
+        for n in range(3)
+        for a in range(len(essential_basis(space, n)))
+        for b in range(len(essential_basis(space, n)))
+    ]
+    rng = np.random.default_rng(0)
+    singles = [AlgebraElement.basis_element(space, *k) for k in pool]
+    singles += [_random_element(space, pool, rng) for _ in range(samples)]
+    direct = max(sweedler_cancellation(x, flat) for x in singles)
+    assert abs(direct - report.residual("antipode cancellation")) < 1e-12
+
+
+def test_verify_axioms_memo_is_local_to_each_call():
+    # plain, flattened, plain on one space: no key map image may leak from
+    # one call's weight_fn into the next
+    space = PathSpace(load_fixture("a3"))
+    flat = lambda *ends: 1.0
+    first = verify_axioms(space, 2, samples=20, seed=0)
+    flattened = verify_axioms(space, 2, samples=20, seed=0, weight_fn=flat)
+    last = verify_axioms(space, 2, samples=20, seed=0)
+    assert abs(flattened.residual("antipode cancellation") - 0.9127236773870986) < 1e-9
+    for report in (first, last):
+        assert len(report.results) == 15
+        assert report.all_passed
 
 
 @pytest.mark.parametrize("space_name", ["a3", "tri"])
