@@ -3,8 +3,15 @@
 Elements live in the direct sum over n of E_n (x) E_n, stored sparsely
 against the orthonormal essential bases under keys (n, a, b) for
 xi_a (x) xi_b.  The product concatenates slotwise and projects back onto
-essentials through the contraction scalars C(i...; j...), which it reads
-off the cached creation-word Gram matrices (`word_gram`).
+essentials.  On basis keys it has the closed junction form
+(n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d):
+J_l holds the E_m coordinates, m = n1 + n2 - 2l, of xi_a . xi_c after the
+l annihilations at the junction, and lambda_l is a ratio of q-binomials in
+beta.  No creation word is formed.  A term is nonzero only when
+r(a) = s(c) and r(b) = s(d), so `multiply`, `multiply_tensor_square` and
+the verifier index the right factor by its sources and multiply only the
+pairs whose endpoints meet.  `projector_P` projects arbitrary path pairs
+through the creation-word Gram matrices (`word_gram`).
 
 Coproduct, counit, star and antipode are each written once, on one basis
 key (`_delta_key`, `_counit_key`, `_star_key`, `_antipode_key`).  A key map
@@ -28,7 +35,6 @@ from .essential_decomp import _tables, decompose_coordinates, essential_basis
 from .path_space import (
     PathSpace,
     PathVector,
-    concat,
     format_path,
     inner_product,
     star,
@@ -201,21 +207,87 @@ def projector_P(space: PathSpace, left: PathVector, right: PathVector) -> Algebr
 # -- product ------------------------------------------------------------------
 
 
-def _pair_decomp(space, n1, a, n2, c):
-    """Cached decomposition coordinates of basis_vector(n1, a) * basis_vector(n2, c)."""
-    cache = space.cache.setdefault("pair_decomp", {})
-    key = (n1, a, n2, c)
-    if key not in cache:
-        left = essential_basis(space, n1).vectors[a]
-        right = essential_basis(space, n2).vectors[c]
-        cache[key] = decompose_coordinates(space, concat(left, right))
-    return cache[key]
+def _q_integers(beta: float, top: int) -> list:
+    """[0], ..., [top], with [0] = 0, [1] = 1 and [k + 1] = beta [k] - [k - 1]."""
+    q = [0.0, 1.0]
+    while len(q) <= top:
+        q.append(beta * q[-1] - q[-2])
+    return q[: top + 1]
+
+
+@lru_cache(maxsize=1024)
+def _junction_scalars(beta: float, n1: int, n2: int) -> tuple:
+    """lambda_l = [n1 choose l] [n2 choose l] / [n1 + n2 - l + 1 choose l]
+    = prod_{i < l} [n1 - i] [n2 - i] / ([l - i] [n1 + n2 - l + 1 - i]) in
+    q-integers, for l = 0..min(n1, n2).  None where the denominator
+    vanishes, which happens only on a finite graph, through [h] = 0."""
+    q = _q_integers(beta, n1 + n2 + 1)
+    out = []
+    for l in range(min(n1, n2) + 1):
+        den = [q[l - i] * q[n1 + n2 - l + 1 - i] for i in range(l)]
+        if any(abs(d) < 1e-9 for d in den):
+            out.append(None)
+        else:
+            out.append(math.prod(q[n1 - i] * q[n2 - i] / d for i, d in enumerate(den)))
+    return tuple(out)
+
+
+def _junction_walks(space, xi, omega, n1, l) -> dict:
+    """c_{n1-l} ... c_{n1-1} (xi . omega) as {walk: coefficient}, for xi of
+    length n1.  The l annihilations join a walk p of xi and a walk q of
+    omega whose last and first l steps retrace each other
+    (p[n1 - j] = q[j] for j <= l) into p[:n1 - l + 1] + q[l + 1:], with
+    the telescoped weight sqrt(mu[p[n1]] / mu[p[n1 - l]]), so no walk longer
+    than the result is formed."""
+    heads: dict = {}
+    for q, zq in omega.coeffs.items():
+        heads.setdefault(q[: l + 1], []).append((q[l + 1 :], zq.real))
+    walks: dict = {}
+    for p, zp in xi.coeffs.items():
+        w = zp.real * space.sqrt_mu[p[n1]] / space.sqrt_mu[p[n1 - l]]  # the basis is real
+        for tail, zq in heads.get(p[n1 - l :][::-1], ()):
+            walk = p[: n1 - l + 1] + tail
+            walks[walk] = walks.get(walk, 0.0) + w * zq
+    return walks
+
+
+def _junctions(space, n1, a, n2, c) -> tuple:
+    """J_l(a, c) for l = 0..min(n1, n2): the coordinates against
+    `essential_basis(space, m)`, m = n1 + n2 - 2l, of the l-fold junction
+    contraction c_{n1-l} ... c_{n1-1} (xi_a . xi_c); () when r(a) != s(c).
+    Only the (s(a), r(c)) block of E_m is read, and no walk is formed for
+    an l whose block is empty.  Where lambda_l is singular, J_l must vanish
+    and is stored empty; a nonzero one raises `BasisError`.  Cached as
+    plain dicts."""
+    cache = space.cache.setdefault("junctions", {})
+    if (n1, a, n2, c) not in cache:
+        left, right = essential_basis(space, n1), essential_basis(space, n2)
+        (s, r), (r2, t) = left.endpoints[a], right.endpoints[c]
+        out = []
+        for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2) if r == r2 else ()):
+            target = essential_basis(space, n1 + n2 - 2 * l)
+            block = target.blocks.get((s, t), ())
+            walks = _junction_walks(space, left.vectors[a], right.vectors[c], n1, l) if block else {}
+            coords = {}
+            for e in block:
+                v = target.vectors[e].coeffs
+                z = sum(zw * v[walk].real for walk, zw in walks.items() if walk in v)
+                if abs(z) > 1e-14:
+                    coords[e] = z
+            if scalar is None and any(abs(z) > 1e-9 for z in coords.values()):
+                raise BasisError(
+                    f"junction {l} of ({n1}, {a}) . ({n2}, {c}) is nonzero where lambda is singular"
+                )
+            out.append({} if scalar is None else coords)
+        cache[n1, a, n2, c] = tuple(out)
+    return cache[n1, a, n2, c]
 
 
 def _basis_product(space, n1, a, b, n2, c, d) -> dict:
-    """Cached coefficients of the product of two basis elements
-    (n1,a,b) . (n2,c,d).  The memo holds plain dicts: an element would
-    point back at `space` and tie every space into a reference cycle."""
+    """Cached coefficients of the product of two basis elements,
+    (n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d).
+    The memo holds plain dicts: an element would point back at `space` and
+    tie every space into a reference cycle."""
     if n1 + n2 > space.cutoff:
         raise CutoffError(
             f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}"
@@ -223,28 +295,61 @@ def _basis_product(space, n1, a, b, n2, c, d) -> dict:
     cache = space.cache.setdefault("basis_product", {})
     key = (n1, a, b, n2, c, d)
     if key not in cache:
-        out = _combine_terms(
-            space, _pair_decomp(space, n1, a, n2, c), _pair_decomp(space, n1, b, n2, d)
-        )
+        left, right = _junctions(space, n1, a, n2, c), _junctions(space, n1, b, n2, d)
+        out = {}
+        if left and right:  # () when the endpoints do not meet
+            scalars = _junction_scalars(space.beta, n1, n2)
+            for l, (jl, jr) in enumerate(zip(left, right)):
+                for e, ze in jl.items():
+                    for f, zf in jr.items():
+                        out[n1 + n2 - 2 * l, e, f] = scalars[l] * ze * zf
         cache[key] = {k: z for k, z in out.items() if abs(z) > 1e-14}
     return cache[key]
+
+
+def _meeting_pairs(space, left: dict, right: dict, tensor=False):
+    """The term pairs (kl, zl, kr, zr) whose endpoints meet, r(a) = s(c) and
+    r(b) = s(d) for (n1, a, b) . (n2, c, d), in both slots if `tensor`: the
+    only pairs with nonzero products.  The right terms are indexed by their
+    sources, so each left term looks up only its partners.  Raises
+    `CutoffError` first when the longest terms are too long to multiply,
+    whether their endpoints meet or not."""
+    slots = (lambda key: key) if tensor else (lambda key: (key,))
+    for i in range(2 if tensor else 1):
+        n1, n2 = (max((slots(k)[i][0] for k in keys), default=0) for keys in (left, right))
+        if left and right and n1 + n2 > space.cutoff:
+            raise CutoffError(f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}")
+    endpoints: dict = {}
+
+    def ends(side, key):
+        out = ()
+        for n, a, b in slots(key):
+            if n not in endpoints:
+                endpoints[n] = essential_basis(space, n).endpoints
+            out += (endpoints[n][a][side], endpoints[n][b][side])
+        return out
+
+    partners: dict = {}
+    for kr, zr in right.items():
+        partners.setdefault(ends(0, kr), []).append((kr, zr))
+    for kl, zl in left.items():
+        for kr, zr in partners.get(ends(1, kl), ()):
+            yield kl, zl, kr, zr
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear product: concatenate slotwise, then project onto essentials.
 
     The output of length-n1 by length-n2 elements spreads over lengths
-    n1 + n2 - 2l (the algebra is filtered, not graded).
+    n1 + n2 - 2l (the algebra is filtered, not graded), by the junction form
+    of `_basis_product`.  Only term pairs whose endpoints meet are
+    multiplied, after a `CutoffError` check that covers every pair.
     """
     space = x.space
     out: dict = {}
-    for (n1, a, b), zx in x.coeffs.items():
-        for (n2, c, d), zy in y.coeffs.items():
-            prod = _basis_product(space, n1, a, b, n2, c, d)
-            if prod:
-                z = zx * zy
-                for k, zc in prod.items():
-                    out[k] = out.get(k, 0.0) + z * zc
+    for kx, zx, ky, zy in _meeting_pairs(space, x.coeffs, y.coeffs):
+        for k, zc in _basis_product(space, *kx, *ky).items():
+            out[k] = out.get(k, 0.0) + zx * zy * zc
     return AlgebraElement(space, out)
 
 
@@ -357,23 +462,21 @@ def counit(x: AlgebraElement) -> complex:
 
 
 def multiply_tensor_square(u: TensorSquare, v: TensorSquare) -> TensorSquare:
-    """Slotwise product (p boxtimes q)(r boxtimes s) = pr boxtimes qs."""
+    """Slotwise product (p boxtimes q)(r boxtimes s) = pr boxtimes qs, over
+    the term pairs whose endpoints meet in both slots."""
     space = u.space
     out: dict = {}
-    for (p, q), zu in u.coeffs.items():
-        for (r, s), zv in v.coeffs.items():
-            pr = _basis_product(space, *p, *r)
-            if not pr:
-                continue
-            qs = _basis_product(space, *q, *s)
-            if not qs:
-                continue
-            z = zu * zv
-            for k1, z1 in pr.items():
-                zz = z * z1
-                for k2, z2 in qs.items():
-                    key = (k1, k2)
-                    out[key] = out.get(key, 0.0) + zz * z2
+    for (p, q), zu, (r, s), zv in _meeting_pairs(space, u.coeffs, v.coeffs, tensor=True):
+        pr = _basis_product(space, *p, *r)
+        if not pr:
+            continue
+        qs = _basis_product(space, *q, *s)
+        z = zu * zv
+        for k1, z1 in pr.items():
+            zz = z * z1
+            for k2, z2 in qs.items():
+                key = (k1, k2)
+                out[key] = out.get(key, 0.0) + zz * z2
     return TensorSquare(space, out)
 
 
@@ -482,6 +585,9 @@ def verify_axioms(
     # and only read it
     delta = lru_cache(maxsize=None)(partial(_delta_key, space))
     delta_one = coproduct(one).coeffs
+    unit_right: dict = {}  # 1_(2) -> its 1_(1) partners, for x 1_(2)
+    for (t1, t2), z in delta_one.items():
+        unit_right.setdefault(t2, []).append((t1, z))
     star_key = lru_cache(maxsize=None)(partial(_star_key, space))
     s_key = lru_cache(maxsize=None)(partial(_antipode_key, space, weight_fn=weight_fn))
     s_fn = partial(antipode, weight_fn=weight_fn)
@@ -496,18 +602,22 @@ def verify_axioms(
         """counit(left * right) on coefficient dicts."""
         return sum(
             zl * zr * w
-            for kl, zl in left.items()
-            for kr, zr in right.items()
+            for kl, zl, kr, zr in _meeting_pairs(space, left, right)
             for (_, e, f), w in _basis_product(space, *kl, *kr).items()
             if e == f
         )
 
     def counit_of_product(x, y):
-        split = sum(
-            z * pairing(x.coeffs, {t1: 1.0}) * pairing({t2: 1.0}, y.coeffs)
-            for (t1, t2), z in delta_one.items()
-        )
+        """counit(xy) against sum counit(x 1_(1)) counit(1_(2) y), with each
+        pairing against a length-0 key summed once."""
+        left = {t: pairing(x.coeffs, {t: 1.0}) for t in one.coeffs}
+        right = {t: pairing({t: 1.0}, y.coeffs) for t in one.coeffs}
+        split = sum(z * left[t1] * right[t2] for (t1, t2), z in delta_one.items())
         return abs(counit(multiply(x, y)) - split)
+
+    def coassociativity(x):
+        split = coproduct(x).coeffs
+        return _sup_diff(_on_slot(split, 0, delta), _on_slot(split, 1, delta))
 
     def positivity(value):
         return max(0.0, -value.real, abs(value.imag))
@@ -529,9 +639,10 @@ def verify_axioms(
         each basis key's m (S (x) id) Delta is summed once per call."""
         lhs = _on_slot(coproduct(x).coeffs, 0, s_then_multiply)
         rhs: dict = {}
-        for (t1, t2), z1 in delta_one.items():
-            for kx, zx in x.coeffs.items():
-                for k, w in _basis_product(space, *kx, *t2).items():
+        for kx, zx, t2, lefts in _meeting_pairs(space, x.coeffs, unit_right):
+            prod = _basis_product(space, *kx, *t2)
+            for t1, z1 in lefts:
+                for k, w in prod.items():
                     rhs[t1, k] = rhs.get((t1, k), 0.0) + z1 * zx * w
         return _sup_diff(lhs, rhs)
 
@@ -549,9 +660,7 @@ def verify_axioms(
         ("coproduct star-compatible", singles,
          lambda x: _sup_diff(coproduct(star_alg(x)).coeffs, both_slots(
              {k: z.conjugate() for k, z in coproduct(x).coeffs.items()}, star_key))),
-        ("coassociativity", singles,
-         lambda x: _sup_diff(_on_slot(coproduct(x).coeffs, 0, delta),
-                             _on_slot(coproduct(x).coeffs, 1, delta))),
+        ("coassociativity", singles, coassociativity),
         ("counit left inverse", singles, lambda x: _sup_diff(counit_slot(x, 0), x.coeffs)),
         ("counit right inverse", singles, lambda x: _sup_diff(counit_slot(x, 1), x.coeffs)),
         ("counit of product", pairs, counit_of_product),

@@ -1,5 +1,7 @@
 """Shared test utilities: comparison helpers and small graph builders."""
 
+import weakref
+
 import numpy as np
 
 from pathhopf import (
@@ -20,6 +22,7 @@ from pathhopf import (
     tridiagonal_solve,
     zero_vector,
 )
+from pathhopf.essential_decomp import creation_words, decompose_coordinates, word_gram
 from pathhopf.weak_hopf import element_in_path_coordinates
 
 
@@ -30,6 +33,15 @@ def path_graph(k, name=None):
         adjacency[i, i + 1] = 1
         adjacency[i + 1, i] = 1
     return Graph(name=name or f"A{k}", vertices=tuple(str(i) for i in range(k)), adjacency=adjacency)
+
+
+def graph_from_edges(name, edges):
+    """The simple graph with the given undirected edges on vertices 0..k-1."""
+    k = 1 + max(max(e) for e in edges)
+    adjacency = np.zeros((k, k), dtype=int)
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1
+    return Graph(name=name, vertices=tuple(str(v) for v in range(k)), adjacency=adjacency)
 
 
 def pv(coeffs):
@@ -103,48 +115,92 @@ def operator_residual(space, op_lhs, op_rhs, n):
     return worst
 
 
+class _SplitMemo:
+    """What `recursive_decompose` memoises per space: the terms of each
+    elementary path, and of each c†_k (path) as positions and values over
+    `keys`, the (word indices, path) pairs met so far."""
+
+    def __init__(self):
+        self.keys = []
+        self.position = {}
+        self.terms = {}
+        self.lifted = {}
+
+
+_SPLIT_MEMO = weakref.WeakKeyDictionary()
+
+
 def recursive_decompose(space, x):
     """The recursive splitter, kept as an oracle for `decompose`.
 
     Take the largest index i with c_i x != 0, write
     x = sum_k alpha_k c†_k (c_i x) + residual with alpha from
     `tridiagonal_solve` (so the residual is killed by c_i, ..., c_{n-2}),
-    then recurse on c_i x and on the residual; words are normal-ordered
-    with `OperatorWord.then` and merged.
+    then recurse on c_i x and repeat on the residual until it is essential;
+    words are normal-ordered with `OperatorWord.then` and merged.  The
+    splitting is linear, so c_i x is split elementary path by elementary
+    path, and the terms of each c†_k (path) are memoised for the life of
+    the space.
     """
-    acc = {}
-    _decompose_into(space, x, acc)
-    terms = [(w, v) for w, v in acc.items() if not v.is_zero()]
+    memo = _SPLIT_MEMO.setdefault(space, _SplitMemo())
+    parts = {}
+    for (w, p), c in _split(space, x, memo).items():
+        parts.setdefault(w, {})[p] = c
+    terms = [(OperatorWord(w), PathVector(x.length - 2 * len(w), v)) for w, v in parts.items()]
     terms.sort(key=lambda t: (len(t[0]), t[0].indices))
     return Decomposition(length=x.length, terms=tuple(terms))
 
 
-def _decompose_into(space, x, acc):
-    if x.is_zero():
-        return
+def _split(space, x, memo):
+    """The terms of `x` as {(word indices, path): coefficient}, with
+    coefficients of 1e-13 or less left out."""
     n = x.length
-    i = None
-    ci_x = None
-    for j in reversed(range(n - 1)):
-        img = space.annihilate(j, x)
-        if not img.is_zero():
-            i, ci_x = j, img
+    lifted = {}  # (k, path q) -> coefficient of c†_k q
+    while True:
+        images = ((j, space.annihilate(j, x)) for j in reversed(range(n - 1)))
+        i, ci_x = next(((j, y) for j, y in images if not y.is_zero()), (None, None))
+        if i is None:
             break
-    if i is None:
-        word = OperatorWord()
-        acc[word] = acc.get(word, zero_vector(n)) + x
-        return
-    alpha = tridiagonal_solve(space.beta, n - 1 - i)
-    sub = {}
-    _decompose_into(space, ci_x, sub)
-    residual = x
-    for offset, a in enumerate(alpha):
-        k = i + offset
-        residual = residual - float(a) * space.create(k, ci_x)
-        for w, v in sub.items():
-            wk = w.then(k)
-            acc[wk] = acc.get(wk, zero_vector(n - 2 * len(wk))) + float(a) * v
-    _decompose_into(space, residual, acc)
+        residual = dict(x.coeffs)
+        for offset, a in enumerate(tridiagonal_solve(space.beta, n - 1 - i)):
+            k = i + offset
+            for q, c in space.create(k, ci_x).coeffs.items():
+                residual[q] = residual.get(q, 0.0) - float(a) * c
+            for q, c in ci_x.coeffs.items():
+                lifted[k, q] = lifted.get((k, q), 0.0) + float(a) * c
+        x = PathVector(n, residual)
+    out = {((), p): c for p, c in x.coeffs.items()}
+    if lifted:
+        parts = [(_lifted_terms(space, k, q, memo), c) for (k, q), c in lifted.items()]
+        where = np.concatenate([positions for (positions, _), _ in parts])
+        values = np.concatenate([c * vals for (_, vals), c in parts])
+        total = np.bincount(where, values.real, len(memo.keys)) + 1j * np.bincount(
+            where, values.imag, len(memo.keys)
+        )
+        for j in np.flatnonzero(np.abs(total) > 1e-13).tolist():
+            out[memo.keys[j]] = complex(total[j])
+    return {key: c for key, c in out.items() if abs(c) > 1e-13}
+
+
+def _lifted_terms(space, k, q, memo):
+    """The terms of c†_k q, those of the path q with each word followed by
+    k, as position and value arrays over `memo.keys`."""
+    if (k, q) not in memo.lifted:
+        if q not in memo.terms:
+            memo.terms[q] = _split(space, PathVector.unit(q), memo)
+        then = {}
+        positions, values = [], []
+        for (w, p), z in memo.terms[q].items():
+            if w not in then:
+                then[w] = OperatorWord(w).then(k).indices
+            key = (then[w], p)
+            if key not in memo.position:
+                memo.position[key] = len(memo.keys)
+                memo.keys.append(key)
+            positions.append(memo.position[key])
+            values.append(z)
+        memo.lifted[k, q] = (np.array(positions, dtype=np.intp), np.array(values))
+    return memo.lifted[k, q]
 
 
 def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
@@ -176,6 +232,40 @@ def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
             for e, ce in left.items():
                 for f, cf in right.items():
                     out[m, e, f] = out.get((m, e, f), 0.0) + cij * ce * cf
+    return out
+
+
+def word_pair_basis_product(space, n1, a, b, n2, c, d, memo=None):
+    """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient},
+    through creation words: decompose xi_a xi_c and xi_b xi_d against the
+    essential bases (`decompose_coordinates`) and pair the level-l
+    coordinates L and R through the word-Gram matrix G, as the block
+    L^T G R on E_m (x) E_m.  `memo` caches the coordinate matrices of
+    concatenated basis vectors across calls."""
+    memo = {} if memo is None else memo
+    n = n1 + n2
+
+    def levels(p, q):
+        """Level l -> (m, words x E_m coordinate matrix) of xi_p xi_q."""
+        if (n1, p, n2, q) not in memo:
+            x = concat(essential_basis(space, n1).vectors[p], essential_basis(space, n2).vectors[q])
+            out = {}
+            for w, m, coords in decompose_coordinates(space, x):
+                words = creation_words(space, n)[len(w)]
+                m_and_rows = out.setdefault(len(w), (m, np.zeros((len(words), len(essential_basis(space, m))))))
+                for e, z in coords.items():
+                    m_and_rows[1][words.index(w), e] = z
+            memo[n1, p, n2, q] = out
+        return memo[n1, p, n2, q]
+
+    left, right = levels(a, c), levels(b, d)
+    out = {}
+    for l in left.keys() & right.keys():
+        m, rows = left[l]
+        gram = word_gram(space, n, l) if l else np.ones((1, 1))
+        block = rows.T @ gram @ right[l][1]
+        for e, f in zip(*np.nonzero(np.abs(block) > 1e-14)):
+            out[m, int(e), int(f)] = float(block[e, f])
     return out
 
 

@@ -23,6 +23,7 @@ from pathhopf import (
     concat,
     coproduct,
     counit,
+    coxeter_info,
     element_from_obj,
     element_in_path_coordinates,
     element_to_obj,
@@ -38,15 +39,23 @@ from pathhopf import (
     star_alg,
     verify_axioms,
 )
-from pathhopf.weak_hopf import TensorSquare, _basis_product, _random_element
+from pathhopf.weak_hopf import (
+    TensorSquare,
+    _basis_product,
+    _junction_scalars,
+    _q_integers,
+    _random_element,
+)
 from helpers import (
     assert_element_coords,
+    graph_from_edges,
     pv,
     random_vector,
     reference_basis_product,
     sup_diff,
     sweedler_cancellation,
     unit,
+    word_pair_basis_product,
 )
 
 ROOT2 = math.sqrt(2)
@@ -132,6 +141,155 @@ def test_basis_product_matches_reference_with_coefficient_C(space_name, request)
                     want = reference_basis_product(space, *k1, *k2, memo)
                     for k in got.keys() | want.keys():
                         assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-12, (k1, k2, k)
+
+
+# -- junction product ----------------------------------------------------------------
+
+JUNCTION_GRAPHS = {
+    "A3": [(0, 1), (1, 2)],
+    "D4": [(0, 1), (0, 2), (0, 3)],
+    "D5": [(0, 1), (1, 2), (2, 3), (2, 4)],
+    "E6": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
+    "A_aff_2": [(0, 1), (1, 2), (0, 2)],
+}
+
+
+def junction_space(name):
+    return PathSpace(graph_from_edges(name, JUNCTION_GRAPHS[name]))
+
+
+def basis_keys(space, n):
+    dim = len(essential_basis(space, n))
+    return [(n, a, b) for a in range(dim) for b in range(dim)]
+
+
+@pytest.mark.parametrize(
+    "name, top, tol",
+    [("A3", 2, 1e-12), ("D4", 4, 1e-12), ("A_aff_2", 3, 1e-12), ("E6", 3, 1e-12), ("D5", 6, 1e-10)],
+)
+def test_junction_product_matches_word_pair_oracle(name, top, tol):
+    # every key pair on the small graphs; on E6 and D5 the key pairs whose
+    # endpoints meet in both slots, as every other concatenation is zero
+    space = junction_space(name)
+    every = name in ("A3", "D4", "A_aff_2")
+    memo = {}
+    compared = 0
+    for n1 in range(top + 1):
+        ranges = essential_basis(space, n1).endpoints
+        for n2 in range(top + 1):
+            sources = essential_basis(space, n2).endpoints
+            for k1 in basis_keys(space, n1):
+                for k2 in basis_keys(space, n2):
+                    if not every and any(ranges[k1[i]][1] != sources[k2[i]][0] for i in (1, 2)):
+                        continue
+                    got = _basis_product(space, *k1, *k2)
+                    want = word_pair_basis_product(space, *k1, *k2, memo)
+                    compared += bool(want)
+                    for k in got.keys() | want.keys():
+                        assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < tol, (k1, k2, k)
+    assert compared > 100
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("A3", (2, 2, 1)), ("D4", (3, 3, 1)), ("D5", (5, 5, 2))]
+)
+def test_junctions_vanish_where_the_scalar_is_singular(name, expected):
+    # J_l computed by operator application: l annihilations at the junction,
+    # then the coordinates against the E_m basis
+    space = junction_space(name)
+    top = coxeter_info(space.spectrum).max_essential_length
+    singular = [
+        (n1, n2, l)
+        for n1 in range(top + 1)
+        for n2 in range(top + 1)
+        for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2))
+        if scalar is None
+    ]
+    assert expected in singular
+    for n1, n2, l in singular:
+        target = essential_basis(space, n1 + n2 - 2 * l)
+        for xi in essential_basis(space, n1).vectors:
+            for omega in essential_basis(space, n2).vectors:
+                y = concat(xi, omega)
+                for k in range(1, l + 1):
+                    y = space.annihilate(n1 - k, y)
+                coords = target.expand(y)
+                assert max(map(abs, coords.values()), default=0.0) < 1e-9, (n1, n2, l)
+
+
+def test_nonzero_junction_at_a_singular_scalar_raises(a3, monkeypatch):
+    from pathhopf import weak_hopf
+
+    def singular_at_zero(beta, n1, n2):
+        return (None,) + _junction_scalars(beta, n1, n2)[1:]
+
+    monkeypatch.setattr(weak_hopf, "_junction_scalars", singular_at_zero)
+    space = PathSpace(a3.graph, a3.spectrum)
+    ends = essential_basis(space, 1).endpoints
+    a, c = ends.index((0, 1)), ends.index((1, 2))
+    with pytest.raises(BasisError):
+        _basis_product(space, 1, a, a, 1, c, c)  # (0-1-2) spans a block of E_2
+
+
+def test_junction_scalars_at_beta_two():
+    for n1 in range(7):
+        for n2 in range(7):
+            scalars = _junction_scalars(2.0, n1, n2)
+            assert len(scalars) == min(n1, n2) + 1
+            for l, scalar in enumerate(scalars):
+                want = math.comb(n1, l) * math.comb(n2, l) / math.comb(n1 + n2 - l + 1, l)
+                assert abs(scalar - want) < 1e-12, (n1, n2, l)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "E6"])
+def test_q_integer_vanishes_at_the_coxeter_number(name):
+    space = junction_space(name)
+    h = coxeter_info(space.spectrum).coxeter_number
+    q = _q_integers(space.beta, h)
+    assert q[:2] == [0.0, 1.0]
+    assert abs(q[h]) < 1e-12
+    assert min(q[1:h]) > 1 - 1e-9  # [k] = sin(k pi / h) / sin(pi / h) for 0 < k < h
+
+
+def test_product_path_needs_no_word_tables(a3, monkeypatch):
+    from pathhopf import essential_decomp, weak_hopf
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product reads no creation-word table")
+
+    for owner, name in (
+        (weak_hopf, "decompose_coordinates"),
+        (weak_hopf, "_combine_terms"),
+        (essential_decomp, "word_gram"),
+        (essential_decomp._DecompositionTables, "gram"),
+        (essential_decomp._DecompositionTables, "gram_inverse"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    space = PathSpace(a3.graph, a3.spectrum)
+    assert verify_axioms(space, 2, samples=10).all_passed
+
+
+@pytest.mark.parametrize("space_name", ["a3", "tri"])
+def test_endpoint_join_drops_only_zero_products(space_name, request):
+    # the joined products equal the sums over every term pair
+    space = request.getfixturevalue(space_name)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x, y = (random_element(space, 2, rng, terms=6) for _ in range(2))
+        full = {}
+        for kx, zx in x.coeffs.items():
+            for ky, zy in y.coeffs.items():
+                for k, z in _basis_product(space, *kx, *ky).items():
+                    full[k] = full.get(k, 0.0) + zx * zy * z
+        assert (multiply(x, y) - AlgebraElement(space, full)).sup_norm() < 1e-14
+        u, v = coproduct(x), coproduct(y)
+        full = {}
+        for (p, q), zu in u.coeffs.items():
+            for (r, s), zv in v.coeffs.items():
+                for k1, z1 in _basis_product(space, *p, *r).items():
+                    for k2, z2 in _basis_product(space, *q, *s).items():
+                        full[k1, k2] = full.get((k1, k2), 0.0) + zu * zv * z1 * z2
+        assert (multiply_tensor_square(u, v) - TensorSquare(space, full)).sup_norm() < 1e-14
 
 
 # -- projector --------------------------------------------------------------------
@@ -277,6 +435,27 @@ def test_multiply_respects_cutoff(tri):
     x = AlgebraElement.basis_element(tight, 2, 0, 0)
     with pytest.raises(CutoffError):
         multiply(x, x)
+
+
+def test_multiply_respects_cutoff_with_unmatched_endpoints(tri):
+    # xi_a ends at vertex 2 and xi_c starts at vertex 1, so no endpoints
+    # meet, yet the lengths 2 + 2 exceed the cutoff 3
+    tight = PathSpace(tri.graph, tri.spectrum, cutoff=3)
+    ends = essential_basis(tri, 2).endpoints
+    a = next(i for i, e in enumerate(ends) if e == (0, 2))
+    c = next(i for i, e in enumerate(ends) if e[0] == 1)
+    x = AlgebraElement.basis_element(tight, 2, a, a)
+    y = AlgebraElement.basis_element(tight, 2, c, c)
+    assert multiply(AlgebraElement(tri, x.coeffs), AlgebraElement(tri, y.coeffs)).is_zero()
+    with pytest.raises(CutoffError):
+        multiply(x, y)
+    with pytest.raises(CutoffError):
+        multiply_tensor_square(coproduct(x), coproduct(y))
+    # the same in the second slot alone, behind vertices that do not meet
+    u = TensorSquare(tight, {((0, 0, 0), (2, a, a)): 1.0})
+    v = TensorSquare(tight, {((0, 1, 1), (2, c, c)): 1.0})
+    with pytest.raises(CutoffError):
+        multiply_tensor_square(u, v)
 
 
 def test_space_is_freed_without_the_cycle_collector(a3):
