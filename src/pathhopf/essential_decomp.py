@@ -6,12 +6,14 @@ c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
 on beta and the words, not on the block or the basis vector.  So
 `decompose` solves one small word-Gram system per block and level instead
-of splitting recursively; its per-length tables (walks, the c_k as index
-arrays, dense basis blocks, inverted Gram matrices) are built lazily and
-cached on the space.  On a finite ADE graph with Coxeter number h, the
-words keep only creations c†_k with k >= L - h + 1, L the length they make
-(the Jones-Wenzl truncation).  `project_component` reads off the
-orthogonal projections.
+of splitting recursively.  The right-hand sides are the essential
+coordinates of the word images that `level_images` forms, and
+`projector_P` pairs the same images.  The per-length tables (walks, the
+c_k as index arrays, dense basis blocks, inverted Gram matrices) are
+built lazily and cached on the space.  On a finite ADE graph with
+Coxeter number h, the words keep only creations c†_k with
+k >= L - h + 1, L the length they make (the Jones-Wenzl truncation).
+`project_component` reads off the orthogonal projections.
 """
 
 from __future__ import annotations
@@ -246,22 +248,23 @@ def decompose(space: PathSpace, x: PathVector) -> Decomposition:
     """Split `x` into normal-ordered creation words applied to essentials.
 
     Per (source, range) block and per level l >= 1, with m = n - 2l, the
-    essential part of word w is
-    eta_w = sum_{w'} (G^-1)_{w,w'} B_m B_m^T (c_{w'} x),
-    where G = `word_gram(space, n, l)` and B_m is the block of the E_m
-    basis; the essential part of x is x - sum_{|w| >= 1} c†_w eta_w.  The
-    words are `creation_words(space, n)`: strictly increasing, every index
-    <= n - 2, and on a finite ADE graph truncated so that the c†_w xi stay
+    essential parts eta_w of the level-l words are the rows of
+    G^-1 U B_m^T, where U = `level_images(...)` holds the rows B_m^T c_w x,
+    G = `word_gram(space, n, l)` and B_m is the block of the E_m basis;
+    the essential part of x is x - sum_{|w| >= 1} c†_w eta_w.  The words are
+    `creation_words(space, n)`: strictly increasing, every index <= n - 2,
+    and on a finite ADE graph truncated so that the c†_w xi stay
     independent.  recompose returns the input.
     """
     n = x.length
     tables = _tables(space)
     parts: dict = {}
     for (s, r), y in _blocks(space, tables, x):
-        vectors = {
-            w: tables.basis(space, n - 2 * len(w), s, r)[0] @ c
-            for w, c in _solve_block(space, tables, n, s, r, y).items()
-        }
+        vectors = {}
+        for l, (_, rows) in level_images(space, tables, n, s, r, y).items():
+            basis = tables.basis(space, n - 2 * l, s, r)[0]
+            eta = tables.gram_inverse(space, n, l) @ rows @ basis.T
+            vectors.update(zip(tables.words(n)[l], eta))
         vectors[()] = y - tables.lift(space, n, s, r, vectors)
         for w, v in vectors.items():
             paths = tables.block(space, n - 2 * len(w), s, r)
@@ -270,34 +273,6 @@ def decompose(space: PathSpace, x: PathVector) -> Decomposition:
     terms = [t for t in terms if not t[1].is_zero()]
     terms.sort(key=lambda t: (len(t[0]), t[0].indices))
     return Decomposition(length=n, terms=tuple(terms))
-
-
-def decompose_coordinates(space: PathSpace, x: PathVector) -> tuple:
-    """`decompose` read against the essential bases: a tuple of
-    (word indices, m, {index in essential_basis(space, m): coefficient}),
-    ordered by word length and then word, with coefficients of at most
-    1e-14 left out."""
-    n = x.length
-    tables = _tables(space)
-    parts: dict = {}
-    for (s, r), y in _blocks(space, tables, x):
-        solved = _solve_block(space, tables, n, s, r, y)
-        basis = tables.basis(space, n, s, r)[0]
-        if basis.shape[1]:
-            solved[()] = y @ basis
-        for w, coeffs in solved.items():
-            m = n - 2 * len(w)
-            offsets = tables.basis(space, m, s, r)[1]
-            coords = parts.setdefault((w, m), {})
-            for a, c in zip(offsets, coeffs.tolist()):
-                if abs(c) > 1e-14:
-                    coords[a] = c
-    return tuple(
-        sorted(
-            ((w, m, c) for (w, m), c in parts.items() if c),
-            key=lambda t: (len(t[0]), t[0]),
-        )
-    )
 
 
 def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
@@ -321,7 +296,7 @@ def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
 
     For essential xi and xi', <c†_w xi, c†_w' xi'> = G[w, w'] <xi, xi'>,
     so G depends on beta and the words only, and G[w, w'] is the
-    contraction scalar C(w'; w) the product reads.  It is built once from
+    contraction scalar C(w'; w) (`coefficient_C`).  It is built once from
     the first basis vector of E_m and cached; the returned array is
     read-only.  Raises `BasisError` when E_m is empty.
     """
@@ -350,9 +325,12 @@ def _blocks(space: PathSpace, tables, x: PathVector) -> list:
     return out
 
 
-def _solve_block(space, tables, n, s, r, y) -> dict:
-    """Word -> coefficients of eta_w over block (s, r) of E_{n-2|w|}, for
-    every word of length >= 1 whose basis block is not empty.
+def level_images(space, tables, n, s, r, y) -> dict:
+    """Level l -> (offsets, U_l) for the block (s, r) part y of a length-n
+    vector, for each level l >= 1 whose block of E_m, m = n - 2l, is not
+    empty: row j of U_l is B_m^T c_w y for the j-th word w of
+    `creation_words(space, n)[l]`, and `offsets` index the block's vectors
+    in `essential_basis(space, m)`.
 
     The images c_w y are computed level by level: c_{(i,) + v} y is
     c_i (c_v y), so each word costs one sparse annihilation of its suffix's
@@ -371,14 +349,14 @@ def _solve_block(space, tables, n, s, r, y) -> dict:
         }
         if not images:
             break
-        basis = tables.basis(space, m, s, r)[0]
-        if not basis.shape[1]:
+        basis, offsets = tables.basis(space, m, s, r)
+        if not offsets:
             continue
-        rhs = np.zeros((len(words), basis.shape[1]), dtype=y.dtype)
+        rows = np.zeros((len(words), len(offsets)), dtype=y.dtype)
         for j, w in enumerate(words):
             if w in images:
-                rhs[j] = images[w] @ basis
-        out.update(zip(words, tables.gram_inverse(space, n, l) @ rhs))
+                rows[j] = images[w] @ basis
+        out[l] = (offsets, rows)
     return out
 
 
@@ -399,13 +377,14 @@ def _tables(space: PathSpace) -> "_DecompositionTables":
 
 
 class _DecompositionTables:
-    """What `decompose` reads, filled on first use at each length.
+    """What `decompose` and `projector_P` read, filled on first use at each
+    length.
 
     Per (length, source, range) block: the walks in lexicographic order;
     every c_k to length - 2 as index arrays (src, dst, weight), read the
     other way for c†_k; and the block of the essential basis as a dense
-    real matrix.  Per length: the creation words and each word's position
-    in its level.  Per (length, level): their Gram matrix and its inverse.
+    real matrix.  Per length: the creation words of each level.  Per
+    (length, level): their Gram matrix and its inverse.
     No dense map on all paths of a length is kept.
     Holds no reference to the space, so the space's cache does not point
     back at it.
@@ -419,7 +398,6 @@ class _DecompositionTables:
         self.annihilators: dict = {}
         self.bases: dict = {}
         self.levels: dict = {}
-        self.word_index: dict = {}
         self.grams: dict = {}
         self.inverses: dict = {}
 
@@ -516,9 +494,6 @@ class _DecompositionTables:
 
             grow((), n)
             self.levels[n] = [sorted(words) for words in levels]
-            self.word_index[n] = {
-                w: i for words in self.levels[n] for i, w in enumerate(words)
-            }
         return self.levels[n]
 
     def gram(self, space, n, l):
@@ -547,16 +522,6 @@ class _DecompositionTables:
         if key not in self.inverses:
             self.inverses[key] = np.linalg.inv(self.gram(space, n, l))
         return self.inverses[key]
-
-    def contraction(self, space, n, jw, iw) -> float:
-        """C(iw; jw) on essentials of length n - 2|jw|, for words of equal
-        length in `words(n)`: the entry G[jw, iw] of the level's Gram
-        matrix, and 1 for the empty words."""
-        if not jw:
-            return 1.0
-        gram = self.gram(space, n, len(jw))
-        index = self.word_index[n]
-        return float(gram[index[jw], index[iw]])
 
 
 def recompose(space: PathSpace, d: Decomposition) -> PathVector:

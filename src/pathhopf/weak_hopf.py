@@ -10,8 +10,9 @@ l annihilations at the junction, and lambda_l is a ratio of q-binomials in
 beta.  No creation word is formed.  A term is nonzero only when
 r(a) = s(c) and r(b) = s(d), so `multiply`, `multiply_tensor_square` and
 the verifier index the right factor by its sources and multiply only the
-pairs whose endpoints meet.  `projector_P` projects arbitrary path pairs
-through the creation-word Gram matrices (`word_gram`).
+pairs whose endpoints meet.  `projector_P` projects arbitrary path pairs:
+per level it pairs the essential coordinates of the two factors' creation
+word images through the inverse word-Gram matrix, U^T G^-1 V.
 
 Coproduct, counit, star and antipode are each written once, on one basis
 key (`_delta_key`, `_counit_key`, `_star_key`, `_antipode_key`).  A key map
@@ -31,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BasisError, CutoffError, PathHopfError
-from .essential_decomp import _tables, decompose_coordinates, essential_basis
+from .essential_decomp import _blocks, _tables, essential_basis, level_images
 from .path_space import (
     PathSpace,
     PathVector,
@@ -136,8 +137,8 @@ def coefficient_C(space: PathSpace, key: CoefficientKey, base_length: int) -> co
     vector: apply the creations j_1, ..., j_n, then the annihilations
     i_n, ..., i_1, and pair with the same vector.  The value is independent
     of the chosen basis vector; a second one is checked when available and a
-    discrepancy raises `BasisError`.  The product does not call it: it reads
-    the same scalars off `word_gram`.
+    discrepancy raises `BasisError`.  No product or projection calls it:
+    the tests keep it as the reference for `word_gram` and `projector_P`.
     """
     cache = space.cache.setdefault("coefficient_C", {})
     cache_key = (key.i_indices, key.j_indices, base_length)
@@ -168,39 +169,48 @@ def coefficient_C(space: PathSpace, key: CoefficientKey, base_length: int) -> co
 # -- the projection onto essential endomorphisms ------------------------------
 
 
-def _combine_terms(space, left_terms, right_terms) -> dict:
-    """Pair the decomposition terms of two equal-length vectors through
-    C(i; j), read from the word-Gram matrices."""
-    tables = _tables(space)
-    out: dict = {}
-    for jw, m, left_exp in left_terms:
-        n = m + 2 * len(jw)
-        for iw, m2, right_exp in right_terms:
-            if m != m2:
-                continue  # unequal creation counts project to zero
-            c = tables.contraction(space, n, jw, iw)
-            if abs(c) < 1e-14:
-                continue
-            for a, ca in left_exp.items():
-                for b, cb in right_exp.items():
-                    k = (m, a, b)
-                    out[k] = out.get(k, 0.0) + c * ca * cb
+def _factor_images(space, tables, x) -> list:
+    """`level_images` of each (source, range) block of `x`, with level 0
+    added as the single row B_n^T y of the block's essential coordinates."""
+    out = []
+    for (s, r), y in _blocks(space, tables, x):
+        levels = level_images(space, tables, x.length, s, r, y)
+        basis, offsets = tables.basis(space, x.length, s, r)
+        if offsets:
+            levels[0] = (offsets, (y @ basis)[None])
+        out.append(levels)
     return out
 
 
 def projector_P(space: PathSpace, left: PathVector, right: PathVector) -> AlgebraElement:
     """Project a graded path endomorphism onto essential endomorphisms.
 
-    Both factors are decomposed; a term pair with creation words j (left)
-    and i (right) of equal length contributes C(i; j) times the essential
-    parts, and pairs of unequal word length contribute nothing.  Idempotent,
-    but not an orthogonal projection.
+    Both factors split into creation words over essentials; a term pair
+    with words j (left) and i (right) of equal length l contributes
+    C(i; j) eta_j (x) eta'_i, and pairs of unequal word length contribute
+    nothing.  Since C(i; j) = G[j, i] for the word-Gram matrix G =
+    `word_gram(space, n, l)` and the essential parts are eta = G^-1 U, each
+    pair of (source, range) blocks and each level l adds the E_m (x) E_m
+    block U^T G^-1 V, m = n - 2l, where the rows of U and V are the
+    essential coordinates B_m^T c_w of the two factors (`level_images`);
+    at l = 0 it is U^T V.  Idempotent, but not an orthogonal projection.
     """
     if left.length != right.length:
         raise ValueError("projector factors must have equal path length")
-    out = _combine_terms(
-        space, decompose_coordinates(space, left), decompose_coordinates(space, right)
-    )
+    n = left.length
+    tables = _tables(space)
+    rights = _factor_images(space, tables, right)
+    out = {}
+    for u in _factor_images(space, tables, left):
+        for v in rights:
+            for l in u.keys() & v.keys():
+                (rows, ul), (cols, vl) = u[l], v[l]
+                block = ul.T @ (tables.gram_inverse(space, n, l) @ vl if l else vl)
+                out.update(
+                    ((n - 2 * l, a, b), z)
+                    for a, zs in zip(rows, block.tolist())
+                    for b, z in zip(cols, zs)
+                )
     return AlgebraElement(space, out)
 
 

@@ -22,8 +22,8 @@ from pathhopf import (
     tridiagonal_solve,
     zero_vector,
 )
-from pathhopf.essential_decomp import creation_words, decompose_coordinates, word_gram
-from pathhopf.weak_hopf import element_in_path_coordinates
+from pathhopf.essential_decomp import _tables, word_gram
+from pathhopf.weak_hopf import _factor_images, element_in_path_coordinates
 
 
 def path_graph(k, name=None):
@@ -203,29 +203,29 @@ def _lifted_terms(space, k, q, memo):
     return memo.lifted[k, q]
 
 
-def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
-    """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient}, from
-    the paper's formula with C evaluated by `coefficient_C`.
+def reference_projector(space, x, y, memo=None):
+    """P(x (x) y) as {(m, e, f): coefficient}, from the paper's formula with
+    C evaluated by `coefficient_C`.
 
-    Decompose xi_a xi_c and xi_b xi_d, expand their essential parts against
-    the bases, and pair terms with creation words j (left) and i (right) of
-    equal length through C(i; j).  `memo` caches the decompositions of
-    concatenated basis vectors across calls.
+    Decompose x and y, expand their essential parts against the bases, and
+    pair terms with creation words j (from x) and i (from y) of equal
+    length through C(i; j).  `memo` caches the expanded decompositions
+    across calls, keyed by the vectors' coefficients.
     """
     memo = {} if memo is None else memo
 
-    def terms(p, q):
-        if (n1, p, n2, q) not in memo:
-            x = concat(essential_basis(space, n1).vectors[p], essential_basis(space, n2).vectors[q])
-            memo[n1, p, n2, q] = [
+    def terms(v):
+        key = frozenset(v.coeffs.items())
+        if key not in memo:
+            memo[key] = [
                 (w.indices, xi.length, essential_basis(space, xi.length).expand(xi))
-                for w, xi in decompose(space, x).terms
+                for w, xi in decompose(space, v).terms
             ]
-        return memo[n1, p, n2, q]
+        return memo[key]
 
     out = {}
-    for jw, m, left in terms(a, c):
-        for iw, m2, right in terms(b, d):
+    for jw, m, left in terms(x):
+        for iw, m2, right in terms(y):
             if len(jw) != len(iw):
                 continue
             cij = coefficient_C(space, CoefficientKey(iw, jw), m)
@@ -235,37 +235,52 @@ def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
     return out
 
 
+def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
+    """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient}:
+    `reference_projector` of the slotwise concatenations xi_a xi_c and
+    xi_b xi_d.  `memo` caches the concatenations, under their index tuples,
+    and the projector's decompositions across calls."""
+    memo = {} if memo is None else memo
+
+    def joined(p, q):
+        if (n1, p, n2, q) not in memo:
+            left, right = essential_basis(space, n1).vectors, essential_basis(space, n2).vectors
+            memo[n1, p, n2, q] = concat(left[p], right[q])
+        return memo[n1, p, n2, q]
+
+    return reference_projector(space, joined(a, c), joined(b, d), memo)
+
+
 def word_pair_basis_product(space, n1, a, b, n2, c, d, memo=None):
     """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient},
-    through creation words: decompose xi_a xi_c and xi_b xi_d against the
-    essential bases (`decompose_coordinates`) and pair the level-l
-    coordinates L and R through the word-Gram matrix G, as the block
-    L^T G R on E_m (x) E_m.  `memo` caches the coordinate matrices of
-    concatenated basis vectors across calls."""
+    through creation words: the projection of xi_a xi_c (x) xi_b xi_d.  Per
+    level l, the rows U and V of the two concatenations' word images on
+    E_m (`level_images`, and at level 0 the essential coordinates) pair as
+    the block U^T G^-1 V on E_m (x) E_m, with G = `word_gram` solved here
+    rather than read from the cached inverse.  `memo` caches U and G^-1 U
+    of concatenated basis vectors across calls."""
     memo = {} if memo is None else memo
     n = n1 + n2
 
-    def levels(p, q):
-        """Level l -> (m, words x E_m coordinate matrix) of xi_p xi_q."""
+    def images(p, q):
+        """Level l -> (offsets, U, G^-1 U) of xi_p xi_q, {} when it is zero."""
         if (n1, p, n2, q) not in memo:
             x = concat(essential_basis(space, n1).vectors[p], essential_basis(space, n2).vectors[q])
-            out = {}
-            for w, m, coords in decompose_coordinates(space, x):
-                words = creation_words(space, n)[len(w)]
-                m_and_rows = out.setdefault(len(w), (m, np.zeros((len(words), len(essential_basis(space, m))))))
-                for e, z in coords.items():
-                    m_and_rows[1][words.index(w), e] = z
-            memo[n1, p, n2, q] = out
+            # a concatenation of basis vectors lies in one block or is zero
+            levels = next(iter(_factor_images(space, _tables(space), x)), {})
+            memo[n1, p, n2, q] = {
+                l: (offsets, u, np.linalg.solve(word_gram(space, n, l), u) if l else u)
+                for l, (offsets, u) in levels.items()
+            }
         return memo[n1, p, n2, q]
 
-    left, right = levels(a, c), levels(b, d)
+    left, right = images(a, c), images(b, d)
     out = {}
     for l in left.keys() & right.keys():
-        m, rows = left[l]
-        gram = word_gram(space, n, l) if l else np.ones((1, 1))
-        block = rows.T @ gram @ right[l][1]
+        (rows, u, _), (cols, _, eta) = left[l], right[l]
+        block = u.T @ eta
         for e, f in zip(*np.nonzero(np.abs(block) > 1e-14)):
-            out[m, int(e), int(f)] = float(block[e, f])
+            out[n - 2 * l, rows[e], cols[f]] = float(block[e, f])
     return out
 
 

@@ -14,6 +14,7 @@ from pathhopf import (
     BasisError,
     CoefficientKey,
     CutoffError,
+    GraphError,
     OperatorWord,
     PathHopfError,
     PathSpace,
@@ -52,6 +53,7 @@ from helpers import (
     pv,
     random_vector,
     reference_basis_product,
+    reference_projector,
     sup_diff,
     sweedler_cancellation,
     unit,
@@ -151,6 +153,7 @@ JUNCTION_GRAPHS = {
     "D5": [(0, 1), (1, 2), (2, 3), (2, 4)],
     "E6": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
     "A_aff_2": [(0, 1), (1, 2), (0, 2)],
+    "D_aff_4": [(0, 1), (0, 2), (0, 3), (0, 4)],
 }
 
 
@@ -258,8 +261,8 @@ def test_product_path_needs_no_word_tables(a3, monkeypatch):
         raise AssertionError("the product reads no creation-word table")
 
     for owner, name in (
-        (weak_hopf, "decompose_coordinates"),
-        (weak_hopf, "_combine_terms"),
+        (weak_hopf, "projector_P"),
+        (weak_hopf, "level_images"),
         (essential_decomp, "word_gram"),
         (essential_decomp._DecompositionTables, "gram"),
         (essential_decomp._DecompositionTables, "gram_inverse"),
@@ -305,16 +308,70 @@ def test_projection_triangle_example(tri):
     assert_element_coords(element, frozen_cases.TRIANGLE_PROJECTION_EXPECTED)
 
 
-def test_projection_fixes_essential_pairs(a3):
-    element = projector_P(a3, gamma(), unit((0, 1, 2)))
-    assert_element_coords(
-        element, frozen_cases.outer(dict(gamma().coeffs), {(0, 1, 2): 1.0})
-    )
+@pytest.mark.parametrize(
+    "name, top", [("A3", 2), ("D5", 6), ("E6", 10), ("A_aff_2", 6), ("D_aff_4", 6)]
+)
+def test_projection_fixes_essential_pairs(name, top):
+    # up to 12 sampled basis pairs per length, every pair where there are fewer
+    space = junction_space(name)
+    rng = np.random.default_rng(7)
+    for n in range(top + 1):
+        basis = essential_basis(space, n)
+        d = len(basis)
+        for k in rng.choice(d * d, size=min(12, d * d), replace=False).tolist():
+            a, b = divmod(k, d)
+            element = projector_P(space, basis.vectors[a], basis.vectors[b])
+            want = AlgebraElement.basis_element(space, n, a, b)
+            assert (element - want).sup_norm() < 1e-12, (n, a, b)
 
 
 def test_projection_requires_equal_lengths(a3):
     with pytest.raises(ValueError):
         projector_P(a3, unit((0, 1)), unit((0, 1, 0)))
+
+
+def test_projection_refuses_lengths_past_the_cutoff(a3):
+    long_walk = unit(tuple(i % 2 for i in range(a3.cutoff + 2)))
+    with pytest.raises(CutoffError):
+        projector_P(a3, long_walk, long_walk)
+
+
+@pytest.mark.parametrize("left, right", [((0, 2), (0, 1)), ((0, 1), (0, 2))])
+def test_projection_refuses_non_walks(a3, left, right):
+    with pytest.raises(GraphError):
+        projector_P(a3, unit(left), unit(right))
+
+
+def block_vector(space, path, rng, with_imag=False):
+    """Random coefficients on the walks of the same length and endpoints as `path`."""
+    walks = [p for p in space.enumerate_paths(len(path) - 1, source=path[0]) if p[-1] == path[-1]]
+    coeffs = rng.standard_normal(len(walks))
+    if with_imag:
+        coeffs = coeffs + 1j * rng.standard_normal(len(walks))
+    return PathVector(len(path) - 1, dict(zip(walks, coeffs.tolist())))
+
+
+@pytest.mark.parametrize("name, top", [("A3", 4), ("A_aff_2", 6), ("D4", 5), ("E6", 5)])
+def test_projection_matches_reference_projector(name, top):
+    # the reference decomposes both factors and pairs the words through
+    # coefficient_C; A_aff_2 is the graph of the `tri` fixture
+    space = junction_space(name)
+    rng = np.random.default_rng(13)
+    for n in range(top + 1):
+        walks = space.enumerate_paths(n)
+        p, q, r, t = (walks[i] for i in rng.integers(len(walks), size=4).tolist())
+        pairs = [
+            (unit(p), unit(q)),
+            (unit(r), unit(t)),
+            (random_vector(space, n, rng), random_vector(space, n, rng)),
+            tuple(random_vector(space, n, rng, with_imag=True) for _ in range(2)),
+            (block_vector(space, p, rng), block_vector(space, q, rng, with_imag=True)),
+        ]
+        for x, y in pairs:
+            got = projector_P(space, x, y).coeffs
+            want = reference_projector(space, x, y)
+            for k in got.keys() | want.keys():
+                assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-10, (n, k)
 
 
 def project_element(space, element):
