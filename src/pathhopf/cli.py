@@ -162,6 +162,8 @@ def format_report(report: VerificationReport, fmt: str = "text") -> str:
                     "name": r.name,
                     "residual": _round(r.residual),
                     "passed": r.passed(report.tolerance),
+                    "checked": r.checked,
+                    "witness": [[list(key) for key in arg] for arg in r.witness],
                 }
                 for r in report.results
             ],
@@ -174,8 +176,17 @@ def format_report(report: VerificationReport, fmt: str = "text") -> str:
     ]
     for r in report.results:
         status = "PASS" if r.passed(report.tolerance) else "FAIL"
-        lines.append(f"{r.name:<26} max residual {_fmt_res(r.residual)}  {status}")
+        lines.append(
+            f"{r.name:<26} max residual {_fmt_res(r.residual)}  {status}"
+            f"  {r.checked} checked, worst at {_fmt_witness(r.witness)}"
+        )
     return "\n".join(lines)
+
+
+def _fmt_witness(witness: tuple) -> str:
+    """Each argument as the sum of its basis keys (n,a,b), arguments joined
+    by " x "."""
+    return " x ".join("+".join("({},{},{})".format(*key) for key in arg) for arg in witness)
 
 
 def _parse_algebra_literal(space: PathSpace, text: str) -> AlgebraElement:

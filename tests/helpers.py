@@ -1,6 +1,7 @@
 """Shared test utilities: comparison helpers and small graph builders."""
 
 import weakref
+from functools import partial
 
 import numpy as np
 
@@ -15,15 +16,18 @@ from pathhopf import (
     coefficient_C,
     concat,
     coproduct,
+    counit,
     decompose,
     essential_basis,
     identity,
     multiply,
+    multiply_tensor_square,
+    star_alg,
     tridiagonal_solve,
     zero_vector,
 )
 from pathhopf.essential_decomp import _tables, word_gram
-from pathhopf.weak_hopf import _factor_images, element_in_path_coordinates
+from pathhopf.weak_hopf import _factor_images, _random_element, element_in_path_coordinates
 
 
 def path_graph(k, name=None):
@@ -301,3 +305,125 @@ def sweedler_cancellation(x, weight_fn=None):
         for k, w in multiply(x, basis(space, *t2)).coeffs.items():
             rhs[t1, k] = rhs.get((t1, k), 0.0) + z * w
     return max((abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in lhs.keys() | rhs.keys()), default=0.0)
+
+
+def _sup(u, v):
+    """Largest coefficient of u - v, for coefficient dicts."""
+    return max((abs(u.get(k, 0.0) - v.get(k, 0.0)) for k in u.keys() | v.keys()), default=0.0)
+
+
+def _each_slot(u, image):
+    """(f (x) f) u for a two-slot coefficient dict u, with f(key) a dict."""
+    out = {}
+    for (p, q), z in u.items():
+        for p2, w1 in image(p).items():
+            for q2, w2 in image(q).items():
+                out[p2, q2] = out.get((p2, q2), 0.0) + z * w1 * w2
+    return out
+
+
+def direct_unary_axioms(space, weight_fn=None):
+    """name -> f(x), the residual of one element x under each linear or
+    antilinear unary axiom of `verify_axioms`, both sides evaluated on x
+    itself through the public maps, the tensor slots one basis element at a
+    time."""
+    def basis(k):
+        return AlgebraElement.basis_element(space, *k)
+
+    one = identity(space)
+    S = partial(antipode, weight_fn=weight_fn)
+
+    def star_slots(u):
+        """(* (x) *) u: antilinear, so the coefficients are conjugated."""
+        return _each_slot({k: z.conjugate() for k, z in u.items()}, lambda k: star_alg(basis(k)).coeffs)
+
+    def delta_on(slot, u):
+        out = {}
+        for (p, q), z in u.items():
+            for (a, b), w in coproduct(basis((p, q)[slot])).coeffs.items():
+                key = (a, b, q) if slot == 0 else (p, a, b)
+                out[key] = out.get(key, 0.0) + z * w
+        return out
+
+    def counit_on(slot, x):
+        out = {}
+        for (p, q), z in coproduct(x).coeffs.items():
+            dropped, kept = (p, q) if slot == 0 else (q, p)
+            out[kept] = out.get(kept, 0.0) + z * counit(basis(dropped))
+        return out
+
+    return {
+        "unit element": lambda x: max((multiply(one, x) - x).sup_norm(), (multiply(x, one) - x).sup_norm()),
+        "star involution": lambda x: (star_alg(star_alg(x)) - x).sup_norm(),
+        "coproduct star-compatible":
+            lambda x: _sup(coproduct(star_alg(x)).coeffs, star_slots(coproduct(x).coeffs)),
+        "coassociativity":
+            lambda x: _sup(delta_on(0, coproduct(x).coeffs), delta_on(1, coproduct(x).coeffs)),
+        "counit left inverse": lambda x: _sup(counit_on(0, x), x.coeffs),
+        "counit right inverse": lambda x: _sup(counit_on(1, x), x.coeffs),
+        "antipode star double": lambda x: (star_alg(S(star_alg(S(x)))) - x).sup_norm(),
+        "antipode coproduct rule": lambda x: _sup(
+            coproduct(S(x)).coeffs,
+            _each_slot({(q, p): z for (p, q), z in coproduct(x).coeffs.items()},
+                       lambda k: S(basis(k)).coeffs)),
+        "antipode cancellation": lambda x: sweedler_cancellation(x, weight_fn),
+    }
+
+
+def direct_axiom_residuals(space, max_length, samples, seed, weight_fn=None):
+    """name -> (residual, checked, witness) of `verify_axioms`, evaluated
+    element by element: the same pool drawn from the same seed, every axiom
+    evaluated directly on each element or tuple through the public maps, and
+    the witness taken from the first worst one in pool order."""
+    keys = [
+        (n, a, b)
+        for n in range(max_length + 1)
+        for a in range(len(essential_basis(space, n)))
+        for b in range(len(essential_basis(space, n)))
+    ]
+    rng = np.random.default_rng(seed)
+    randoms = [_random_element(space, keys, rng) for _ in range(samples)]
+    singles = [AlgebraElement.basis_element(space, *k) for k in keys] + randoms
+    pairs = [
+        (singles[int(rng.integers(len(singles)))], singles[int(rng.integers(len(singles)))])
+        for _ in range(samples)
+    ]
+    triples = [tuple(singles[int(rng.integers(len(singles)))] for _ in range(3)) for _ in range(samples)]
+    singles = [(x,) for x in singles]
+
+    one = identity(space)
+    S = partial(antipode, weight_fn=weight_fn)
+    unary = direct_unary_axioms(space, weight_fn)
+
+    def counit_of_product(x, y):
+        split = sum(
+            z * counit(multiply(x, AlgebraElement.basis_element(space, *t1)))
+            * counit(multiply(AlgebraElement.basis_element(space, *t2), y))
+            for (t1, t2), z in coproduct(one).coeffs.items()
+        )
+        return abs(counit(multiply(x, y)) - split)
+
+    def positivity(x):
+        value = counit(multiply(x, star_alg(x)))
+        return max(0.0, -value.real, abs(value.imag))
+
+    checks = {
+        "product associativity": (triples, lambda x, y, z: (
+            multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm()),
+        "star antihomomorphism": (pairs, lambda x, y: (
+            star_alg(multiply(x, y)) - multiply(star_alg(y), star_alg(x))).sup_norm()),
+        "coproduct multiplicative": (pairs, lambda x, y: (
+            coproduct(multiply(x, y)) - multiply_tensor_square(coproduct(x), coproduct(y))).sup_norm()),
+        "counit of product": (pairs, counit_of_product),
+        "counit positivity": (singles, positivity),
+        "antipode product rule": (pairs, lambda x, y: (
+            S(multiply(x, y)) - multiply(S(y), S(x))).sup_norm()),
+    }
+    checks.update((name, (singles, fn)) for name, fn in unary.items())
+    out = {}
+    for name, (pool, fn) in checks.items():
+        residuals = [fn(*args) for args in pool]
+        at = max(range(len(pool)), key=residuals.__getitem__)
+        witness = tuple(tuple(sorted(x.coeffs)) for x in pool[at])
+        out[name] = (residuals[at], len(pool), witness)
+    return out

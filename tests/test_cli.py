@@ -134,6 +134,19 @@ def test_verify_json(capture):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert any(r["name"] == "antipode cancellation" for r in doc["axioms"])
+    # pool: 3^2 + 4^2 basis keys plus 5 samples; pair and triple axioms see 5
+    for r in doc["axioms"]:
+        assert r["checked"] in (30, 5)
+        assert r["witness"] and all(len(key) == 3 for arg in r["witness"] for key in arg)
+
+
+def test_verify_text_names_the_worst_element(capture, monkeypatch):
+    import pathhopf.weak_hopf as wh
+
+    monkeypatch.setattr(wh, "_pf_weight", lambda *a: 1.0)
+    code, out, _ = capture("verify", A3, "--max-length", "2", "--samples", "5", "--seed", "2")
+    line = next(l for l in out.splitlines() if l.startswith("antipode cancellation"))
+    assert "FAIL" in line and "39 checked, worst at (" in line
 
 
 def test_export_schema(capture):

@@ -1,5 +1,6 @@
 """Projector, product, coproduct, counit, star, antipode, and axiom checks."""
 
+import cmath
 import gc
 import itertools
 import math
@@ -43,12 +44,16 @@ from pathhopf import (
 from pathhopf.weak_hopf import (
     TensorSquare,
     _basis_product,
+    _by_linearity,
     _junction_scalars,
+    _linear_axioms,
     _q_integers,
     _random_element,
 )
 from helpers import (
     assert_element_coords,
+    direct_axiom_residuals,
+    direct_unary_axioms,
     graph_from_edges,
     pv,
     random_vector,
@@ -515,6 +520,52 @@ def test_multiply_respects_cutoff_with_unmatched_endpoints(tri):
         multiply_tensor_square(u, v)
 
 
+def test_e6_products_past_the_cutoff_match_a_longer_cutoff():
+    # 7 + 7 = 14 exceeds the default cutoff 12, but on E6 (h = 12) no term
+    # is longer than 10; length-7 key pairs whose endpoints meet, every
+    # seventh of them in the second slot
+    space = junction_space("E6")
+    longer = PathSpace(space.graph, space.spectrum, cutoff=20)
+    ends = essential_basis(space, 7).endpoints
+    meeting = [(a, c) for a in range(len(ends)) for c in range(len(ends)) if ends[a][1] == ends[c][0]]
+    compared = 0
+    for (a, c), (b, d) in itertools.product(meeting, meeting[::7]):
+        x, y = AlgebraElement.basis_element(space, 7, a, b), AlgebraElement.basis_element(space, 7, c, d)
+        got = multiply(x, y).coeffs
+        want = _basis_product(longer, 7, a, b, 7, c, d)
+        compared += bool(want)
+        assert all(k[0] <= 10 for k in want)
+        for k in got.keys() | want.keys():
+            assert abs(got.get(k, 0.0) - want.get(k, 0.0)) < 1e-12, (a, b, c, d, k)
+    assert compared > 100
+
+
+def test_junctions_build_no_length_past_the_top(monkeypatch):
+    from pathhopf import weak_hopf
+
+    space = junction_space("E6")
+    built = []
+
+    def recording(space, n):
+        built.append(n)
+        return essential_basis(space, n)
+
+    monkeypatch.setattr(weak_hopf, "essential_basis", recording)
+    ends = essential_basis(space, 6).endpoints
+    a = c = next(i for i, (s, r) in enumerate(ends) if s == r)
+    assert _basis_product(space, 6, a, a, 6, c, c)
+    assert built and max(built) <= 10
+
+
+def test_affine_products_past_the_cutoff_raise(tri):
+    # beta = 2: essential paths of every length, so 7 + 7 is built
+    x = AlgebraElement.basis_element(tri, 7, 0, 0)
+    with pytest.raises(CutoffError):
+        multiply(x, x)
+    with pytest.raises(CutoffError):
+        _basis_product(tri, 7, 0, 0, 7, 0, 0)
+
+
 def test_space_is_freed_without_the_cycle_collector(a3):
     # the memo tables hold plain values, so dropping the last reference
     # frees a space even while the cycle collector is off
@@ -867,10 +918,84 @@ def test_structure_maps_are_linear_star_antilinear(space_name, request):
     assert abs(counit(x + c * y) - (counit(x) + c * counit(y))) < 1e-12
 
 
+BENT = lambda s_l, r_l, s_r, r_r: 1.0 + s_l + 2 * r_r
+
+
+@pytest.mark.parametrize(
+    "space_name, max_length, samples, weight_fn",
+    [
+        ("a3", 2, 20, None),
+        ("a3", 2, 20, lambda *ends: 1.0),
+        ("a3", 2, 20, BENT),
+        ("tri", 2, 10, None),
+        ("d4", 3, 10, None),
+    ],
+    ids=["a3", "a3-flat", "a3-bent", "tri", "d4"],
+)
+def test_verify_axioms_matches_direct_evaluation(space_name, max_length, samples, weight_fn, request):
+    # the linear unary axioms are evaluated per basis key and combined by
+    # linearity; the oracle evaluates every element of the pool directly
+    space = request.getfixturevalue(space_name)
+    report = verify_axioms(space, max_length, samples=samples, seed=0, weight_fn=weight_fn)
+    direct = direct_axiom_residuals(space, max_length, samples, 0, weight_fn)
+    assert len(report.results) == len(direct) == 15
+    for r in report.results:
+        residual, checked, witness = direct[r.name]
+        assert abs(r.residual - residual) < 1e-12, r.name
+        assert r.checked == checked, r.name
+        if residual > 1e-6:  # below, rounding decides which element is worst
+            assert r.witness == witness, r.name
+    failing = {r.name for r in report.results if r.residual > 1e-6}
+    if weight_fn is BENT:
+        assert failing >= {"antipode star double", "antipode coproduct rule", "antipode cancellation"}
+
+
+def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
+    # a star with a key-dependent complex term on one common key and a bent
+    # antipode make every residual map nonzero, overlapping across keys and
+    # complex, so conj(z_k) and z_k give different sums
+    from pathhopf import weak_hopf
+
+    true_star = weak_hopf._star_key
+
+    def phased_star(space, key):
+        n, a, b = key
+        out = dict(true_star(space, key))
+        common = ((n, 0, 0),)
+        out[common] = out.get(common, 0.0) + 0.5 * cmath.exp(1j * (a + 2 * b))
+        return out
+
+    monkeypatch.setattr(weak_hopf, "_star_key", phased_star)
+    space = PathSpace(a3.graph, a3.spectrum)
+    x = AlgebraElement(space, {(1, 0, 1): 1.0, (1, 1, 2): 1j, (1, 2, 3): 0.3 - 0.8j, (2, 1, 1): -0.5j})
+    maps = _linear_axioms(space, BENT)
+    direct = direct_unary_axioms(space, BENT)
+    assert set(maps) == set(direct)
+    for name, (residual, antilinear) in maps.items():
+        (got,) = _by_linearity([(x,)], residual, antilinear)
+        want = direct[name](x)
+        assert abs(got - want) < 1e-12 * max(1.0, want), name
+    residual, antilinear = maps["coproduct star-compatible"]
+    assert antilinear
+    want = direct["coproduct star-compatible"](x)
+    (linear,) = _by_linearity([(x,)], residual, False)
+    assert want > 0.1 and abs(linear - want) > 0.1
+
+
 def test_verify_axioms_rejects_cutoff_overflow(tri):
     tight = PathSpace(tri.graph, tri.spectrum, cutoff=3)
     with pytest.raises(CutoffError):
         verify_axioms(tight, 2, samples=1, seed=0)
+
+
+def test_verify_axioms_checks_only_built_lengths_on_a_finite_graph(a3):
+    # A3's top essential length is 2, so no product at max_length 2 builds
+    # a length past 2, whatever 2 * max_length is
+    tight = PathSpace(a3.graph, a3.spectrum, cutoff=3)
+    report = verify_axioms(tight, 2, samples=5, seed=0)
+    assert report.all_passed
+    assert [r.residual for r in report.results] == pytest.approx(
+        [r.residual for r in verify_axioms(a3, 2, samples=5, seed=0).results], abs=1e-12)
 
 
 @pytest.mark.parametrize(
