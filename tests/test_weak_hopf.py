@@ -968,18 +968,36 @@ def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
     monkeypatch.setattr(weak_hopf, "_star_key", phased_star)
     space = PathSpace(a3.graph, a3.spectrum)
     x = AlgebraElement(space, {(1, 0, 1): 1.0, (1, 1, 2): 1j, (1, 2, 3): 0.3 - 0.8j, (2, 1, 1): -0.5j})
+    y = AlgebraElement(space, {(1, 0, 1): 0.4 - 1.2j})  # one key: |z| sup |L(k)|
     maps = _linear_axioms(space, BENT)
     direct = direct_unary_axioms(space, BENT)
     assert set(maps) == set(direct)
     for name, (residual, antilinear) in maps.items():
-        (got,) = _by_linearity([(x,)], residual, antilinear)
-        want = direct[name](x)
-        assert abs(got - want) < 1e-12 * max(1.0, want), name
+        got = list(_by_linearity([(x,), (y,)], residual, antilinear))
+        want = [direct[name](x), direct[name](y)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), name
     residual, antilinear = maps["coproduct star-compatible"]
     assert antilinear
     want = direct["coproduct star-compatible"](x)
     (linear,) = _by_linearity([(x,)], residual, False)
     assert want > 0.1 and abs(linear - want) > 0.1
+
+
+def test_linear_residuals_evaluate_each_key_once(tri):
+    keys = [(n, a, b) for n in range(3) for a in range(len(essential_basis(tri, n)))
+            for b in range(len(essential_basis(tri, n)))]
+    rng = np.random.default_rng(3)
+    pool = [(AlgebraElement.basis_element(tri, *k),) for k in keys]
+    pool += [(_random_element(tri, keys, rng),) for _ in range(40)]
+    residual, antilinear = _linear_axioms(tri)["antipode cancellation"]
+    seen = []
+
+    def counted(x):
+        seen.extend(x)
+        return residual(x)
+
+    assert len(list(_by_linearity(pool, counted, antilinear))) == len(pool)
+    assert sorted(seen) == keys
 
 
 def test_verify_axioms_rejects_cutoff_overflow(tri):
