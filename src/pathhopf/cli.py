@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -126,6 +127,14 @@ def _vector_obj(x: PathVector) -> list:
     ]
 
 
+def _basis_obj(basis) -> list:
+    """One entry per basis vector: its index, endpoints and terms."""
+    return [
+        {"index": a, "source": s, "range": r, "terms": _vector_obj(xi)}
+        for a, (xi, (s, r)) in enumerate(zip(basis.vectors, basis.endpoints))
+    ]
+
+
 def _element_text(x: AlgebraElement, out: list) -> None:
     if x.is_zero():
         out.append("0")
@@ -214,8 +223,8 @@ def run(argv: list[str]) -> int:
         parser.print_help()
         return 1
     try:
-        if getattr(args, "tol", 1e-9) <= 0:
-            raise PathHopfError("tolerance must be positive")
+        if not 0 < args.tol < math.inf:
+            raise PathHopfError(f"tolerance must be finite and positive, got {args.tol}")
         out_lines: list[str] = []
         exit_code = _dispatch(args, out_lines)
         text = "\n".join(out_lines) + "\n"
@@ -224,10 +233,7 @@ def run(argv: list[str]) -> int:
         else:
             sys.stdout.write(text)
         return exit_code
-    except PathHopfError as exc:
-        print(f"pathhopf: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (PathHopfError, OSError, ValueError) as exc:
         print(f"pathhopf: error: {exc}", file=sys.stderr)
         return 1
 
@@ -268,15 +274,7 @@ def _dispatch(args, out: list) -> int:
                 "graph": graph.name,
                 "length": args.length,
                 "dimension": len(basis),
-                "vectors": [
-                    {
-                        "index": a,
-                        "source": basis.endpoints[a][0],
-                        "range": basis.endpoints[a][1],
-                        "terms": _vector_obj(basis.vectors[a]),
-                    }
-                    for a in range(len(basis))
-                ],
+                "vectors": _basis_obj(basis),
             }
             out.append(json.dumps(doc, indent=2))
         else:
@@ -386,18 +384,7 @@ def _dispatch(args, out: list) -> int:
             "coxeter_number": info.coxeter_number if info else None,
             "max_essential_length": info.max_essential_length if info else None,
             "essential_dims": [len(basis) for basis in bases],
-            "essential_basis": {
-                str(n): [
-                    {
-                        "index": a,
-                        "source": basis.endpoints[a][0],
-                        "range": basis.endpoints[a][1],
-                        "terms": _vector_obj(xi),
-                    }
-                    for a, xi in enumerate(basis.vectors)
-                ]
-                for n, basis in enumerate(bases)
-            },
+            "essential_basis": {str(n): _basis_obj(basis) for n, basis in enumerate(bases)},
         }
         out.append(json.dumps(doc, indent=2))
         return 0

@@ -8,11 +8,11 @@ on beta and the words, not on the block or the basis vector.  So
 `decompose` solves one small word-Gram system per block and level instead
 of splitting recursively.  The right-hand sides are the essential
 coordinates of the word images that `level_images` forms, and
-`projector_P` pairs the same images.  The per-length tables (walks, the
-c_k as index arrays, dense basis blocks, inverted Gram matrices) are
-built lazily and cached on the space.  On a finite ADE graph with
-Coxeter number h, the words keep only creations c†_k with
-k >= L - h + 1, L the length they make (the Jones-Wenzl truncation).
+`pair_levels` pairs the same images for `weak_hopf.projector_P`.  The
+per-length tables (walks, the c_k as index arrays, dense basis blocks,
+inverted Gram matrices) are built lazily and cached on the space.  On a
+finite ADE graph with Coxeter number h, the words keep only creations c†_k
+with k >= L - h + 1, L the length they make (the Jones-Wenzl truncation).
 `project_component` reads off the orthogonal projections.
 """
 
@@ -360,6 +360,43 @@ def level_images(space, tables, n, s, r, y) -> dict:
     return out
 
 
+def _factor_images(space, tables, x) -> list:
+    """`level_images` of each (source, range) block of `x`, with level 0
+    added as the single row B_n^T y of the block's essential coordinates."""
+    out = []
+    for (s, r), y in _blocks(space, tables, x):
+        levels = level_images(space, tables, x.length, s, r, y)
+        basis, offsets = tables.basis(space, x.length, s, r)
+        if offsets:
+            levels[0] = (offsets, (y @ basis)[None])
+        out.append(levels)
+    return out
+
+
+def pair_levels(space: PathSpace, left: PathVector, right: PathVector) -> dict:
+    """{(m, a, b): z}: for two vectors of one length n, the sum over pairs
+    of their (source, range) blocks and over levels l of U^T G^-1 V on
+    E_m (x) E_m, m = n - 2l, where the rows of U and V are the level-l
+    images (`level_images`) of the left and right block, G =
+    `word_gram(space, n, l)`, and at l = 0 the rows are the blocks'
+    essential coordinates and G^-1 is left out."""
+    n = left.length
+    tables = _tables(space)
+    rights = _factor_images(space, tables, right)
+    out = {}
+    for u in _factor_images(space, tables, left):
+        for v in rights:
+            for l in u.keys() & v.keys():
+                (rows, ul), (cols, vl) = u[l], v[l]
+                block = ul.T @ (tables.gram_inverse(space, n, l) @ vl if l else vl)
+                out.update(
+                    ((n - 2 * l, a, b), z)
+                    for a, zs in zip(rows, block.tolist())
+                    for b, z in zip(cols, zs)
+                )
+    return out
+
+
 def _spread(index, weight, values, size: int) -> np.ndarray:
     """The length-`size` array of sums of weight * values by index."""
     if np.iscomplexobj(values):
@@ -377,7 +414,7 @@ def _tables(space: PathSpace) -> "_DecompositionTables":
 
 
 class _DecompositionTables:
-    """What `decompose` and `projector_P` read, filled on first use at each
+    """What `decompose` and `pair_levels` read, filled on first use at each
     length.
 
     Per (length, source, range) block: the walks in lexicographic order;

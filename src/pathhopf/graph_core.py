@@ -79,9 +79,10 @@ def parse_graph(text: str) -> Graph:
 
         {"name": "A3", "vertices": ["0", "1", "2"], "edges": [[0, 1], [1, 2]]}
 
-    Edges are unordered pairs of vertex indices; the adjacency matrix is
-    derived symmetric.  Raises `GraphError` on malformed input or when the
-    resulting graph fails `validate`.
+    `vertices` and `edges` are JSON arrays.  Edges are unordered pairs of
+    vertex indices, each a JSON integer (not a boolean); the adjacency
+    matrix is derived symmetric.  Raises `GraphError` on malformed input or
+    when the resulting graph fails `validate`.
     """
     try:
         doc = json.loads(text)
@@ -90,10 +91,11 @@ def parse_graph(text: str) -> Graph:
     if not isinstance(doc, dict):
         raise GraphError("top-level JSON value must be an object")
     try:
-        vertices = list(doc["vertices"])
-        edges = list(doc["edges"])
+        vertices, edges = doc["vertices"], doc["edges"]
     except KeyError as exc:
         raise GraphError(f"missing required key {exc}") from exc
+    if not (isinstance(vertices, list) and isinstance(edges, list)):
+        raise GraphError('"vertices" and "edges" must be JSON arrays')
     name = str(doc.get("name", ""))
     if not vertices:
         raise GraphError("vertex list is empty")
@@ -103,10 +105,9 @@ def parse_graph(text: str) -> Graph:
     n = len(labels)
     adjacency = np.zeros((n, n), dtype=int)
     for edge in edges:
-        try:
-            i, j = (int(v) for v in edge)
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"edge {edge!r} is not a pair of indices") from exc
+        if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
+            raise GraphError(f"edge {edge!r} is not a pair of integer indices")
+        i, j = edge
         if not (0 <= i < n and 0 <= j < n):
             raise GraphError(f"edge {edge!r} references a vertex out of range")
         adjacency[i, j] = 1

@@ -44,30 +44,71 @@ def default_cutoff() -> int:
     return value
 
 
-class PathVector:
-    """Sparse complex combination of elementary paths of one fixed length."""
+class SparseCoefficients:
+    """Sparse complex coefficients under hashable keys, with the linear
+    arithmetic that path vectors and algebra elements share.
 
-    __slots__ = ("length", "coeffs")
+    A subclass is built as cls(tag, coeffs) and stores the tag (a length, a
+    space) under the attribute that `_tag` names; sums and scalar multiples
+    keep the class and the tag.  Construction drops every coefficient with
+    |c| <= `prune`, so float dust cannot grow support sets.
+    """
 
-    def __init__(self, length: int, coeffs: dict | None = None):
-        self.length = length
-        if coeffs:
-            self.coeffs = {
-                p: complex(c) for p, c in coeffs.items() if abs(c) > PRUNE_TOL
-            }
-        else:
-            self.coeffs = {}
+    __slots__ = ("coeffs",)
+    _tag = ""
+    prune = PRUNE_TOL
 
-    @classmethod
-    def unit(cls, path: ElementaryPath) -> "PathVector":
-        return cls(len(path) - 1, {tuple(path): 1.0})
+    def __init__(self, tag, coeffs: dict | None = None):
+        setattr(self, self._tag, tag)
+        prune = self.prune
+        self.coeffs = {k: complex(c) for k, c in coeffs.items() if abs(c) > prune} if coeffs else {}
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def terms(self):
-        """(path, coefficient) pairs in lexicographic path order."""
+        """(key, coefficient) pairs in key order."""
         return sorted(self.coeffs.items())
+
+    def sup_norm(self) -> float:
+        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if not self.coeffs:
+            return other
+        if not other.coeffs:
+            return self
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0.0) + c
+        return type(self)(getattr(self, self._tag), out)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        return type(self)(
+            getattr(self, self._tag), {k: c * scalar for k, c in self.coeffs.items()}
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+
+class PathVector(SparseCoefficients):
+    """Sparse complex combination of elementary paths of one fixed length:
+    PathVector(length, {path: coefficient})."""
+
+    __slots__ = ("length",)
+    _tag = "length"
+
+    @classmethod
+    def unit(cls, path: ElementaryPath) -> "PathVector":
+        return cls(len(path) - 1, {tuple(path): 1.0})
 
     def endpoints(self) -> tuple[int, int] | None:
         """The common (source, range) of the support, or None if mixed/empty."""
@@ -79,37 +120,12 @@ class PathVector:
     def norm(self) -> float:
         return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
 
-    def sup_norm(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __add__(self, other: "PathVector") -> "PathVector":
-        if not isinstance(other, PathVector):
-            return NotImplemented
-        if self.length != other.length:
+    def __add__(self, other):
+        if isinstance(other, PathVector) and self.length != other.length:
             raise ValueError(
                 f"cannot add path vectors of lengths {self.length} and {other.length}"
             )
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0.0) + c
-        return PathVector(self.length, out)
-
-    def __sub__(self, other: "PathVector") -> "PathVector":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "PathVector":
-        return PathVector(
-            self.length, {p: c * scalar for p, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PathVector":
-        return self * -1.0
+        return super().__add__(other)
 
     def __repr__(self):
         if not self.coeffs:

@@ -12,7 +12,8 @@ r(a) = s(c) and r(b) = s(d), so `multiply`, `multiply_tensor_square` and
 the verifier index the right factor by its sources and multiply only the
 pairs whose endpoints meet.  `projector_P` projects arbitrary path pairs:
 per level it pairs the essential coordinates of the two factors' creation
-word images through the inverse word-Gram matrix, U^T G^-1 V.
+word images through the inverse word-Gram matrix, U^T G^-1 V, by
+`essential_decomp.pair_levels`.
 
 Coproduct, counit, star and antipode are each written once, on one basis
 key (`_delta_key`, `_counit_key`, `_star_key`, `_antipode_key`).  A key map
@@ -40,11 +41,12 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BasisError, CutoffError, PathHopfError
-from .essential_decomp import _blocks, _tables, essential_basis, level_images
+from .essential_decomp import essential_basis, pair_levels
 from .graph_core import coxeter_info
 from .path_space import (
     PathSpace,
     PathVector,
+    SparseCoefficients,
     format_path,
     inner_product,
     star,
@@ -68,57 +70,16 @@ class CoefficientKey:
         object.__setattr__(self, "j_indices", tuple(int(v) for v in self.j_indices))
 
 
-class _GradedCoefficients:
-    """Shared sparse-coefficient behavior for algebra and tensor elements."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: PathSpace, coeffs: dict | None = None):
-        self.space = space
-        if coeffs:
-            self.coeffs = {
-                k: complex(c) for k, c in coeffs.items() if abs(c) > 1e-14
-            }
-        else:
-            self.coeffs = {}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def sup_norm(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return type(self)(self.space, out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        return type(self)(
-            self.space, {k: c * scalar for k, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-
-class AlgebraElement(_GradedCoefficients):
-    """Sparse element of (+)_n E_n (x) E_n.
+class AlgebraElement(SparseCoefficients):
+    """Sparse element of (+)_n E_n (x) E_n: AlgebraElement(space, coeffs).
 
     Keys are (length, left basis index, right basis index) against
     `essential_basis(space, length)`.
     """
+
+    __slots__ = ("space",)
+    _tag = "space"
+    prune = 1e-14
 
     @classmethod
     def basis_element(cls, space, n, a, b) -> "AlgebraElement":
@@ -128,9 +89,13 @@ class AlgebraElement(_GradedCoefficients):
         return f"AlgebraElement({len(self.coeffs)} terms)"
 
 
-class TensorSquare(_GradedCoefficients):
+class TensorSquare(SparseCoefficients):
     """Sparse element of the two-fold tensor power; keys are pairs of
     (length, left index, right index) triples."""
+
+    __slots__ = ("space",)
+    _tag = "space"
+    prune = 1e-14
 
     def __repr__(self):
         return f"TensorSquare({len(self.coeffs)} terms)"
@@ -178,19 +143,6 @@ def coefficient_C(space: PathSpace, key: CoefficientKey, base_length: int) -> co
 # -- the projection onto essential endomorphisms ------------------------------
 
 
-def _factor_images(space, tables, x) -> list:
-    """`level_images` of each (source, range) block of `x`, with level 0
-    added as the single row B_n^T y of the block's essential coordinates."""
-    out = []
-    for (s, r), y in _blocks(space, tables, x):
-        levels = level_images(space, tables, x.length, s, r, y)
-        basis, offsets = tables.basis(space, x.length, s, r)
-        if offsets:
-            levels[0] = (offsets, (y @ basis)[None])
-        out.append(levels)
-    return out
-
-
 def projector_P(space: PathSpace, left: PathVector, right: PathVector) -> AlgebraElement:
     """Project a graded path endomorphism onto essential endomorphisms.
 
@@ -206,21 +158,7 @@ def projector_P(space: PathSpace, left: PathVector, right: PathVector) -> Algebr
     """
     if left.length != right.length:
         raise ValueError("projector factors must have equal path length")
-    n = left.length
-    tables = _tables(space)
-    rights = _factor_images(space, tables, right)
-    out = {}
-    for u in _factor_images(space, tables, left):
-        for v in rights:
-            for l in u.keys() & v.keys():
-                (rows, ul), (cols, vl) = u[l], v[l]
-                block = ul.T @ (tables.gram_inverse(space, n, l) @ vl if l else vl)
-                out.update(
-                    ((n - 2 * l, a, b), z)
-                    for a, zs in zip(rows, block.tolist())
-                    for b, z in zip(cols, zs)
-                )
-    return AlgebraElement(space, out)
+    return AlgebraElement(space, pair_levels(space, left, right))
 
 
 # -- product ------------------------------------------------------------------
@@ -323,24 +261,21 @@ def _junctions(space, n1, a, n2, c) -> tuple:
 
 
 def _basis_product(space, n1, a, b, n2, c, d) -> dict:
-    """Cached coefficients of the product of two basis elements,
-    (n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d).
-    The memo holds plain dicts: an element would point back at `space` and
-    tie every space into a reference cycle."""
+    """The coefficients of the product of two basis elements,
+    (n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d),
+    from the cached junctions; empty when the endpoints do not meet."""
     _check_cutoff(space, n1, n2)
-    cache = space.cache.setdefault("basis_product", {})
-    key = (n1, a, b, n2, c, d)
-    if key not in cache:
-        left, right = _junctions(space, n1, a, n2, c), _junctions(space, n1, b, n2, d)
-        out = {}
-        if left and right:  # () when the endpoints do not meet
-            scalars = _junction_scalars(space.beta, n1, n2)
-            for l, (jl, jr) in enumerate(zip(left, right)):
-                for e, ze in jl.items():
-                    for f, zf in jr.items():
-                        out[n1 + n2 - 2 * l, e, f] = scalars[l] * ze * zf
-        cache[key] = {k: z for k, z in out.items() if abs(z) > 1e-14}
-    return cache[key]
+    left, right = _junctions(space, n1, a, n2, c), _junctions(space, n1, b, n2, d)
+    scalars = _junction_scalars(space.beta, n1, n2)
+    out = {}
+    for l, (jl, jr) in enumerate(zip(left, right)):
+        m, scalar = n1 + n2 - 2 * l, scalars[l]
+        for e, ze in jl.items():
+            for f, zf in jr.items():
+                z = scalar * ze * zf
+                if abs(z) > 1e-14:
+                    out[m, e, f] = z
+    return out
 
 
 def _meeting_pairs(space, left: dict, right: dict, tensor=False):
@@ -720,10 +655,13 @@ def verify_axioms(
     keys of the first worst one.  `weight_fn` overrides the antipode's endpoint factor, which
     is how a deliberately corrupted antipode can be shown to fail.
     Failures are reported as residuals, never raised.  An empty check (no
-    samples, or a negative `max_length`) raises `PathHopfError`.
+    samples, or a negative `max_length`) and a tolerance that is not finite
+    and positive raise `PathHopfError`.
     """
     if samples < 1:
         raise PathHopfError(f"samples must be at least 1, got {samples}")
+    if not 0 < tolerance < math.inf:
+        raise PathHopfError(f"tolerance must be finite and positive, got {tolerance}")
     if max_length < 0:
         raise PathHopfError(f"max_length must be nonnegative, got {max_length}")
     _check_cutoff(space, max_length, max_length)
@@ -753,12 +691,7 @@ def verify_axioms(
 
     def pairing(left, right):
         """counit(left * right) on coefficient dicts."""
-        return sum(
-            zl * zr * w
-            for kl, zl, kr, zr in _meeting_pairs(space, left, right)
-            for (_, e, f), w in _basis_product(space, *kl, *kr).items()
-            if e == f
-        )
+        return sum(z for (_, e, f), z in _product(space, left, right).items() if e == f)
 
     def counit_of_product(x, y):
         """counit(xy) against sum counit(x 1_(1)) counit(1_(2) y), with each

@@ -26,8 +26,8 @@ from pathhopf import (
     tridiagonal_solve,
     zero_vector,
 )
-from pathhopf.essential_decomp import _tables, word_gram
-from pathhopf.weak_hopf import _factor_images, _random_element, element_in_path_coordinates
+from pathhopf.essential_decomp import _factor_images, _tables, word_gram
+from pathhopf.weak_hopf import _random_element, element_in_path_coordinates
 
 
 def path_graph(k, name=None):

@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,28 @@ def test_negative_max_rejected(capture, argv):
 def test_negative_tolerance_rejected(capture):
     code, _, err = capture("spectrum", A3, "--tol", "-1")
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_rejected(capture, tol):
+    code, out, err = capture("verify", A3, "--max-length", "1", "--samples", "2", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be finite and positive" in err
+
+
+def test_malformed_graph_file_exits_one_without_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": null, "edges": [[0, 1]]}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathhopf.cli", "spectrum", str(bad)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "pathhopf: error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_format_report_empty_is_header_only():

@@ -44,6 +44,25 @@ def test_parse_rejects_malformed_document():
         parse_graph(json.dumps([1, 2]))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("vertices", None), ("edges", 5), ("vertices", "01"), ("vertices", {"0": 0, "1": 1})],
+)
+def test_parse_rejects_vertices_or_edges_that_are_not_arrays(key, value):
+    # no TypeError, no string read as its characters, no object as its keys
+    doc = {"vertices": ["0", "1"], "edges": [[0, 1]], key: value}
+    with pytest.raises(GraphError, match="JSON arrays"):
+        parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edge", [[0.9, 1], [0, True], [True, False], "01", [0, 1, 2], [0]])
+def test_parse_rejects_edges_that_are_not_integer_pairs(edge):
+    # no truncation of a float, no boolean read as an index
+    text = json.dumps({"vertices": ["0", "1"], "edges": [[0, 1], edge]})
+    with pytest.raises(GraphError, match="not a pair of integer indices"):
+        parse_graph(text)
+
+
 def test_parse_rejects_duplicate_labels():
     text = json.dumps({"vertices": ["a", "a"], "edges": [[0, 1]]})
     with pytest.raises(GraphError, match="duplicate"):

@@ -267,7 +267,7 @@ def test_product_path_needs_no_word_tables(a3, monkeypatch):
 
     for owner, name in (
         (weak_hopf, "projector_P"),
-        (weak_hopf, "level_images"),
+        (essential_decomp, "level_images"),
         (essential_decomp, "word_gram"),
         (essential_decomp._DecompositionTables, "gram"),
         (essential_decomp._DecompositionTables, "gram_inverse"),
@@ -573,7 +573,7 @@ def test_space_is_freed_without_the_cycle_collector(a3):
     x = AlgebraElement.basis_element(space, 1, 0, 0)
     one = identity(space)
     assert not multiply(one, x).is_zero()
-    assert space.cache["basis_product"]
+    assert space.cache["junctions"]
     ref = weakref.ref(space)
     gc.disable()
     try:
@@ -1023,6 +1023,12 @@ def test_verify_axioms_checks_only_built_lengths_on_a_finite_graph(a3):
 def test_verify_axioms_rejects_empty_check(a3, max_length, samples, message):
     with pytest.raises(PathHopfError, match=message):
         verify_axioms(a3, max_length, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-9])
+def test_verify_axioms_rejects_a_tolerance_that_cannot_pass_or_fail(a3, tolerance):
+    with pytest.raises(PathHopfError, match="tolerance"):
+        verify_axioms(a3, 1, samples=2, seed=0, tolerance=tolerance)
 
 
 # -- serialization ---------------------------------------------------------------------
