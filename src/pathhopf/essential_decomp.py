@@ -1,6 +1,9 @@
 """Essential paths and the orthogonal decomposition of path space.
 
-A path vector is essential when every annihilation operator kills it.  The
+A path vector is essential when every annihilation operator kills it.
+`essential_basis` builds each E_n in Bratteli coordinates, over the
+vectors xi . (r -> t) of E_{n-1}, and forms walks only when a basis is
+expanded (`EssentialBasis.vectors`, `EssentialBasis.block`).  The
 degree-n slice splits as the orthogonal direct sum, over l, of the spans of
 c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,22 +44,73 @@ KERNEL_TOL = 1e-9
 
 
 class EssentialBasis:
-    """Orthonormal basis of the essential subspace at one length.
+    """Orthonormal basis of the essential subspace at one length, stored in
+    Bratteli coordinates.
 
     Vectors are grouped by (source, range) block; annihilation preserves
     endpoints, so the essential subspace splits over blocks and every basis
-    vector has well-defined endpoints.  `index` maps flat position to
-    (block, offset); blocks are ordered lexicographically.
+    vector has well-defined endpoints.  `blocks` maps a block to the flat
+    positions of its vectors, and `endpoints` gives each vector's block;
+    blocks are ordered lexicographically.  `kernels[s, t]` maps each r ~ t
+    to the columns, over the vectors xi_b . (r -> t) with xi_b in block
+    (s, r) of `below` (the basis at length - 1), of the block's rows; at
+    length 0 each block holds its vertex.  No walk is formed until `block`
+    or `vectors` is read.
     """
 
-    def __init__(self, length, vectors, endpoints, blocks):
+    def __init__(self, length, kernels, below=None):
         self.length = length
-        self.vectors = tuple(vectors)
-        self.endpoints = tuple(endpoints)
-        self.blocks = dict(blocks)
+        self.kernels = kernels
+        self.below = below
+        self.blocks = {}
+        self.endpoints = ()
+        for key, parts in kernels.items():  # lexicographic in (source, range)
+            size = len(next(iter(parts.values())))
+            self.blocks[key] = tuple(range(len(self.endpoints), len(self.endpoints) + size))
+            self.endpoints += (key,) * size
+        self._unsigned: dict = {}
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.endpoints)
+
+    def _walk_coordinates(self, s, t):
+        """(walks, rows): the walks of block (s, t) that its vectors reach,
+        lexicographic, as rows of an integer array, and the vectors over
+        them before the sign rule (cached)."""
+        key = (s, t)
+        if key not in self._unsigned:
+            if self.below is None:
+                walks, rows = np.array([[s]]), np.ones((1, 1))
+            else:
+                walks, rows = [], []
+                for r, k in self.kernels[key].items():
+                    w, v = self.below._walk_coordinates(s, r)
+                    walks.append(np.column_stack((w, np.full(len(w), t))))
+                    rows.append(k @ v)
+                walks, rows = np.vstack(walks), np.hstack(rows)
+                order = np.lexsort(walks.T[::-1])
+                # the smallest integer type that holds every vertex
+                walks, rows = walks[order].astype(np.min_scalar_type(walks.max())), rows[:, order]
+            self._unsigned[key] = walks, rows
+        return self._unsigned[key]
+
+    def block(self, s, t):
+        """Block (s, t) in walk coordinates, as `_walk_coordinates`, with
+        each vector signed so that its first coefficient above 1e-9, in
+        lexicographic path order, is positive."""
+        walks, rows = self._walk_coordinates(s, t)
+        lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)]
+        return walks, rows * np.sign(lead)[:, None]
+
+    @cached_property
+    def vectors(self) -> tuple[PathVector, ...]:
+        """The basis vectors in walk coordinates, expanded on first access."""
+        out = []
+        for s, t in self.blocks:
+            walks, rows = self.block(s, t)
+            paths = list(map(tuple, walks.tolist()))
+            out.extend(PathVector(self.length, dict(zip(paths, v))) for v in rows.tolist())
+        return tuple(out)
 
     def expand(self, x: PathVector) -> dict[int, complex]:
         """Coefficients of `x` against the basis: index -> (xi_a, x)."""
@@ -70,16 +125,19 @@ class EssentialBasis:
 def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     """Orthonormal basis of the length-n essential subspace (cached).
 
-    For n < 2 no annihilation acts and the elementary paths are the basis.
-    For n >= 2 the basis grows from the cached length-(n-1) basis: grouped
+    At length 0 the vertices are the basis, and at length 1 the edges.
+    From there the basis grows from the cached length-(n-1) basis: grouped
     by its last edge (r -> t), an essential vector of length n has every
     part in E_{n-1}, so E_n is the kernel of the last annihilation c_{n-2}
     on the orthonormal candidates xi_a . (r -> t).  Per (source, range)
-    block, that kernel is read off the SVD of the small matrix of c_{n-2}
-    in candidate coordinates.  The result is deterministic; within each
-    block the orthonormal vectors are the SVD's, each signed so that its
-    first coefficient above 1e-9, in lexicographic path order, is positive.
-    Raises `CutoffError` for n beyond the space's cutoff.
+    block, that kernel is read off the SVD of the matrix of c_{n-2} from
+    the candidate coordinates to those of E_{n-2}, which the rows of
+    E_{n-1} give: building the basis forms no walk.  Walks appear when
+    `EssentialBasis.vectors` or `EssentialBasis.block` is first read.
+    The result is deterministic; within each block the orthonormal vectors
+    are the SVD's, each signed so that its first coefficient above 1e-9, in
+    lexicographic path order, is positive.  Raises `CutoffError` for n
+    beyond the space's cutoff.
     """
     if n > space.cutoff:
         raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
@@ -90,73 +148,41 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
 
 
 def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
-    if n < 2:
-        # no annihilation operator acts; elementary paths are the basis
-        parts = [
-            ((p[0], p[-1]), [PathVector.unit(p)]) for p in space.enumerate_paths(n)
-        ]
-    else:
-        prev = essential_basis(space, n - 1)
-        nv = space.graph.num_vertices
-        parts = [
-            ((s, t), _block_kernel(space, prev, s, t))
-            for s in range(nv)
-            for t in range(nv)
-        ]
-    vectors: list[PathVector] = []
-    endpoints: list[tuple[int, int]] = []
-    blocks: dict[tuple[int, int], tuple[int, ...]] = {}
-    for key, block_vectors in parts:  # lexicographic in (source, range)
-        if block_vectors:
-            blocks[key] = tuple(range(len(vectors), len(vectors) + len(block_vectors)))
-            vectors.extend(block_vectors)
-            endpoints.extend([key] * len(block_vectors))
-    return EssentialBasis(n, vectors, endpoints, blocks)
+    nv = space.graph.num_vertices
+    if n == 0:
+        return EssentialBasis(0, {(s, s): {s: np.ones((1, 1))} for s in range(nv)})
+    below = essential_basis(space, n - 1)
+    blocks, kernels = below.blocks, {}
+    for s in range(nv):
+        for t in range(nv):
+            sizes = {r: len(blocks[s, r]) for r in space.graph.neighbors[t] if (s, r) in blocks}
+            kernel = _block_kernel(space, below, s, t, sizes) if sizes else ()
+            if len(kernel):
+                bounds = list(accumulate(sizes.values(), initial=0))
+                kernels[s, t] = {r: kernel[:, i:j] for r, i, j in zip(sizes, bounds, bounds[1:])}
+    return EssentialBasis(n, kernels, below)
 
 
-def _block_kernel(space, prev: EssentialBasis, source, target) -> list[PathVector]:
-    """Block (source, target) of E_n as the kernel of c_{n-2} on the
-    candidates xi_a . (r -> target), xi_a in block (source, r) of E_{n-1}."""
-    adjacency = space.graph.adjacency
-    candidates = [
-        a
-        for r in range(space.graph.num_vertices)
-        if adjacency[r, target]
-        for a in prev.blocks.get((source, r), ())
-    ]
-    if not candidates:
-        return []
-    # c_{n-2} sends q . (r -> t) to q[:-1] when q[-2] = t, with weight
-    # sqrt(mu[r] / mu[t]); a path q can occur in several candidates
-    col: dict = {}
-    row: dict = {}
-    spread, image = [], []
-    for j, a in enumerate(candidates):
-        r = prev.endpoints[a][1]
-        w = space.sqrt_mu[r] / space.sqrt_mu[target]
-        for q, c in prev.vectors[a].coeffs.items():
-            spread.append((j, col.setdefault(q, len(col)), c.real))
-            if q[-2] == target:
-                image.append((row.setdefault(q[:-1], len(row)), j, c.real * w))
-    m = np.zeros((len(row), len(candidates)))
-    for i, j, c in image:
-        m[i, j] += c
+def _block_kernel(space, below: EssentialBasis, s, t, sizes) -> np.ndarray:
+    """Block (s, t) of E_n as the kernel of c_{n-2} on the candidates
+    xi_a . (r -> t), xi_a in block (s, r) of E_{n-1} = `below`, for the
+    r ~ t and block sizes in `sizes`.
+
+    c_{n-2} sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part of
+    xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of E_{n-2}:
+    its matrix in E_{n-2} coordinates is read off `below.kernels`.  At
+    n = 1 that part is empty, so every candidate is kept."""
+    images = {r: below.kernels[s, r].get(t) for r in sizes}
+    rows = next((k.shape[1] for k in images.values() if k is not None), 0)
+    m = np.zeros((rows, sum(sizes.values())))
+    j = 0
+    for r, size in sizes.items():
+        if images[r] is not None:
+            m[:, j : j + size] = space.sqrt_mu[r] / space.sqrt_mu[t] * images[r].T
+        j += size
     # the full V^T spans the candidates; rows past the rank span the kernel
     _, sing, vt = np.linalg.svd(m)
-    kernel = vt[int(np.sum(sing > KERNEL_TOL)) :]
-    x = np.zeros((len(candidates), len(col)))
-    for j, i, c in spread:
-        x[j, i] = c
-    paths = [q + (target,) for q in col]
-    vectors = kernel @ x
-    out = []
-    for v, keep in zip(vectors.tolist(), (np.abs(vectors) > 1e-9).tolist()):
-        # fix the sign the SVD leaves free: the first coefficient above
-        # 1e-9, in lexicographic path order, is positive
-        if min(compress(zip(paths, v), keep))[1] < 0:
-            v = [-c for c in v]
-        out.append(PathVector(prev.length + 1, dict(zip(paths, v))))
-    return out
+    return vt[int((sing > KERNEL_TOL).sum()) :]
 
 
 def is_essential(space: PathSpace, x: PathVector, tol: float = 1e-9) -> bool:
@@ -510,10 +536,9 @@ class _DecompositionTables:
             basis = essential_basis(space, m)
             offsets = basis.blocks.get((s, r), ())
             dense = np.zeros((len(self.block(space, m, s, r)), len(offsets)))
-            for j, a in enumerate(offsets):
-                coeffs = basis.vectors[a].coeffs
-                rows = self.positions(space, m, s, r, list(coeffs))
-                dense[rows, j] = [c.real for c in coeffs.values()]  # the basis is real
+            if offsets:
+                walks, vectors = basis.block(s, r)
+                dense[self.positions(space, m, s, r, list(map(tuple, walks.tolist())))] = vectors.T
             self.bases[key] = (dense, offsets)
         return self.bases[key]
 

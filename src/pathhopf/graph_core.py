@@ -79,7 +79,8 @@ def parse_graph(text: str) -> Graph:
 
         {"name": "A3", "vertices": ["0", "1", "2"], "edges": [[0, 1], [1, 2]]}
 
-    `vertices` and `edges` are JSON arrays.  Edges are unordered pairs of
+    `vertices` and `edges` are JSON arrays, every vertex label and the
+    optional `name` are JSON strings.  Edges are unordered pairs of
     vertex indices, each a JSON integer (not a boolean); the adjacency
     matrix is derived symmetric.  Raises `GraphError` on malformed input or
     when the resulting graph fails `validate`.
@@ -96,13 +97,17 @@ def parse_graph(text: str) -> Graph:
         raise GraphError(f"missing required key {exc}") from exc
     if not (isinstance(vertices, list) and isinstance(edges, list)):
         raise GraphError('"vertices" and "edges" must be JSON arrays')
-    name = str(doc.get("name", ""))
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise GraphError(f'"name" must be a JSON string, got {name!r}')
     if not vertices:
         raise GraphError("vertex list is empty")
-    labels = [str(v) for v in vertices]
-    if len(set(labels)) != len(labels):
+    for label in vertices:
+        if not isinstance(label, str):
+            raise GraphError(f"vertex label {label!r} is not a JSON string")
+    if len(set(vertices)) != len(vertices):
         raise GraphError("duplicate vertex labels")
-    n = len(labels)
+    n = len(vertices)
     adjacency = np.zeros((n, n), dtype=int)
     for edge in edges:
         if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
@@ -112,7 +117,7 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"edge {edge!r} references a vertex out of range")
         adjacency[i, j] = 1
         adjacency[j, i] = 1
-    graph = Graph(name=name, vertices=tuple(labels), adjacency=adjacency)
+    graph = Graph(name=name, vertices=tuple(vertices), adjacency=adjacency)
     report = validate(graph)
     if not report.passed:
         raise GraphError("; ".join(report.failures))

@@ -546,9 +546,18 @@ def _linear_axioms(space, weight_fn=None) -> dict:
     def both_slots(u, image):
         return _on_slot(_on_slot(u, 0, image), 1, image)
 
+    def unit_key(key):
+        """1 e_k and e_k 1, tagged by side.  Of the unit's terms, whose
+        length-0 keys are indexed by vertex, each side multiplies only the
+        one that the key's endpoints meet."""
+        n, a, b = key
+        ends = essential_basis(space, n).endpoints
+        (sa, ra), (sb, rb) = ends[a], ends[b]
+        left, right = _basis_product(space, 0, sa, sb, *key), _basis_product(space, *key, 0, ra, rb)
+        return {((side, k),): z for side, u in enumerate((left, right)) for k, z in u.items()}
+
     def unit_element(x):
-        sides = (_product(space, one, x), _product(space, x, one))
-        return {(side, k): z for side, u in enumerate(sides) for k, z in _minus(u, x).items()}
+        return _minus(_linear(x, unit_key), {(side, k): z for side in (0, 1) for k, z in x.items()})
 
     def coassociativity(x):
         split = _linear(x, delta)

@@ -119,6 +119,71 @@ def operator_residual(space, op_lhs, op_rhs, n):
     return worst
 
 
+def walk_essential_basis(space, top):
+    """The essential bases up to length `top` in walk coordinates, as one
+    {(source, range): [PathVector, ...]} per length.
+
+    For n >= 2, block (s, t) of E_n is the kernel of c_{n-2} on the
+    candidates xi_a . (r -> t), xi_a in block (s, r) of E_{n-1}, with the
+    matrix of c_{n-2} formed on the walks of the candidates.  The library
+    forms that matrix in Bratteli coordinates instead, so this is an
+    independent build; its vectors are not signed, and blocks of dimension
+    two or more may be rotated, so compare spans.
+    """
+    levels = []
+    for n in range(top + 1):
+        level: dict = {}
+        if n < 2:
+            for p in space.enumerate_paths(n):
+                level[p[0], p[-1]] = [PathVector.unit(p)]
+            levels.append(level)
+            continue
+        prev = levels[-1]
+        for s in range(space.graph.num_vertices):
+            for t in range(space.graph.num_vertices):
+                candidates = [
+                    (r, xi) for r in space.graph.neighbors[t] for xi in prev.get((s, r), ())
+                ]
+                if not candidates:
+                    continue
+                # c_{n-2} sends q . (r -> t) to q[:-1] when q[-2] = t, with
+                # weight sqrt(mu[r] / mu[t])
+                col: dict = {}
+                row: dict = {}
+                spread, image = [], []
+                for j, (r, xi) in enumerate(candidates):
+                    w = space.sqrt_mu[r] / space.sqrt_mu[t]
+                    for q, c in xi.coeffs.items():
+                        spread.append((j, col.setdefault(q, len(col)), c.real))
+                        if q[-2] == t:
+                            image.append((row.setdefault(q[:-1], len(row)), j, c.real * w))
+                m = np.zeros((len(row), len(candidates)))
+                for i, j, c in image:
+                    m[i, j] += c
+                _, sing, vt = np.linalg.svd(m)
+                kernel = vt[int(np.sum(sing > 1e-9)) :]
+                x = np.zeros((len(candidates), len(col)))
+                for j, i, c in spread:
+                    x[j, i] = c
+                paths = [q + (t,) for q in col]
+                vectors = [PathVector(n, dict(zip(paths, v))) for v in (kernel @ x).tolist()]
+                if vectors:
+                    level[s, t] = vectors
+        levels.append(level)
+    return levels
+
+
+def block_projector(vectors, paths):
+    """The orthogonal projector sum_a xi_a xi_a^T of real path vectors, as a
+    dense matrix over `paths` in their given order."""
+    column = {p: j for j, p in enumerate(paths)}
+    x = np.zeros((len(vectors), len(paths)))
+    for a, xi in enumerate(vectors):
+        for p, c in xi.coeffs.items():
+            x[a, column[p]] = c.real
+    return x.T @ x
+
+
 class _SplitMemo:
     """What `recursive_decompose` memoises per space: the terms of each
     elementary path, and of each c†_k (path) as positions and values over

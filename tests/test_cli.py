@@ -294,6 +294,24 @@ def test_malformed_graph_file_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": None, "vertices": ["0", "1"], "edges": [[0, 1]]},
+        {"vertices": ["0", {"x": 1}], "edges": [[0, 1]]},
+        {"vertices": [0, 1], "edges": [[0, 1]]},
+    ],
+)
+def test_graph_name_and_labels_must_be_strings(capture, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("spectrum", "export"):
+        code, out, err = capture(command, str(bad))
+        assert code == 1
+        assert out == ""
+        assert "JSON string" in err
+
+
 def test_format_report_empty_is_header_only():
     from pathhopf import VerificationReport
     from pathhopf.cli import format_report

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pathhopf import (
     CutoffError,
+    EssentialBasis,
     Graph,
     PathSpace,
     PathVector,
@@ -32,6 +33,7 @@ from pathhopf.weak_hopf import CoefficientKey, coefficient_C
 import frozen_cases
 from helpers import (
     assert_decomposition,
+    block_projector,
     decomp_as_dict,
     path_graph,
     pv,
@@ -39,6 +41,7 @@ from helpers import (
     recursive_decompose,
     sup_diff,
     unit,
+    walk_essential_basis,
 )
 
 ROOT2 = math.sqrt(2)
@@ -135,16 +138,29 @@ def test_basis_vectors_lead_with_a_positive_coefficient(name, request):
             assert lead.real > 0, (name, n, a)
 
 
+def assert_stable_under_rounding_in_mu(space, top, eps):
+    mu = np.asarray(space.mu) * (1 + eps * np.arange(len(space.mu)))
+    nudged = PathSpace(space.graph, spectrum=Spectrum(beta=space.beta, mu=mu))
+    for n in range(top + 1):
+        for x, y in zip(essential_basis(space, n).vectors, essential_basis(nudged, n).vectors):
+            assert sup_diff(x, y) < 1e-9, (n, eps)
+
+
 @pytest.mark.parametrize("eps", [1e-13, -1e-13, 3e-13])
 def test_d4_basis_is_stable_under_rounding_in_mu(d4, eps):
     # without the sign rule, the SVD's sign of a length-4 vector flips
     # under these nudges; the one two-dimensional block (length 2) does not
     # rotate
-    mu = np.asarray(d4.mu) * (1 + eps * np.arange(len(d4.mu)))
-    nudged = PathSpace(d4.graph, spectrum=Spectrum(beta=d4.beta, mu=mu))
-    for n in range(7):
-        for x, y in zip(essential_basis(d4, n).vectors, essential_basis(nudged, n).vectors):
-            assert sup_diff(x, y) < 1e-9, (n, eps)
+    assert_stable_under_rounding_in_mu(d4, 6, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-13, -1e-13, 3e-13])
+def test_affine_a2_basis_is_stable_under_rounding_in_mu(tri, eps):
+    # on a_aff_2 every kernel is the orthogonal complement of the full row
+    # space of a small matrix, with no singular value near zero, and these
+    # nudges barely move it; kernels read off the walk-coordinate matrices,
+    # which have zero singular values, rotated by up to 1.9 here
+    assert_stable_under_rounding_in_mu(tri, 8, eps)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -427,6 +443,45 @@ def test_e8_length_ten_basis_is_orthonormal_and_essential():
         for i in range(9):
             assert space.annihilate(i, xi).norm() < 1e-9
     assert np.allclose(dense @ dense.conj().T, np.eye(len(basis)), atol=1e-10)
+
+
+def test_e8_bases_to_the_top_length_form_no_walk(monkeypatch):
+    # E8 has 1.57e9 walks of length 28; building its bases must not touch one
+    space = PathSpace(edge_graph("E8"), cutoff=29)
+    enumerate_paths = PathSpace.enumerate_paths
+
+    def short_walks_only(self, n, *args, **kwargs):
+        assert n < 2, f"enumerated the walks of length {n}"
+        return enumerate_paths(self, n, *args, **kwargs)
+
+    def no_walks(*args, **kwargs):
+        raise AssertionError("expanded a basis into walks")
+
+    monkeypatch.setattr(PathSpace, "enumerate_paths", short_walks_only)
+    monkeypatch.setattr(EssentialBasis, "_walk_coordinates", no_walks)
+    monkeypatch.setattr(PathVector, "__init__", no_walks)
+    dims = [len(essential_basis(space, n)) for n in range(30)]
+    monkeypatch.undo()
+    fusion = [int(f.sum()) for f in fusion_dims(space.graph.adjacency, 29)]
+    assert dims == fusion
+    assert dims[:4] == [8, 14, 20, 26] and max(dims) == 64
+    assert dims[-4:] == [20, 14, 8, 0]
+
+
+@pytest.mark.parametrize(
+    "name, top", [("A3", 8), ("D4", 8), ("A_aff_2", 8), ("E6", 10), ("D5", 6)]
+)
+def test_block_projectors_match_the_walk_oracle(name, top):
+    space = PathSpace(edge_graph(name))
+    oracle = walk_essential_basis(space, top)
+    for n in range(top + 1):
+        basis = essential_basis(space, n)
+        assert list(basis.blocks) == sorted(oracle[n]), n
+        for block, offsets in basis.blocks.items():
+            ours, theirs = [basis.vectors[a] for a in offsets], oracle[n][block]
+            paths = sorted({p for xi in ours + theirs for p in xi.coeffs})
+            diff = block_projector(ours, paths) - block_projector(theirs, paths)
+            assert np.abs(diff).max() < 1e-12, (name, n, block)
 
 
 # -- the word-Gram solve against the recursive splitter -----------------------

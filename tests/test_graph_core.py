@@ -63,6 +63,25 @@ def test_parse_rejects_edges_that_are_not_integer_pairs(edge):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("name", [None, 3, ["A3"], {"x": 1}])
+def test_parse_rejects_a_name_that_is_not_a_string(name):
+    # no "graph None", no Python repr of a JSON object
+    text = json.dumps({"name": name, "vertices": ["0", "1"], "edges": [[0, 1]]})
+    with pytest.raises(GraphError, match='"name" must be a JSON string'):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize("label", [1, {"x": 1}, None, ["1"], 1.5, True])
+def test_parse_rejects_vertex_labels_that_are_not_strings(label):
+    text = json.dumps({"vertices": ["0", label], "edges": [[0, 1]]})
+    with pytest.raises(GraphError, match="is not a JSON string"):
+        parse_graph(text)
+
+
+def test_parse_keeps_a_missing_name_empty():
+    assert parse_graph(json.dumps({"vertices": ["0", "1"], "edges": [[0, 1]]})).name == ""
+
+
 def test_parse_rejects_duplicate_labels():
     text = json.dumps({"vertices": ["a", "a"], "edges": [[0, 1]]})
     with pytest.raises(GraphError, match="duplicate"):
