@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BasisError, CutoffError, GraphError, SingularSystemError
+from .errors import BasisError, CutoffError, GraphError, PathHopfError, SingularSystemError
 from .graph_core import coxeter_info
 from .path_space import (
     OperatorWord,
@@ -137,8 +137,10 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     The result is deterministic; within each block the orthonormal vectors
     are the SVD's, each signed so that its first coefficient above 1e-9, in
     lexicographic path order, is positive.  Raises `CutoffError` for n
-    beyond the space's cutoff.
+    beyond the space's cutoff and `PathHopfError` for a negative n.
     """
+    if n < 0:
+        raise PathHopfError("path length must be nonnegative")
     if n > space.cutoff:
         raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
     cache = space.cache.setdefault("essential_basis", {})

@@ -15,26 +15,23 @@ per level it pairs the essential coordinates of the two factors' creation
 word images through the inverse word-Gram matrix, U^T G^-1 V, by
 `essential_decomp.pair_levels`.
 
-Coproduct, counit, star and antipode are each written once, on one basis
-key (`_delta_key`, `_counit_key`, `_star_key`, `_antipode_key`).  A key map
-returns {slot tuple: coefficient}, where a slot tuple holds the keys of a
-tensor-power basis element: two for the coproduct, one for star and
-antipode, none for the counit.  `_linear` extends a key map to an element
-and `_on_slot` to one slot of a tensor-power element, so the public maps
-and `verify_axioms` read the same definitions.
+Coproduct, star and antipode are each written once, on one basis key
+(`_delta_key`, `_star_key`, `_antipode_key`), and `_linear` extends a key
+map, which returns {slot tuple: coefficient}, to an element; the counit is
+the diagonal sum.  The star reads the star matrix S of each length
+(`_star_matrix`), and the antipode adds its endpoint factor (`_pf_weight`).
 
-Since every structure map is linear over keys (the star antilinear), each
-linear unary axiom is checked once per basis key k, as the difference
-L(k) of its two sides (`_linear_axioms`), and `verify_axioms` gets a
-sampled element's residual sup |sum z_k L(k)| from those, with conj(z_k)
-for the antilinear one.  Counit positivity, which is quadratic, and the
-axioms in two or three arguments are evaluated on each sampled tuple.
+`verify_axioms` checks the nine linear unary axioms per length, on dense
+blocks X[a, b] of the keys (n, a, b) (`_unary_residuals`): the same maps
+as numpy arrays, evaluated at once on the stack of every basis key and on
+the sampled elements' blocks.  Counit positivity, which is quadratic, and
+the axioms in two or three arguments are evaluated on each sampled tuple
+with the maps above.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -340,12 +337,17 @@ def identity(space: PathSpace) -> AlgebraElement:
 # -- structure maps on one basis key -------------------------------------------
 
 
-def _star_columns(space, n):
-    """Column a of the length-n star matrix: expansion of star(xi_a)."""
+def _star_matrix(space, n):
+    """The length-n star matrix S, real: column a holds the expansion of
+    star(xi_a) against the basis.  Cached under "star_columns"."""
     cache = space.cache.setdefault("star_columns", {})
     if n not in cache:
         basis = essential_basis(space, n)
-        cache[n] = tuple(basis.expand(star(xi)) for xi in basis.vectors)
+        S = np.zeros((len(basis), len(basis)))
+        for a, xi in enumerate(basis.vectors):
+            for a2, z in basis.expand(star(xi)).items():
+                S[a2, a] = z.real
+        cache[n] = S
     return cache[n]
 
 
@@ -360,18 +362,15 @@ def _delta_key(space, key) -> dict:
     return {((n, a, c), (n, c, b)): 1.0 for c in range(len(essential_basis(space, n)))}
 
 
-def _counit_key(key) -> dict:
-    """The pairing of the two slots: 1 on diagonal keys, 0 elsewhere."""
-    return {(): 1.0} if key[1] == key[2] else {}
-
-
 def _star_key(space, key) -> dict:
-    """Time reversal of both slots; the caller conjugates coefficients."""
+    """Time reversal of both slots; the caller conjugates coefficients.  The
+    nonzero entries of each star-matrix column are kept per length."""
     n, a, b = key
-    cols = _star_columns(space, n)
-    return {
-        ((n, a2, b2),): sa * sb for a2, sa in cols[a].items() for b2, sb in cols[b].items()
-    }
+    columns = space.cache.setdefault("star_keys", {})
+    if n not in columns:
+        columns[n] = [[(i, z) for i, z in enumerate(col) if z] for col in _star_matrix(space, n).T.tolist()]
+    cols = columns[n]
+    return {((n, a2, b2),): sa * sb for a2, sa in cols[a] for b2, sb in cols[b]}
 
 
 def _antipode_key(space, key, weight_fn=None) -> dict:
@@ -390,18 +389,6 @@ def _linear(coeffs: dict, image) -> dict:
     for key, z in coeffs.items():
         for part, w in image(key).items():
             k = part[0] if len(part) == 1 else part
-            out[k] = out.get(k, 0.0) + z * w
-    return out
-
-
-def _on_slot(coeffs: dict, slot: int, image) -> dict:
-    """Apply a key map to one slot of tensor-power keys, splicing its slot
-    tuple in place of that slot."""
-    out: dict = {}
-    for key, z in coeffs.items():
-        head, tail = key[:slot], key[slot + 1 :]
-        for part, w in image(key[slot]).items():
-            k = head + part + tail
             out[k] = out.get(k, 0.0) + z * w
     return out
 
@@ -509,125 +496,143 @@ def _random_element(space, pool, rng) -> AlgebraElement:
     return AlgebraElement(space, coeffs)
 
 
-def _minus(u: dict, v: dict) -> dict:
-    """u - v on coefficient dicts."""
-    out = dict(u)
-    for k, z in v.items():
-        out[k] = out.get(k, 0.0) - z
+_BATCH_ENTRIES = 1 << 16  # about the most residual entries held at once
+
+
+def _sup(x):
+    """The largest modulus in each element of a batch, 0 for an empty one;
+    a real batch takes no |x| copy."""
+    axes = tuple(range(1, x.ndim))
+    if np.iscomplexobj(x):
+        return np.abs(x).max(axis=axes, initial=0.0)
+    return np.maximum(x.max(axis=axes, initial=0.0), np.abs(x.min(axis=axes, initial=0.0)))
+
+
+def _in_slices(fn, Z, entries):
+    """fn over slices of the batch Z that hold about `_BATCH_ENTRIES`
+    residual entries, `entries` per element."""
+    step = max(1, _BATCH_ENTRIES // max(entries, 1))
+    return np.concatenate([np.zeros(0)] + [fn(Z[i : i + step]) for i in range(0, len(Z), step)])
+
+
+def _junction_arrays(space, n1, n2) -> list:
+    """The junctions J_l(a, c) of `_junctions`, l = 0..min(n1, n2), as dense
+    arrays [a, c, e]; one whose length n1 + n2 - 2l is past the top has no e."""
+    left, right, top = essential_basis(space, n1), essential_basis(space, n2), _top_length(space)
+    out = [
+        np.zeros((len(left), len(right), len(essential_basis(space, m)) if m <= top else 0))
+        for m in range(n1 + n2, abs(n1 - n2) - 1, -2)
+    ]
+    for a, (_, r) in enumerate(left.endpoints):
+        for c in (c for c, (s, _) in enumerate(right.endpoints) if s == r):
+            for J, coords in zip(out, _junctions(space, n1, a, n2, c)):
+                for e, z in coords.items():
+                    J[a, c, e] = z
     return out
 
 
-def _linear_axioms(space, weight_fn=None) -> dict:
-    """The linear unary axioms as residual maps: name -> (R, antilinear).
+def _unary_residuals(space, n, Z, weight_fn=None) -> dict:
+    """The nine linear unary axioms at length n: name -> (R, r), with R[a, b]
+    the residual of the basis key (n, a, b) and r[i] that of the block Z[i].
 
-    R(x) holds A(x) - B(x), the difference of the axiom's two sides on the
-    coefficient dict x ("unit element" tags the keys of its two identities
-    by side).  Every structure map is `_linear` over keys and the star
-    antilinear, so R(sum_k z_k e_k) = sum_k z_k L(k) with L(k) = R(e_k),
-    and conj(z_k) in place of z_k for the antilinear "coproduct
-    star-compatible".  The structure key maps are
-    memoised for the lifetime of the returned maps, one `verify_axioms`
-    call: `weight_fn` may differ on the next call on the same space.
+    A block X[a, b] holds the coefficients of the keys (n, a, b).  On blocks
+    the star is S conj(X) S^T (star matrix S), the antipode
+    (S (W o X) S^T)^T (endpoint weights W, one call of the weight per pair
+    of blocks), the counit pairs X with eps = 1, and Delta(X)[a, c, c', b] =
+    X[a, b] delta[c, c'], delta = 1.  A residual is the sup of the difference
+    of the axiom's two sides on X itself (on conj(X) for the antilinear
+    "coproduct star-compatible").  The keys' residuals are one evaluation on
+    the stack of all d^2 unit blocks, except where a tensor-square image
+    would make that d^6: "antipode coproduct rule" on e_ab is
+    (S e_ab S^T) (x) M[a, b], whose sup is the product of the factors' sups,
+    and "antipode cancellation" on e_ab is sum_c' R[a, c'] (x) e_c'b, with
+    R[a, c'] = m (S (x) id) Delta(e_ac') less the unit's part (x 1_(2) keeps
+    b by the right unit law, which "unit element" checks), whose sup depends
+    on a alone.  Tensor-square residuals of a batch are formed in slices of
+    about `_BATCH_ENTRIES` entries.
     """
-    one = identity(space).coeffs
-    delta = lru_cache(maxsize=None)(partial(_delta_key, space))
-    star_key = lru_cache(maxsize=None)(partial(_star_key, space))
-    s_key = lru_cache(maxsize=None)(partial(_antipode_key, space, weight_fn=weight_fn))
-    unit_right: dict = {}  # 1_(2) -> its 1_(1) partners, for x 1_(2)
-    for (t1, t2), z in _linear(one, delta).items():
-        unit_right.setdefault(t2, []).append((t1, z))
+    basis = essential_basis(space, n)
+    d, k, f = len(basis), len(basis.blocks), weight_fn or partial(_pf_weight, space)
+    at = np.repeat(np.arange(k), [len(v) for v in basis.blocks.values()])  # the block of each index
+    W = np.array([[f(*p, *q) for q in basis.blocks] for p in basis.blocks]).reshape(k, k)[np.ix_(at, at)]
+    S, one = _star_matrix(space, n), np.eye(d)
+    eps = delta = one
+    units = np.eye(d * d).reshape(d * d, d, d)
+    left = _junction_arrays(space, 0, n)[0].sum(0)  # 1 X = left^T X left
+    ends = _junction_arrays(space, n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
+    right = ends.sum(1)  # X 1 = right^T X right
 
-    def star_of(x):
-        return _linear({k: z.conjugate() for k, z in x.items()}, star_key)
+    def star(Z):
+        return S @ Z.conj() @ S.T
 
-    def s_of(x):
-        return _linear(x, s_key)
+    def anti(Z):
+        return np.swapaxes(S @ (W * Z) @ S.T, -1, -2)
 
-    def both_slots(u, image):
-        return _on_slot(_on_slot(u, 0, image), 1, image)
-
-    def unit_key(key):
-        """1 e_k and e_k 1, tagged by side.  Of the unit's terms, whose
-        length-0 keys are indexed by vertex, each side multiplies only the
-        one that the key's endpoints meet."""
-        n, a, b = key
-        ends = essential_basis(space, n).endpoints
-        (sa, ra), (sb, rb) = ends[a], ends[b]
-        left, right = _basis_product(space, 0, sa, sb, *key), _basis_product(space, *key, 0, ra, rb)
-        return {((side, k),): z for side, u in enumerate((left, right)) for k, z in u.items()}
-
-    def unit_element(x):
-        return _minus(_linear(x, unit_key), {(side, k): z for side in (0, 1) for k, z in x.items()})
-
-    def coassociativity(x):
-        split = _linear(x, delta)
-        return _minus(_on_slot(split, 0, delta), _on_slot(split, 1, delta))
-
-    def counit_inverse(slot, x):
-        return _minus(_linear(x, lambda k: _on_slot(delta(k), slot, _counit_key)), x)
-
-    @lru_cache(maxsize=None)
-    def s_then_multiply(key):
-        """m (S (x) id) Delta on one basis key, as a one-slot key map."""
-        out: dict = {}
-        for (p, q), z in delta(key).items():
-            for (sp,), w in s_key(p).items():
-                for k, v in _basis_product(space, *sp, *q).items():
-                    out[k,] = out.get((k,), 0.0) + z * w * v
-        return out
-
-    def cancellation(x):
-        """sum S(x_(1)) x_(2) boxtimes x_(3) against sum 1_(1) boxtimes x 1_(2).
-
-        The left side is grouped as (m (S (x) id) Delta (x) id) Delta x, so
-        each basis key's m (S (x) id) Delta is summed once per call."""
-        rhs: dict = {}
-        for kx, zx, t2, lefts in _meeting_pairs(space, x, unit_right):
-            prod = _basis_product(space, *kx, *t2)
-            for t1, z1 in lefts:
-                for k, w in prod.items():
-                    rhs[t1, k] = rhs.get((t1, k), 0.0) + z1 * zx * w
-        return _minus(_on_slot(_linear(x, delta), 0, s_then_multiply), rhs)
-
-    return {
-        "unit element": (unit_element, False),
-        "star involution": (lambda x: _minus(star_of(star_of(x)), x), False),
-        "coproduct star-compatible": (
-            lambda x: _minus(_linear(star_of(x), delta), both_slots(
-                {k: z.conjugate() for k, z in _linear(x, delta).items()}, star_key)),
-            True,
-        ),
-        "coassociativity": (coassociativity, False),
-        "counit left inverse": (partial(counit_inverse, 0), False),
-        "counit right inverse": (partial(counit_inverse, 1), False),
-        "antipode star double": (lambda x: _minus(star_of(s_of(star_of(s_of(x)))), x), False),
-        "antipode coproduct rule": (
-            lambda x: _minus(_linear(s_of(x), delta), both_slots(
-                {(q, p): z for (p, q), z in _linear(x, delta).items()}, s_key)),
-            False,
-        ),
-        "antipode cancellation": (cancellation, False),
+    # coassociativity: both sides are X[a, b] times delta at each of the two
+    # split points, which (Delta (x) id) and (id (x) Delta) take in opposite
+    # orders; star-compatibility: both sides are x* on the outer indices,
+    # times delta or S delta S^T at the split point
+    split_twice = np.multiply.outer(delta, delta)
+    coassociative = np.abs(split_twice - split_twice.transpose(2, 3, 0, 1)).max(initial=0.0)
+    star_split = np.abs(delta - S @ delta @ S.T).max(initial=0.0)
+    fns = {
+        "unit element": lambda Z: np.maximum(_sup(left.T @ Z @ left - Z), _sup(right.T @ Z @ right - Z)),
+        "star involution": lambda Z: _sup(star(star(Z)) - Z),
+        "coproduct star-compatible": lambda Z: _sup(star(Z)) * star_split,
+        "coassociativity": lambda Z: _sup(Z) * coassociative,
+        "counit left inverse": lambda Z: _sup(eps.T @ Z - Z),
+        "counit right inverse": lambda Z: _sup(Z @ eps.T - Z),
+        "antipode star double": lambda Z: _sup(star(anti(star(anti(Z)))) - Z),
     }
+    out = {name: (fn(units).reshape(d, d), fn(Z)) for name, fn in fns.items()}
 
+    # Delta(S X) - (S (x) S) tau Delta(X) on the legs (a', b', c2, c3) is the
+    # sum over k of S (Wk[k] o X) S^T (x) G[k]: first Wk = W with G = delta,
+    # then for each c, Wk = W[a, c] W[c, b] with G = -S[:, c] S[:, c]^T; on
+    # e_ab it is (S e_ab S^T) (x) M[a, b]
+    Wk = np.concatenate([W[None], W.T[:, :, None] * W[:, None, :]])
+    G = np.concatenate([delta[None], -S.T[:, :, None] * S.T[:, None, :]]).reshape(d + 1, d * d)
+    M = np.tensordot(Wk, G, (0, 0))
+    column = np.abs(S).max(0, initial=0.0)
 
-def _by_linearity(pool, residual, antilinear):
-    """sup |R(x)| for each element (x,) of `pool`, as sup |sum_k z_k L(k)|
-    for x = sum_k z_k e_k, conj(z_k) in place of z_k if `antilinear`.  Each
-    L(k) = R(e_k) is evaluated once, without its exact zeros, and kept only
-    until the last element that uses it."""
-    uses = Counter(k for (x,) in pool for k in x.coeffs)
-    memo: dict = {}
-    for (x,) in pool:
-        out: dict = {}
-        for k, z in x.coeffs.items():
-            image = memo.pop(k) if k in memo else {j: w for j, w in residual({k: 1.0}).items() if w}
-            uses[k] -= 1
-            if uses[k]:
-                memo[k] = image
-            z = z.conjugate() if antilinear else z
-            for j, w in image.items():
-                out[j] = out.get(j, 0.0) + z * w
-        yield max(map(abs, out.values()), default=0.0)
+    def coproduct_rule(Z):
+        Y = (S @ (Z[:, None] * Wk) @ S.T).reshape(len(Z), d + 1, d * d)
+        return _sup(np.swapaxes(Y, 1, 2) @ G)
+
+    out["antipode coproduct rule"] = (
+        column[:, None] * column * np.abs(M).max(2, initial=0.0),
+        _in_slices(coproduct_rule, Z, d**4),
+    )
+
+    # m (S (x) id) Delta(e_ac') = sum_c S(e_ac) e_cc' has at each l the terms
+    # V[a, e] A[a, c', f] (m, e, f), with V = lambda_l W B, B[c, e] =
+    # sum_q S[q, c] J_l[q, c, e] and A[a, c', f] = sum_p S[p, a] J_l[p, c', f];
+    # at m = 0 the unit's sum_{s, t} (0, s, t) J_0(a, t)[c'] is taken off
+    factors = [
+        ((z or 0.0) * W @ np.einsum("qc,qce->ce", S, J), np.einsum("pa,pcf->acf", S, J))
+        for z, J in zip(_junction_scalars(space.beta, n, n), _junction_arrays(space, n, n))
+    ]
+    unit_part = ends.transpose(0, 2, 1)  # [a, c', t]
+    entries = d * sum(V.shape[1] ** 2 for V, _ in factors)
+
+    def column_sups(z):
+        """The sup over (m, e, c', f) of the terms (m, e, f) (x) (n, c', f')
+        from a column X[:, f'] = z[i], for each i."""
+        parts = [np.tensordot(z[:, :, None] * V, A, (1, 0)) for V, A in factors]
+        parts[n] = parts[n] - np.tensordot(z, unit_part, (1, 0))[:, None]
+        return np.max([_sup(part) for part in parts], axis=0)
+
+    def cancellation(Z):
+        i, f = np.nonzero(Z.any(axis=1))  # the nonzero columns of each block
+        sups = np.zeros(Z.shape[::2])
+        sups[i, f] = _in_slices(column_sups, Z[i, :, f], entries)
+        return sups.max(axis=1, initial=0.0)
+
+    out["antipode cancellation"] = (
+        np.repeat(_in_slices(column_sups, one, entries)[:, None], d, axis=1),
+        cancellation(Z),
+    )
+    return out
 
 
 def _worst(name, pool, residuals) -> AxiomResult:
@@ -654,18 +659,17 @@ def verify_axioms(
     `max_length` plus `samples` seeded sparse random elements; axioms in two
     or three arguments run on `samples` seeded random tuples drawn from that
     pool.  Every unary axiom but counit positivity (quadratic) is linear, or
-    antilinear, in its argument, so the difference of its two sides
-    (`_linear_axioms`) is evaluated once per basis key, L(k) = A(e_k) -
-    B(e_k), and a sampled element sum z_k e_k has the residual
-    sup |sum z_k L(k)| (conj(z_k) for the antilinear one): the same number
-    as evaluating it directly, up to rounding.  Counit positivity and the
-    pair and triple axioms evaluate each sampled tuple directly.  Each
-    result carries the number of elements or tuples checked and the basis
-    keys of the first worst one.  `weight_fn` overrides the antipode's endpoint factor, which
-    is how a deliberately corrupted antipode can be shown to fail.
-    Failures are reported as residuals, never raised.  An empty check (no
-    samples, or a negative `max_length`) and a tolerance that is not finite
-    and positive raise `PathHopfError`.
+    antilinear, and keeps lengths apart, so `_unary_residuals` checks it per
+    length on dense blocks, once for all basis keys and once for the
+    sampled elements' blocks; an element's residual is the largest over its
+    lengths.  Counit positivity and the pair and triple axioms evaluate each
+    sampled tuple directly.  Each result carries the number of elements or
+    tuples checked and the basis keys of the first worst one.  `weight_fn`
+    overrides the antipode's endpoint factor, which is how a deliberately
+    corrupted antipode can be shown to fail.  Failures are reported as
+    residuals, never raised.  An empty check (no samples, or a negative
+    `max_length`) and a tolerance that is not finite and positive raise
+    `PathHopfError`.
     """
     if samples < 1:
         raise PathHopfError(f"samples must be at least 1, got {samples}")
@@ -695,7 +699,20 @@ def verify_axioms(
 
     one = identity(space)
     delta_one = coproduct(one).coeffs
-    linear = _linear_axioms(space, weight_fn)
+    swept: dict = {}  # linear unary axiom -> (keys' residuals per length, samples' residuals)
+    for n in range(max_length + 1):
+        d = len(essential_basis(space, n))
+        Z = np.zeros((samples, d, d), complex)
+        for i, x in enumerate(randoms):
+            for (m, a, b), z in x.coeffs.items():
+                if m == n:
+                    Z[i, a, b] = z
+        hit = np.flatnonzero(Z.any(axis=(1, 2)))
+        Z = Z[hit] if Z.imag.any() else Z[hit].real
+        for name, (keys, sampled) in _unary_residuals(space, n, Z, weight_fn).items():
+            kept, tail = swept.setdefault(name, ([], np.zeros(samples)))
+            kept.append(keys.ravel())
+            tail[hit] = np.maximum(tail[hit], sampled)
     s_fn = partial(antipode, weight_fn=weight_fn)
 
     def pairing(left, right):
@@ -713,7 +730,7 @@ def verify_axioms(
     def positivity(value):
         return max(0.0, -value.real, abs(value.imag))
 
-    # None: a linear unary axiom, evaluated by `_by_linearity`
+    # None: a linear unary axiom, read off `swept`
     checks = (
         ("product associativity", triples,
          lambda x, y, z: (multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm()),
@@ -738,7 +755,7 @@ def verify_axioms(
         ("antipode cancellation", singles, None),
     )
     results = tuple(
-        _worst(name, pool, _by_linearity(pool, *linear[name]) if fn is None
+        _worst(name, pool, np.concatenate([*swept[name][0], swept[name][1]]).tolist() if fn is None
                else (fn(*args) for args in pool))
         for name, pool, fn in checks
     )

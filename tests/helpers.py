@@ -27,7 +27,8 @@ from pathhopf import (
     zero_vector,
 )
 from pathhopf.essential_decomp import _factor_images, _tables, word_gram
-from pathhopf.weak_hopf import _random_element, element_in_path_coordinates
+from pathhopf.graph_core import coxeter_info
+from pathhopf.weak_hopf import _product, _random_element, element_in_path_coordinates
 
 
 def path_graph(k, name=None):
@@ -491,4 +492,57 @@ def direct_axiom_residuals(space, max_length, samples, seed, weight_fn=None):
         at = max(range(len(pool)), key=residuals.__getitem__)
         witness = tuple(tuple(sorted(x.coeffs)) for x in pool[at])
         out[name] = (residuals[at], len(pool), witness)
+    return out
+
+
+def loop_key_center(space):
+    """The center of the algebra of a finite graph, on its loop keys.
+
+    The keys of length <= 1 generate the algebra (the top-length part of a
+    product of length-1 keys is the projection of their concatenation onto
+    E_n), and a central element commutes with every length-0 key, so it is
+    a combination of loop keys (n, a, b), those with s(a) = r(a) and
+    s(b) = r(b).  The center is the common kernel, on the loop keys, of
+    [g, .] over the keys g of length <= 1: the kernel of
+    K = sum_g ad(g)^T ad(g), with every product from `_product`.  Returns
+    the loop keys, the eigenvalues of K in increasing order and its
+    orthonormal eigenvectors as columns, over the loop keys.
+    """
+    top = coxeter_info(space.spectrum).max_essential_length
+    loops, generators = [], []
+    for n in range(top + 1):
+        ends = essential_basis(space, n).endpoints
+        cycles = [a for a, (s, r) in enumerate(ends) if s == r]
+        loops += [(n, a, b) for a in cycles for b in cycles]
+        if n <= 1:
+            generators += [(n, a, b) for a in range(len(ends)) for b in range(len(ends))]
+    gram = np.zeros((len(loops), len(loops)))
+    for g in generators:
+        rows: dict = {}
+        entries = []
+        for j, k in enumerate(loops):
+            left, right = _product(space, {g: 1.0}, {k: 1.0}), _product(space, {k: 1.0}, {g: 1.0})
+            for key in left.keys() | right.keys():
+                entries.append((rows.setdefault(key, len(rows)), j, left.get(key, 0.0) - right.get(key, 0.0)))
+        ad = np.zeros((len(rows), len(loops)))
+        for i, j, z in entries:
+            ad[i, j] += z.real
+        gram += ad.T @ ad
+    values, vectors = np.linalg.eigh(gram)
+    return loops, values, vectors
+
+
+def loop_key_products(space, loops, x, y):
+    """The products x[:, i] . y[:, j] of columns over the loop keys, as an
+    array [k, i, j] over the loop keys; raises if a product leaves them.
+    Only keys whose loops sit at the same two vertices have a product."""
+    where = {k: i for i, k in enumerate(loops)}
+    at = [tuple(essential_basis(space, n).endpoints[a][0] for a in (a, b)) for n, a, b in loops]
+    out = np.zeros((len(loops), x.shape[1], y.shape[1]))
+    for p, k1 in enumerate(loops):
+        for q, k2 in enumerate(loops):
+            if at[p] != at[q]:
+                continue
+            for key, z in _product(space, {k1: 1.0}, {k2: 1.0}).items():
+                out[where[key]] += z.real * np.outer(x[p], y[q])
     return out

@@ -267,6 +267,15 @@ def test_negative_max_rejected(capture, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("length", ["-1", "-2"])
+def test_negative_essentials_length_rejected(capture, length):
+    code, out, err = capture("essentials", A3, "--length", length)
+    assert code == 1
+    assert out == ""
+    assert "path length must be nonnegative" in err
+    assert "Traceback" not in err
+
+
 def test_negative_tolerance_rejected(capture):
     code, _, err = capture("spectrum", A3, "--tol", "-1")
     assert code == 1

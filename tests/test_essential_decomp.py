@@ -26,7 +26,7 @@ from pathhopf import (
     tridiagonal_matrix,
     tridiagonal_solve,
 )
-from pathhopf.errors import GraphError, SingularSystemError
+from pathhopf.errors import GraphError, PathHopfError, SingularSystemError
 from pathhopf.graph_core import Spectrum
 from pathhopf.essential_decomp import creation_words, word_gram
 from pathhopf.weak_hopf import CoefficientKey, coefficient_C
@@ -364,6 +364,13 @@ def test_essential_basis_respects_cutoff(tri):
     assert len(essential_basis(tight, 2)) == 9
     with pytest.raises(CutoffError, match="cutoff"):
         essential_basis(tight, 3)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_essential_basis_refuses_a_negative_length(a3, n):
+    # the recursion from E_{n-1} would never reach length 0
+    with pytest.raises(PathHopfError, match="path length must be nonnegative"):
+        essential_basis(a3, n)
 
 
 def test_decompose_respects_cutoff(tri):

@@ -1,6 +1,5 @@
 """Projector, product, coproduct, counit, star, antipode, and axiom checks."""
 
-import cmath
 import gc
 import itertools
 import math
@@ -44,11 +43,10 @@ from pathhopf import (
 from pathhopf.weak_hopf import (
     TensorSquare,
     _basis_product,
-    _by_linearity,
     _junction_scalars,
-    _linear_axioms,
     _q_integers,
     _random_element,
+    _unary_residuals,
 )
 from helpers import (
     assert_element_coords,
@@ -950,54 +948,98 @@ def test_verify_axioms_matches_direct_evaluation(space_name, max_length, samples
         assert failing >= {"antipode star double", "antipode coproduct rule", "antipode cancellation"}
 
 
+def block(x, n):
+    """The length-n terms of x as a batch of one block X[a, b]."""
+    d = len(essential_basis(x.space, n))
+    out = np.zeros((1, d, d), complex)
+    for (m, a, b), z in x.coeffs.items():
+        if m == n:
+            out[0, a, b] = z
+    return out
+
+
 def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
-    # a star with a key-dependent complex term on one common key and a bent
-    # antipode make every residual map nonzero, overlapping across keys and
+    # a star matrix with a key-dependent complex term in one common row and a
+    # bent antipode make every residual nonzero, overlapping across keys and
     # complex, so conj(z_k) and z_k give different sums
     from pathhopf import weak_hopf
 
-    true_star = weak_hopf._star_key
+    true_star = weak_hopf._star_matrix
 
-    def phased_star(space, key):
-        n, a, b = key
-        out = dict(true_star(space, key))
-        common = ((n, 0, 0),)
-        out[common] = out.get(common, 0.0) + 0.5 * cmath.exp(1j * (a + 2 * b))
-        return out
+    def phased_star(space, n):
+        S = true_star(space, n).astype(complex)
+        S[0] += 0.5 * np.exp(1j * np.arange(len(S)))
+        return S
 
-    monkeypatch.setattr(weak_hopf, "_star_key", phased_star)
+    monkeypatch.setattr(weak_hopf, "_star_matrix", phased_star)
     space = PathSpace(a3.graph, a3.spectrum)
     x = AlgebraElement(space, {(1, 0, 1): 1.0, (1, 1, 2): 1j, (1, 2, 3): 0.3 - 0.8j, (2, 1, 1): -0.5j})
     y = AlgebraElement(space, {(1, 0, 1): 0.4 - 1.2j})  # one key: |z| sup |L(k)|
-    maps = _linear_axioms(space, BENT)
     direct = direct_unary_axioms(space, BENT)
-    assert set(maps) == set(direct)
-    for name, (residual, antilinear) in maps.items():
-        got = list(_by_linearity([(x,), (y,)], residual, antilinear))
-        want = [direct[name](x), direct[name](y)]
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), name
-    residual, antilinear = maps["coproduct star-compatible"]
-    assert antilinear
+
+    def swept(conj=False):
+        """Per length, the residuals of x and y, or of conj(x) and conj(y)."""
+        out = []
+        for n in range(3):
+            Z = np.concatenate([block(x, n), block(y, n)])
+            out.append(_unary_residuals(space, n, Z.conj() if conj else Z, BENT))
+        return out
+
+    tables = swept()
+    assert set(tables[0]) == set(direct)
+    for name in direct:
+        got = np.max([t[name][1] for t in tables], axis=0)
+        assert list(got) == pytest.approx([direct[name](x), direct[name](y)], rel=1e-12, abs=1e-12), name
+        for n, a, b in [(1, 0, 1), (1, 2, 3), (2, 1, 1)]:
+            want = direct[name](AlgebraElement.basis_element(space, n, a, b))
+            assert tables[n][name][0][a, b] == pytest.approx(want, rel=1e-12, abs=1e-12), (name, a, b)
     want = direct["coproduct star-compatible"](x)
-    (linear,) = _by_linearity([(x,)], residual, False)
-    assert want > 0.1 and abs(linear - want) > 0.1
+    conj = max(t["coproduct star-compatible"][1][0] for t in swept(conj=True))
+    assert want > 0.1 and abs(conj - want) > 0.1
 
 
-def test_linear_residuals_evaluate_each_key_once(tri):
-    keys = [(n, a, b) for n in range(3) for a in range(len(essential_basis(tri, n)))
-            for b in range(len(essential_basis(tri, n)))]
-    rng = np.random.default_rng(3)
-    pool = [(AlgebraElement.basis_element(tri, *k),) for k in keys]
-    pool += [(_random_element(tri, keys, rng),) for _ in range(40)]
-    residual, antilinear = _linear_axioms(tri)["antipode cancellation"]
-    seen = []
+def test_each_length_is_tabulated_once_per_call(tri, monkeypatch):
+    # the star matrix, weights and junction arrays of a length serve all
+    # nine linear unary axioms, and are built again on the next call, whose
+    # weight_fn may differ
+    from pathhopf import weak_hopf
 
-    def counted(x):
-        seen.extend(x)
-        return residual(x)
+    true_residuals = weak_hopf._unary_residuals
+    built = []
 
-    assert len(list(_by_linearity(pool, counted, antilinear))) == len(pool)
-    assert sorted(seen) == keys
+    def counted(space, n, Z, weight_fn=None):
+        built.append(n)
+        return true_residuals(space, n, Z, weight_fn)
+
+    monkeypatch.setattr(weak_hopf, "_unary_residuals", counted)
+    assert verify_axioms(tri, 3, samples=40, seed=3).all_passed
+    assert built == [0, 1, 2, 3]
+    verify_axioms(tri, 2, samples=5, seed=3, weight_fn=lambda *ends: 1.0)
+    assert built == [0, 1, 2, 3, 0, 1, 2]
+
+
+def test_a_scaled_star_entry_fails_star_involution_at_its_keys(monkeypatch):
+    # S_2 on E6 is a signed permutation of an involution; one entry scaled by
+    # 1.001 moves star(star(x)) only on keys whose left or right index is in
+    # that entry's row or column
+    from pathhopf import weak_hopf
+
+    space = junction_space("E6")
+    true_star = weak_hopf._star_matrix
+    i, j = (int(v) for v in np.argwhere(true_star(space, 2))[5])
+
+    def scaled(space, n):
+        S = true_star(space, n).copy()
+        if n == 2:
+            S[i, j] *= 1.001
+        return S
+
+    monkeypatch.setattr(weak_hopf, "_star_matrix", scaled)
+    report = verify_axioms(space, 2, samples=10, seed=0)
+    (result,) = [r for r in report.results if r.name == "star involution"]
+    assert result.residual > 1e-3 and not report.all_passed
+    (keys,) = result.witness
+    assert any(n == 2 and {a, b} & {i, j} for n, a, b in keys), (keys, i, j)
 
 
 def test_verify_axioms_rejects_cutoff_overflow(tri):
