@@ -24,9 +24,13 @@ the diagonal sum.  The star reads the star matrix S of each length
 `verify_axioms` checks the nine linear unary axioms per length, on dense
 blocks X[a, b] of the keys (n, a, b) (`_unary_residuals`): the same maps
 as numpy arrays, evaluated at once on the stack of every basis key and on
-the sampled elements' blocks.  Counit positivity, which is quadratic, and
-the axioms in two or three arguments are evaluated on each sampled tuple
-with the maps above.
+the sampled elements' blocks.  The junctions J_l of each pair of lengths
+are stacked once per call into dense arrays (`_junction_arrays`); from
+them come counit positivity on every basis key in closed form
+(`_key_counits`) and coproduct multiplicativity on each sampled pair
+(`_coproduct_residual`), and the counit of a product is split by the
+unit law.  The other axioms in two or three arguments, and positivity on
+the sampled elements, are evaluated with the maps above.
 """
 
 from __future__ import annotations
@@ -220,7 +224,7 @@ def _check_cutoff(space, n1, n2) -> None:
         raise CutoffError(f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}")
 
 
-def _junctions(space, n1, a, n2, c) -> tuple:
+def _junctions(space, n1, a, n2, c, bases=None) -> tuple:
     """J_l(a, c) for l = 0..min(n1, n2): the coordinates against
     `essential_basis(space, m)`, m = n1 + n2 - 2l, of the l-fold junction
     contraction c_{n1-l} ... c_{n1-1} (xi_a . xi_c); () when r(a) != s(c).
@@ -228,18 +232,20 @@ def _junctions(space, n1, a, n2, c) -> tuple:
     an l whose block is empty or whose m is past the top essential length,
     where E_m is not even built.  Where lambda_l is singular, J_l must
     vanish and is stored empty; a nonzero one raises `BasisError`.  Cached
-    as plain dicts."""
+    as plain dicts.  `bases`, the bases of lengths n1 and n2 and
+    {m: E_m basis}, spares their lookups when given."""
     cache = space.cache.setdefault("junctions", {})
     if (n1, a, n2, c) not in cache:
-        left, right = essential_basis(space, n1), essential_basis(space, n2)
+        left, right, targets = bases or (essential_basis(space, n1), essential_basis(space, n2), None)
         (s, r), (r2, t) = left.endpoints[a], right.endpoints[c]
         top = _top_length(space)
         out = []
         for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2) if r == r2 else ()):
-            if n1 + n2 - 2 * l > top:
+            m = n1 + n2 - 2 * l
+            if m > top:
                 out.append({})
                 continue
-            target = essential_basis(space, n1 + n2 - 2 * l)
+            target = targets[m] if targets else essential_basis(space, m)
             block = target.blocks.get((s, t), ())
             walks = _junction_walks(space, left.vectors[a], right.vectors[c], n1, l) if block else {}
             coords = {}
@@ -517,21 +523,102 @@ def _in_slices(fn, Z, entries):
 
 def _junction_arrays(space, n1, n2) -> list:
     """The junctions J_l(a, c) of `_junctions`, l = 0..min(n1, n2), as dense
-    arrays [a, c, e]; one whose length n1 + n2 - 2l is past the top has no e."""
-    left, right, top = essential_basis(space, n1), essential_basis(space, n2), _top_length(space)
-    out = [
-        np.zeros((len(left), len(right), len(essential_basis(space, m)) if m <= top else 0))
-        for m in range(n1 + n2, abs(n1 - n2) - 1, -2)
-    ]
+    arrays [a, c, e]; one whose length n1 + n2 - 2l is past the top has no e.
+    Each basis is read once per array."""
+    lengths, top = range(n1 + n2, abs(n1 - n2) - 1, -2), _top_length(space)
+    targets = {m: essential_basis(space, m) for m in lengths if m <= top}
+    bases = left, right, _ = essential_basis(space, n1), essential_basis(space, n2), targets
+    out = [np.zeros((len(left), len(right), len(targets[m]) if m in targets else 0)) for m in lengths]
     for a, (_, r) in enumerate(left.endpoints):
         for c in (c for c, (s, _) in enumerate(right.endpoints) if s == r):
-            for J, coords in zip(out, _junctions(space, n1, a, n2, c)):
+            for J, coords in zip(out, _junctions(space, n1, a, n2, c, bases)):
                 for e, z in coords.items():
                     J[a, c, e] = z
     return out
 
 
-def _unary_residuals(space, n, Z, weight_fn=None) -> dict:
+def _by_rows(J):
+    """A junction array J[a, c, e] as a matrix with rows a * d_n2 + c."""
+    return J.reshape(J.shape[0] * J.shape[1], J.shape[2])
+
+
+def _key_counits(space, n, arrays) -> np.ndarray:
+    """eps(k k*) of every basis key k = (n, a, b) at once, as the matrix
+    sum_l lambda_l (u_l u_l^T)[a, b] with u_l[a, e] =
+    sum_a' J_l[a, a', e] S[a', a], for the (n, n) junction arrays."""
+    S, V = _star_matrix(space, n), 0.0
+    for z, J in zip(_junction_scalars(space.beta, n, n), arrays(n, n)):
+        u = np.einsum("ace,ca->ae", J, S)
+        V = V + (z or 0.0) * u @ u.T
+    return V
+
+
+def _coproduct_defects(space, arrays, n1, n2) -> dict:
+    """(l, l') -> (D, sup |D|) with D = lambda_l' K - delta_ll' 1 and
+    K[f, f'] = sum_{c, c'} J_l(c, c')[f] J_l'(c, c')[f'] on the (n1, n2)
+    junction arrays: Delta(x) Delta(y) joins the split indices c of x and
+    c' of y at both levels, Delta(xy) splits the product at one."""
+    Js = [_by_rows(J) for J in arrays(n1, n2)]
+    scalars = _junction_scalars(space.beta, n1, n2)
+    out = {}
+    for l, A in enumerate(Js):
+        for l2, B in enumerate(Js):
+            D = (scalars[l2] or 0.0) * (A.T @ B) - (l == l2) * np.eye(A.shape[1], B.shape[1])
+            out[l, l2] = D, np.abs(D).max(initial=0.0)
+    return out
+
+
+def _terms_by_length(x) -> dict:
+    """n -> the left indices, right indices and coefficients of x's keys of
+    length n, as arrays."""
+    out: dict = {}
+    for (n, a, b), z in x.coeffs.items():
+        out.setdefault(n, []).append((a, b, z))
+    return {n: [np.array(v) for v in zip(*terms)] for n, terms in out.items()}
+
+
+def _coproduct_residual(space, arrays, defects, x, y) -> float:
+    """sup |Delta(xy) - Delta(x) Delta(y)|.  For the length-n1 terms of x
+    and the length-n2 terms of y the difference on the tensor-square block
+    of lengths (m, m'), m = n1 + n2 - 2l and m' = n1 + n2 - 2l', is
+    -P (x) D: P[e, g] = lambda_l sum z z' J_l(a, c)[e] J_l'(b, d)[g] over
+    their key pairs (n1, a, b), (n2, c, d), and D = `_coproduct_defects`.
+    A block that one term fills has sup |P| sup |D|; the terms of several
+    (n1, n2) on one block are summed by one product of the stacked P and D,
+    restricted to their nonzero entries and formed in slices."""
+    blocks: dict = {}
+    right = _terms_by_length(y)
+    for n1, (a, b, z) in _terms_by_length(x).items():
+        for n2, (c, d, w) in right.items():
+            Js = arrays(n1, n2)
+            d2, Js = Js[0].shape[1], [_by_rows(J) for J in Js]
+            rows, cols = (a[:, None] * d2 + c).ravel(), (b[:, None] * d2 + d).ravel()
+            zw = (z[:, None] * w).ravel()[:, None]
+            scalars, D = _junction_scalars(space.beta, n1, n2), defects(n1, n2)
+            for l, A in enumerate(Js):
+                left = (scalars[l] or 0.0) * zw * A[rows]
+                if not left.any():
+                    continue
+                for l2, B in enumerate(Js):
+                    P = left.T @ B[cols]
+                    if P.any():
+                        blocks.setdefault((n1 + n2 - 2 * l, n1 + n2 - 2 * l2), []).append((P, *D[l, l2]))
+    return max((_block_sup(terms) for terms in blocks.values()), default=0.0)
+
+
+def _block_sup(terms) -> float:
+    """sup |sum_t P_t (x) D_t| over one tensor-square block, for terms
+    (P_t, D_t, sup |D_t|)."""
+    if len(terms) == 1:
+        ((P, _, sup_d),) = terms
+        return float(np.abs(P).max() * sup_d)
+    P = np.array([P.ravel() for P, _, _ in terms])
+    D = np.array([D.ravel() for _, D, _ in terms])
+    P, D = P[:, P.any(axis=0)].T, D[:, D.any(axis=0)]
+    return float(_in_slices(lambda rows: _sup(rows @ D), P, D.shape[1]).max(initial=0.0))
+
+
+def _unary_residuals(space, n, Z, weight_fn=None, *, arrays) -> dict:
     """The nine linear unary axioms at length n: name -> (R, r), with R[a, b]
     the residual of the basis key (n, a, b) and r[i] that of the block Z[i].
 
@@ -549,7 +636,8 @@ def _unary_residuals(space, n, Z, weight_fn=None) -> dict:
     R[a, c'] = m (S (x) id) Delta(e_ac') less the unit's part (x 1_(2) keeps
     b by the right unit law, which "unit element" checks), whose sup depends
     on a alone.  Tensor-square residuals of a batch are formed in slices of
-    about `_BATCH_ENTRIES` entries.
+    about `_BATCH_ENTRIES` entries.  `arrays(n1, n2)` gives the junction
+    arrays of `_junction_arrays`.
     """
     basis = essential_basis(space, n)
     d, k, f = len(basis), len(basis.blocks), weight_fn or partial(_pf_weight, space)
@@ -558,8 +646,8 @@ def _unary_residuals(space, n, Z, weight_fn=None) -> dict:
     S, one = _star_matrix(space, n), np.eye(d)
     eps = delta = one
     units = np.eye(d * d).reshape(d * d, d, d)
-    left = _junction_arrays(space, 0, n)[0].sum(0)  # 1 X = left^T X left
-    ends = _junction_arrays(space, n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
+    left = arrays(0, n)[0].sum(0)  # 1 X = left^T X left
+    ends = arrays(n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
     right = ends.sum(1)  # X 1 = right^T X right
 
     def star(Z):
@@ -610,7 +698,7 @@ def _unary_residuals(space, n, Z, weight_fn=None) -> dict:
     # at m = 0 the unit's sum_{s, t} (0, s, t) J_0(a, t)[c'] is taken off
     factors = [
         ((z or 0.0) * W @ np.einsum("qc,qce->ce", S, J), np.einsum("pa,pcf->acf", S, J))
-        for z, J in zip(_junction_scalars(space.beta, n, n), _junction_arrays(space, n, n))
+        for z, J in zip(_junction_scalars(space.beta, n, n), arrays(n, n))
     ]
     unit_part = ends.transpose(0, 2, 1)  # [a, c', t]
     entries = d * sum(V.shape[1] ** 2 for V, _ in factors)
@@ -662,13 +750,21 @@ def verify_axioms(
     antilinear, and keeps lengths apart, so `_unary_residuals` checks it per
     length on dense blocks, once for all basis keys and once for the
     sampled elements' blocks; an element's residual is the largest over its
-    lengths.  Counit positivity and the pair and triple axioms evaluate each
-    sampled tuple directly.  Each result carries the number of elements or
-    tuples checked and the basis keys of the first worst one.  `weight_fn`
-    overrides the antipode's endpoint factor, which is how a deliberately
-    corrupted antipode can be shown to fail.  Failures are reported as
-    residuals, never raised.  An empty check (no samples, or a negative
-    `max_length`) and a tolerance that is not finite and positive raise
+    lengths.  The junction arrays of each pair of lengths up to
+    `max_length` are built once per call and shared: counit positivity
+    reads every basis key's eps(k k*) off them in closed form, and
+    coproduct multiplicativity each sampled pair's sup of
+    Delta(xy) - Delta(x) Delta(y), block by block, with no tensor-square
+    product.  The counit of a product pairs eps(xy) with the diagonal keys
+    of x and y at each vertex, which is its split over Delta(1) by the unit
+    law that "unit element" checks.  The other pair and triple axioms, and
+    positivity on the random elements, evaluate each sampled tuple
+    directly.  Each result carries the number of elements or tuples checked
+    and the basis keys of the first worst one.  `weight_fn` overrides the
+    antipode's endpoint factor, which is how a deliberately corrupted
+    antipode can be shown to fail.  Failures are reported as residuals,
+    never raised.  An empty check (no samples, or a negative `max_length`),
+    a negative `seed` and a tolerance that is not finite and positive raise
     `PathHopfError`.
     """
     if samples < 1:
@@ -677,6 +773,8 @@ def verify_axioms(
         raise PathHopfError(f"tolerance must be finite and positive, got {tolerance}")
     if max_length < 0:
         raise PathHopfError(f"max_length must be nonnegative, got {max_length}")
+    if seed < 0:
+        raise PathHopfError(f"seed must be nonnegative, got {seed}")
     _check_cutoff(space, max_length, max_length)
     triples_pool = [
         (n, a, b)
@@ -697,11 +795,19 @@ def verify_axioms(
     ]
     singles = [(x,) for x in singles]
 
-    one = identity(space)
-    delta_one = coproduct(one).coeffs
-    swept: dict = {}  # linear unary axiom -> (keys' residuals per length, samples' residuals)
+    arrays = lru_cache(maxsize=None)(partial(_junction_arrays, space))
+    defects = lru_cache(maxsize=None)(partial(_coproduct_defects, space, arrays))
+    ends = [essential_basis(space, n).endpoints for n in range(max_length + 1)]
+
+    def positivity(values):
+        values = np.asarray(values)
+        return np.maximum(0.0, np.maximum(-values.real, np.abs(values.imag)))
+
+    # axiom -> (keys' residuals per length, samples' residuals)
+    swept: dict = {"counit positivity": (
+        [], positivity([counit(multiply(x, star_alg(x))) for x in randoms]))}
     for n in range(max_length + 1):
-        d = len(essential_basis(space, n))
+        d = len(ends[n])
         Z = np.zeros((samples, d, d), complex)
         for i, x in enumerate(randoms):
             for (m, a, b), z in x.coeffs.items():
@@ -709,28 +815,34 @@ def verify_axioms(
                     Z[i, a, b] = z
         hit = np.flatnonzero(Z.any(axis=(1, 2)))
         Z = Z[hit] if Z.imag.any() else Z[hit].real
-        for name, (keys, sampled) in _unary_residuals(space, n, Z, weight_fn).items():
+        for name, (keys, sampled) in _unary_residuals(space, n, Z, weight_fn, arrays=arrays).items():
             kept, tail = swept.setdefault(name, ([], np.zeros(samples)))
             kept.append(keys.ravel())
             tail[hit] = np.maximum(tail[hit], sampled)
+        swept["counit positivity"][0].append(positivity(_key_counits(space, n, arrays)).ravel())
     s_fn = partial(antipode, weight_fn=weight_fn)
 
-    def pairing(left, right):
-        """counit(left * right) on coefficient dicts."""
-        return sum(z for (_, e, f), z in _product(space, left, right).items() if e == f)
+    def diagonal_ends(x, side):
+        """vertex -> the sum of the coefficients of x's diagonal keys
+        (n, a, a) whose source (side 0) or range (side 1) it is."""
+        out: dict = {}
+        for (n, a, b), z in x.coeffs.items():
+            if a == b:
+                v = ends[n][a][side]
+                out[v] = out.get(v, 0.0) + z
+        return out
 
     def counit_of_product(x, y):
-        """counit(xy) against sum counit(x 1_(1)) counit(1_(2) y), with each
-        pairing against a length-0 key summed once."""
-        left = {t: pairing(x.coeffs, {t: 1.0}) for t in one.coeffs}
-        right = {t: pairing({t: 1.0}, y.coeffs) for t in one.coeffs}
-        split = sum(z * left[t1] * right[t2] for (t1, t2), z in delta_one.items())
-        return abs(counit(multiply(x, y)) - split)
+        """counit(xy) against sum counit(x 1_(1)) counit(1_(2) y), with
+        Delta(1) = sum (0, s, u) boxtimes (0, u, t): a key (n, a, b) times
+        the unit key (0, s, t) is itself when r(a) = s and r(b) = t and 0
+        otherwise, by the unit law, which "unit element" checks, so the split
+        pairs the diagonal keys of x ending at each vertex u with those of y
+        starting there."""
+        left, right = diagonal_ends(x, 1), diagonal_ends(y, 0)
+        return abs(counit(multiply(x, y)) - sum(z * right.get(v, 0.0) for v, z in left.items()))
 
-    def positivity(value):
-        return max(0.0, -value.real, abs(value.imag))
-
-    # None: a linear unary axiom, read off `swept`
+    # None: an axiom swept over the keys per length, read off `swept`
     checks = (
         ("product associativity", triples,
          lambda x, y, z: (multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm()),
@@ -738,16 +850,13 @@ def verify_axioms(
         ("star involution", singles, None),
         ("star antihomomorphism", pairs,
          lambda x, y: (star_alg(multiply(x, y)) - multiply(star_alg(y), star_alg(x))).sup_norm()),
-        ("coproduct multiplicative", pairs,
-         lambda x, y: (coproduct(multiply(x, y))
-                       - multiply_tensor_square(coproduct(x), coproduct(y))).sup_norm()),
+        ("coproduct multiplicative", pairs, partial(_coproduct_residual, space, arrays, defects)),
         ("coproduct star-compatible", singles, None),
         ("coassociativity", singles, None),
         ("counit left inverse", singles, None),
         ("counit right inverse", singles, None),
         ("counit of product", pairs, counit_of_product),
-        ("counit positivity", singles,
-         lambda x: positivity(counit(multiply(x, star_alg(x))))),
+        ("counit positivity", singles, None),
         ("antipode product rule", pairs,
          lambda x, y: (s_fn(multiply(x, y)) - multiply(s_fn(y), s_fn(x))).sup_norm()),
         ("antipode star double", singles, None),

@@ -256,6 +256,15 @@ def test_verify_refuses_empty_check(capture, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_negative_verify_seed_rejected(capture, seed):
+    code, out, err = capture("verify", A3, "--max-length", "1", "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert f"seed must be nonnegative, got {seed}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv", [("dims", A3, "--max", "-1"), ("export", A3, "--max", "-2")]
 )

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import weakref
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ from pathhopf import (
 from pathhopf.weak_hopf import (
     TensorSquare,
     _basis_product,
+    _coproduct_defects,
+    _coproduct_residual,
+    _junction_arrays,
     _junction_scalars,
     _q_integers,
     _random_element,
@@ -948,6 +952,97 @@ def test_verify_axioms_matches_direct_evaluation(space_name, max_length, samples
         assert failing >= {"antipode star double", "antipode coproduct rule", "antipode cancellation"}
 
 
+JUNCTION_AXIOMS = ("coproduct multiplicative", "counit of product", "counit positivity")
+
+
+@pytest.mark.parametrize(
+    "mutation, max_length, samples, failing",
+    [
+        ("lambda_1 x 1.01", 2, 10, {"coproduct multiplicative": 3.0e-3, "counit positivity": 5.0e-3}),
+        ("lambda_1 negated", 2, 10, {"coproduct multiplicative": 0.59, "counit positivity": 1.0}),
+        ("one J_0 entry x 2", 1, 20, dict.fromkeys(JUNCTION_AXIOMS)),
+    ],
+    ids=["lambda-scaled", "lambda-negated", "J0-entry"],
+)
+def test_junction_axioms_follow_a_mutated_product(tri, monkeypatch, mutation, max_length, samples, failing):
+    # the verifier reads these three axioms off the junction arrays and
+    # closed forms, the oracle off `multiply` and `multiply_tensor_square`;
+    # both see the mutation, through `_junction_scalars` or `_junctions`
+    from pathhopf import weak_hopf
+
+    true_scalars, true_junctions = weak_hopf._junction_scalars, weak_hopf._junctions
+    if mutation.startswith("lambda_1"):
+        factor = 1.01 if mutation.endswith("1.01") else -1.0
+
+        def scalars(beta, n1, n2):
+            out = list(true_scalars(beta, n1, n2))
+            if len(out) > 1 and out[1] is not None:
+                out[1] *= factor
+            return tuple(out)
+
+        monkeypatch.setattr(weak_hopf, "_junction_scalars", scalars)
+    else:
+        # J_0 of the length-1 keys 5 and 3, which meet, at the E_2 index 8;
+        # the unit's junctions (lengths (0, n) and (n, 0)) are untouched
+        a, c, e = 5, 3, 8
+        assert e in true_junctions(tri, 1, a, 1, c)[0]
+
+        def junctions(space, n1, a2, n2, c2, *bases):
+            out = true_junctions(space, n1, a2, n2, c2, *bases)
+            if (n1, a2, n2, c2) == (1, a, 1, c):
+                out = ({**out[0], e: 2 * out[0][e]},) + out[1:]
+            return out
+
+        monkeypatch.setattr(weak_hopf, "_junctions", junctions)
+    space = PathSpace(tri.graph, tri.spectrum)
+    report = {r.name: r for r in verify_axioms(space, max_length, samples=samples, seed=0).results}
+    direct = direct_axiom_residuals(space, max_length, samples, 0)
+    for name in JUNCTION_AXIOMS:
+        r, (residual, checked, witness) = report[name], direct[name]
+        assert abs(r.residual - residual) < 1e-12 and r.checked == checked, name
+        if residual > 1e-6:
+            assert r.witness == witness, name
+    for name, value in failing.items():
+        assert report[name].residual > 1e-3, name
+        if value is not None:
+            assert report[name].residual == pytest.approx(value, rel=0.02), name
+    assert report["unit element"].residual < 1e-12
+
+
+@pytest.mark.parametrize("level, e, factor", [(0, 8, 0.0), (1, 2, 2.0)], ids=["J0-zeroed", "J1-doubled"])
+def test_coproduct_residual_matches_the_tensor_square_product_per_pair(tri, monkeypatch, level, e, factor):
+    # one junction entry of the length-1 keys 5 and 3 is changed, so the
+    # levels l != l' of a product no longer join orthogonally (K_ll' != 0);
+    # compared on every pair of length-1 keys, where each tensor-square block
+    # holds one term, and on elements spread over lengths 0..2, where the
+    # terms of several (n1, n2) share a block
+    from pathhopf import weak_hopf
+
+    true_junctions = weak_hopf._junctions
+    a, c = 5, 3
+    assert e in true_junctions(tri, 1, a, 1, c)[level]
+
+    def junctions(space, n1, a2, n2, c2, *bases):
+        out = list(true_junctions(space, n1, a2, n2, c2, *bases))
+        if (n1, a2, n2, c2) == (1, a, 1, c):
+            out[level] = {**out[level], e: factor * out[level][e]}
+        return tuple(out)
+
+    monkeypatch.setattr(weak_hopf, "_junctions", junctions)
+    space = PathSpace(tri.graph, tri.spectrum)
+    arrays = lru_cache(maxsize=None)(partial(_junction_arrays, space))
+    defects = lru_cache(maxsize=None)(partial(_coproduct_defects, space, arrays))
+    keys = [AlgebraElement.basis_element(space, *k) for k in basis_keys(space, 1)]
+    rng = np.random.default_rng(2)
+    spread = [random_element(space, 2, rng, terms=20) for _ in range(16)]
+    worst = 0.0
+    for x, y in [*itertools.product(keys, keys), *zip(spread[::2], spread[1::2])]:
+        want = (coproduct(multiply(x, y)) - multiply_tensor_square(coproduct(x), coproduct(y))).sup_norm()
+        assert _coproduct_residual(space, arrays, defects, x, y) == pytest.approx(want, abs=1e-12)
+        worst = max(worst, want)
+    assert worst > 0.1
+
+
 def block(x, n):
     """The length-n terms of x as a batch of one block X[a, b]."""
     d = len(essential_basis(x.space, n))
@@ -977,12 +1072,14 @@ def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
     y = AlgebraElement(space, {(1, 0, 1): 0.4 - 1.2j})  # one key: |z| sup |L(k)|
     direct = direct_unary_axioms(space, BENT)
 
+    arrays = partial(_junction_arrays, space)
+
     def swept(conj=False):
         """Per length, the residuals of x and y, or of conj(x) and conj(y)."""
         out = []
         for n in range(3):
             Z = np.concatenate([block(x, n), block(y, n)])
-            out.append(_unary_residuals(space, n, Z.conj() if conj else Z, BENT))
+            out.append(_unary_residuals(space, n, Z.conj() if conj else Z, BENT, arrays=arrays))
         return out
 
     tables = swept()
@@ -1007,15 +1104,44 @@ def test_each_length_is_tabulated_once_per_call(tri, monkeypatch):
     true_residuals = weak_hopf._unary_residuals
     built = []
 
-    def counted(space, n, Z, weight_fn=None):
+    def counted(space, n, Z, weight_fn=None, **shared):
         built.append(n)
-        return true_residuals(space, n, Z, weight_fn)
+        return true_residuals(space, n, Z, weight_fn, **shared)
 
     monkeypatch.setattr(weak_hopf, "_unary_residuals", counted)
     assert verify_axioms(tri, 3, samples=40, seed=3).all_passed
     assert built == [0, 1, 2, 3]
     verify_axioms(tri, 2, samples=5, seed=3, weight_fn=lambda *ends: 1.0)
     assert built == [0, 1, 2, 3, 0, 1, 2]
+
+
+def test_junction_arrays_are_stacked_once_per_call(tri, monkeypatch):
+    # the unary sweep, counit positivity and coproduct multiplicativity share
+    # one stack per pair of lengths, and a stack reads each basis it needs
+    # once, not once per cold key pair
+    from pathhopf import weak_hopf
+
+    true_arrays, true_basis = weak_hopf._junction_arrays, weak_hopf.essential_basis
+    stacked, reads = [], []
+
+    def basis(space, n):
+        reads.append(n)
+        return true_basis(space, n)
+
+    def arrays(space, n1, n2):
+        stacked.append((n1, n2))
+        reads.clear()
+        out = true_arrays(space, n1, n2)
+        assert sorted(reads) == sorted([n1, n2, *range(n1 + n2, abs(n1 - n2) - 1, -2)]), (n1, n2)
+        return out
+
+    monkeypatch.setattr(weak_hopf, "essential_basis", basis)
+    monkeypatch.setattr(weak_hopf, "_junction_arrays", arrays)
+    swept = {(m, n) for n in range(4) for m in (0, n)} | {(n, 0) for n in range(4)}
+    for _ in range(2):
+        stacked.clear()
+        assert verify_axioms(PathSpace(tri.graph, tri.spectrum), 3, samples=40, seed=3).all_passed
+        assert len(stacked) == len(set(stacked)) and set(stacked) >= swept
 
 
 def test_a_scaled_star_entry_fails_star_involution_at_its_keys(monkeypatch):
@@ -1065,6 +1191,12 @@ def test_verify_axioms_checks_only_built_lengths_on_a_finite_graph(a3):
 def test_verify_axioms_rejects_empty_check(a3, max_length, samples, message):
     with pytest.raises(PathHopfError, match=message):
         verify_axioms(a3, max_length, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_verify_axioms_rejects_a_negative_seed(a3, seed):
+    with pytest.raises(PathHopfError, match=f"seed must be nonnegative, got {seed}"):
+        verify_axioms(a3, 1, samples=2, seed=seed)
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-9])
