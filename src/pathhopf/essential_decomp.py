@@ -9,14 +9,17 @@ c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
 on beta and the words, not on the block or the basis vector.  So
 `decompose` solves one small word-Gram system per block and level instead
-of splitting recursively.  The right-hand sides are the essential
-coordinates of the word images that `level_images` forms, and
-`pair_levels` pairs the same images for `weak_hopf.projector_P`.  The
-per-length tables (walks, the c_k as index arrays, dense basis blocks,
-inverted Gram matrices) are built lazily and cached on the space.  On a
-finite ADE graph with Coxeter number h, the words keep only creations c†_k
-with k >= L - h + 1, L the length they make (the Jones-Wenzl truncation).
-`project_component` reads off the orthogonal projections.
+of splitting recursively.  Every c_w sends a walk to at most one walk, so
+the c_w of one level stack into one partial map per (length, block,
+level): `level_images` forms the right-hand sides, the essential
+coordinates of all the level's word images, in one scatter, and the lift
+back is one scatter too.  `pair_levels` pairs the same images for
+`weak_hopf.projector_P`.  These tables (walks, the c_k and the stacked
+c_w as index arrays, dense basis blocks, inverted Gram matrices) are built
+lazily and cached on the space.  On a finite ADE graph with Coxeter number
+h, the words keep only creations c†_k with k >= L - h + 1, L the length
+they make (the Jones-Wenzl truncation).  `project_component` reads off the
+orthogonal projections.
 """
 
 from __future__ import annotations
@@ -279,28 +282,28 @@ def decompose(space: PathSpace, x: PathVector) -> Decomposition:
     essential parts eta_w of the level-l words are the rows of
     G^-1 U B_m^T, where U = `level_images(...)` holds the rows B_m^T c_w x,
     G = `word_gram(space, n, l)` and B_m is the block of the E_m basis;
-    the essential part of x is x - sum_{|w| >= 1} c†_w eta_w.  The words are
-    `creation_words(space, n)`: strictly increasing, every index <= n - 2,
-    and on a finite ADE graph truncated so that the c†_w xi stay
+    the essential part of x is x - sum_{|w| >= 1} c†_w eta_w, one scatter
+    per level through the stacked map of that level's words.  The words
+    are `creation_words(space, n)`: strictly increasing, every index
+    <= n - 2, and on a finite ADE graph truncated so that the c†_w xi stay
     independent.  recompose returns the input.
     """
     n = x.length
     tables = _tables(space)
-    parts: dict = {}
+    words, parts = tables.words(n), {}
     for (s, r), y in _blocks(space, tables, x):
-        vectors = {}
         for l, (_, rows) in level_images(space, tables, n, s, r, y).items():
+            _, flat, src, weight = tables.level_maps(space, n, s, r)[l]
             basis = tables.basis(space, n - 2 * l, s, r)[0]
             eta = tables.gram_inverse(space, n, l) @ rows @ basis.T
-            vectors.update(zip(tables.words(n)[l], eta))
-        vectors[()] = y - tables.lift(space, n, s, r, vectors)
-        for w, v in vectors.items():
-            paths = tables.block(space, n - 2 * len(w), s, r)
-            parts.setdefault(w, {}).update(zip(paths, v.tolist()))
-    terms = [(OperatorWord(w), PathVector(n - 2 * len(w), c)) for w, c in parts.items()]
-    terms = [t for t in terms if not t[1].is_zero()]
-    terms.sort(key=lambda t: (len(t[0]), t[0].indices))
-    return Decomposition(length=n, terms=tuple(terms))
+            y = y - _spread(src, weight, eta.ravel()[flat], len(y))
+            paths = tables.block(space, n - 2 * l, s, r)
+            for w, v in zip(words[l], eta.tolist()):
+                parts.setdefault(w, {}).update(zip(paths, v))
+        parts.setdefault((), {}).update(zip(tables.block(space, n, s, r), y.tolist()))
+    ops = tables.operators[n]
+    terms = ((ops[w], PathVector(n - 2 * len(w), parts[w])) for w in ops if w in parts)
+    return Decomposition(length=n, terms=tuple(t for t in terms if not t[1].is_zero()))
 
 
 def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
@@ -356,35 +359,21 @@ def _blocks(space: PathSpace, tables, x: PathVector) -> list:
 def level_images(space, tables, n, s, r, y) -> dict:
     """Level l -> (offsets, U_l) for the block (s, r) part y of a length-n
     vector, for each level l >= 1 whose block of E_m, m = n - 2l, is not
-    empty: row j of U_l is B_m^T c_w y for the j-th word w of
-    `creation_words(space, n)[l]`, and `offsets` index the block's vectors
-    in `essential_basis(space, m)`.
+    empty and on whose walks some c_w is not 0: row j of U_l is
+    B_m^T c_w y for the j-th word w of `creation_words(space, n)[l]`, and
+    `offsets` index the block's vectors in `essential_basis(space, m)`.
 
-    The images c_w y are computed level by level: c_{(i,) + v} y is
-    c_i (c_v y), so each word costs one sparse annihilation of its suffix's
-    image, and a word whose image vanishes drops every word that extends it.
+    All the images c_w y of one level are one scatter through the level's
+    stacked map (`_DecompositionTables.level_maps`), so each level costs
+    one `_spread` and one product with the basis block.
     """
     out = {}
-    images = {(): y}
-    for l, words in enumerate(tables.words(n)[1:], start=1):
-        m = n - 2 * l
-        images = {
-            w: z
-            for w in words
-            if w[1:] in images
-            for z in (tables.annihilate(space, m + 2, s, r, w[0], images[w[1:]]),)
-            if z.any()
-        }
-        if not images:
-            break
-        basis, offsets = tables.basis(space, m, s, r)
-        if not offsets:
-            continue
-        rows = np.zeros((len(words), len(offsets)), dtype=y.dtype)
-        for j, w in enumerate(words):
-            if w in images:
-                rows[j] = images[w] @ basis
-        out[l] = (offsets, rows)
+    for l, level in enumerate(tables.level_maps(space, n, s, r)):
+        if level is not None:
+            count, flat, src, weight = level
+            basis, offsets = tables.basis(space, n - 2 * l, s, r)
+            images = _spread(flat, weight, y[src], count * len(basis))
+            out[l] = (offsets, images.reshape(count, len(basis)) @ basis)
     return out
 
 
@@ -442,17 +431,15 @@ def _tables(space: PathSpace) -> "_DecompositionTables":
 
 
 class _DecompositionTables:
-    """What `decompose` and `pair_levels` read, filled on first use at each
-    length.
+    """What `decompose` and `pair_levels` read, filled on first use.
 
-    Per (length, source, range) block: the walks in lexicographic order;
-    every c_k to length - 2 as index arrays (src, dst, weight), read the
-    other way for c†_k; and the block of the essential basis as a dense
-    real matrix.  Per length: the creation words of each level.  Per
-    (length, level): their Gram matrix and its inverse.
-    No dense map on all paths of a length is kept.
-    Holds no reference to the space, so the space's cache does not point
-    back at it.
+    Per (length, source, range) block: the walks in lexicographic order,
+    every c_k to length - 2 (`annihilator`), the stacked c_w of each
+    level's words (`level_maps`), and the block of the essential basis as
+    a dense real matrix.  Per length: the creation words of each level and
+    one `OperatorWord` each.  Per (length, level): their Gram matrix and
+    its inverse.  No dense map on all paths of a length is kept.  Holds no
+    reference to the space, so the space's cache does not point back at it.
     """
 
     def __init__(self, space: PathSpace):
@@ -461,8 +448,10 @@ class _DecompositionTables:
         self.sqrt_mu = np.asarray(space.sqrt_mu)
         self.walks: dict = {}
         self.annihilators: dict = {}
+        self.maps: dict = {}
         self.bases: dict = {}
         self.levels: dict = {}
+        self.operators: dict = {}
         self.grams: dict = {}
         self.inverses: dict = {}
 
@@ -487,48 +476,61 @@ class _DecompositionTables:
                 raise GraphError(f"{format_path(p)} is not a walk of length {length}")
         return out
 
-    def annihilator(self, space, length, s, r, k):
-        """c_k from `length` on block (s, r) as arrays (src, dst, weight):
-        (c_k y)[dst] sums weight * y[src]."""
+    def annihilator(self, space, length, s, r):
+        """Every c_k from `length` on block (s, r) as arrays (target, weight)
+        of shape (length - 1, walks): c_k sends walk j to weight[k, j] times
+        walk target[k, j] of length - 2, or to 0 where target[k, j] = -1."""
         key = (length, s, r)
         if key not in self.annihilators:
             paths = self.block(space, length, s, r)
             walks = np.array(paths, dtype=np.intp).reshape(len(paths), length + 1)
-            maps = []
+            target = np.full((max(length - 1, 0), len(paths)), -1, dtype=np.int32)
+            weight = np.zeros(target.shape)
             for i in range(length - 1):
                 src = np.flatnonzero(walks[:, i] == walks[:, i + 2])
                 kept = np.delete(walks[src], (i + 1, i + 2), axis=1).tolist()
-                dst = self.positions(space, length - 2, s, r, list(map(tuple, kept)))
-                weight = self.sqrt_mu[walks[src, i + 1]] / self.sqrt_mu[walks[src, i]]
-                maps.append((src, dst, weight))
-            self.annihilators[key] = maps
-        return self.annihilators[key][k]
+                target[i, src] = self.positions(space, length - 2, s, r, list(map(tuple, kept)))
+                weight[i, src] = self.sqrt_mu[walks[src, i + 1]] / self.sqrt_mu[walks[src, i]]
+            self.annihilators[key] = target, weight
+        return self.annihilators[key]
 
-    def annihilate(self, space, length, s, r, k, y):
-        """c_k from `length` to length - 2."""
-        src, dst, weight = self.annihilator(space, length, s, r, k)
-        return _spread(dst, weight, y[src], len(self.block(space, length - 2, s, r)))
-
-    def create(self, space, length, s, r, k, z):
-        """c†_k from length - 2 to `length`."""
-        src, dst, weight = self.annihilator(space, length, s, r, k)
-        return _spread(src, weight, z[dst], len(self.block(space, length, s, r)))
-
-    def lift(self, space, n, s, r, vectors):
-        """The sum of c†_w vectors[w] over the words w != () at length n.
-
-        Horner's rule along suffixes, deepest level first: each word passes
-        c†_{w[0]} of its vector, plus what its extensions passed to it, up
-        to its suffix w[1:].
-        """
-        passed: dict = {}
-        for l in range(n // 2, 0, -1):
-            for w in self.words(n)[l]:
-                parts = [v for v in (vectors.get(w), passed.pop(w, None)) if v is not None]
-                if parts:
-                    v = self.create(space, n - 2 * l + 2, s, r, w[0], sum(parts))
-                    passed[w[1:]] = passed[w[1:]] + v if w[1:] in passed else v
-        return passed.get((), 0.0)
+    def level_maps(self, space, n, s, r):
+        """Per level l, the c_w of the level-l words at length n on block
+        (s, r), stacked as (count, flat, src, weight): count words, and
+        (c_w y)[dst] = weight * y[src] at flat = (row of w) * N_m + dst, N_m
+        the block's walks of length m = n - 2l.  None at l = 0, and where
+        the block of E_m is empty or every c_w is 0.  Built level by level
+        along suffixes, c_{(k,) + v} = c_k c_v, one `annihilator` lookup
+        per entry of the level above."""
+        key = (n, s, r)
+        if key not in self.maps:
+            levels = self.words(n)
+            walks = len(self.block(space, n, s, r))
+            row, src = np.zeros(walks, np.intp), np.arange(walks)
+            dst, weight = src, np.ones(walks)
+            maps = [None] * len(levels)
+            for l in range(1, len(levels)):
+                m = n - 2 * l
+                suffix = {w: j for j, w in enumerate(levels[l - 1])}
+                below = np.array([suffix[w[1:]] for w in levels[l]], dtype=np.intp)
+                # the entries of each word's suffix, in word order
+                bounds = np.searchsorted(row, np.arange(len(suffix) + 1))
+                lo, sizes = bounds[below], bounds[below + 1] - bounds[below]
+                row = np.repeat(np.arange(len(below)), sizes)
+                take = np.arange(len(row)) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
+                target, factor = self.annihilator(space, m + 2, s, r)
+                k, prev = np.array([w[0] for w in levels[l]])[row], dst[take]
+                hit = target[k, prev]
+                kept = hit >= 0
+                weight = (weight[take] * factor[k, prev])[kept]
+                row, src, dst = row[kept], src[take][kept], hit[kept]
+                if not len(row):
+                    break
+                if self.basis(space, m, s, r)[1]:
+                    flat = (row * len(self.block(space, m, s, r)) + dst).astype(np.int32)
+                    maps[l] = (len(levels[l]), flat, src.astype(np.int32), weight)
+            self.maps[key] = maps
+        return self.maps[key]
 
     def basis(self, space, m, s, r):
         """Block (s, r) of E_m, one column per basis vector, and the indices
@@ -545,7 +547,8 @@ class _DecompositionTables:
         return self.bases[key]
 
     def words(self, n):
-        """See `creation_words`."""
+        """See `creation_words`; also fills `operators[n]`, one `OperatorWord`
+        per word, {indices: word} level by level."""
         if n not in self.levels:
             levels: list = [[] for _ in range(n // 2 + 1)]
 
@@ -558,24 +561,25 @@ class _DecompositionTables:
 
             grow((), n)
             self.levels[n] = [sorted(words) for words in levels]
+            self.operators[n] = {w: OperatorWord(w) for words in self.levels[n] for w in words}
         return self.levels[n]
 
     def gram(self, space, n, l):
-        """`word_gram(space, n, l)`, cached and read-only."""
+        """`word_gram(space, n, l)`, cached and read-only: the Gram matrix
+        of the rows c†_w xi, xi the first basis vector of E_m, read off the
+        stacked map (no (row, src) pair repeats, as c_w is a partial map)."""
         key = (n, l)
         if key not in self.grams:
             m = n - 2 * l
             basis = essential_basis(space, m)
-            if not basis.vectors:
+            if not len(basis):
                 raise BasisError(f"no essential paths of length {m}")
             s, r = basis.endpoints[0]
-            rows = []
-            for word in self.words(n)[l]:
-                v = self.basis(space, m, s, r)[0][:, 0]
-                for j, i in enumerate(word):
-                    v = self.create(space, m + 2 * j + 2, s, r, i, v)
-                rows.append(v)
-            stacked = np.array(rows)
+            count, flat, src, weight = self.level_maps(space, n, s, r)[l]
+            xi = self.basis(space, m, s, r)[0][:, 0]
+            row, dst = np.divmod(flat, len(xi))
+            stacked = np.zeros((count, len(self.block(space, n, s, r))))
+            stacked[row, src] = weight * xi[dst]
             gram = stacked @ stacked.T
             gram.setflags(write=False)
             self.grams[key] = gram
@@ -590,17 +594,10 @@ class _DecompositionTables:
 
 def recompose(space: PathSpace, d: Decomposition) -> PathVector:
     """Sum apply_word(word, vector) over the terms of `d`."""
-    out = zero_vector(d.length)
-    for word, xi in d.terms:
-        out = out + space.apply_word(word, xi)
-    return out
+    return sum((space.apply_word(word, xi) for word, xi in d.terms), zero_vector(d.length))
 
 
 def project_component(space: PathSpace, x: PathVector, l: int) -> PathVector:
     """Orthogonal projection of `x` onto the span of length-l creation words
     applied to essentials; l = 0 projects onto essential paths."""
-    d = decompose(space, x)
-    out = zero_vector(x.length)
-    for word, xi in d.component(l):
-        out = out + space.apply_word(word, xi)
-    return out
+    return recompose(space, Decomposition(x.length, decompose(space, x).component(l)))

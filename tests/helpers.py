@@ -26,7 +26,7 @@ from pathhopf import (
     tridiagonal_solve,
     zero_vector,
 )
-from pathhopf.essential_decomp import _factor_images, _tables, word_gram
+from pathhopf.essential_decomp import _blocks, _factor_images, _spread, _tables, word_gram
 from pathhopf.graph_core import coxeter_info
 from pathhopf.weak_hopf import _product, _random_element, element_in_path_coordinates
 
@@ -271,6 +271,95 @@ def _lifted_terms(space, k, q, memo):
             values.append(z)
         memo.lifted[k, q] = (np.array(positions, dtype=np.intp), np.array(values))
     return memo.lifted[k, q]
+
+
+def per_word_decompose(space, x):
+    """`decompose` one creation word at a time, kept as an oracle for its
+    stacked level maps.
+
+    Each word's image c_w y is one annihilation of its suffix's image
+    (c_{(i,) + v} y = c_i (c_v y)), and a word whose image vanishes drops
+    every word that extends it; the lift sum_w c†_w eta_w runs by Horner's
+    rule along suffixes, one creation per word.  The word set, basis
+    blocks and inverse word-Gram matrices are the library's tables.
+    """
+    n = x.length
+    tables = _tables(space)
+    parts = {}
+    for (s, r), y in _blocks(space, tables, x):
+        vectors = {}
+        for l, rows in _per_word_images(space, tables, n, s, r, y).items():
+            basis = tables.basis(space, n - 2 * l, s, r)[0]
+            eta = tables.gram_inverse(space, n, l) @ rows @ basis.T
+            vectors.update(zip(tables.words(n)[l], eta))
+        vectors[()] = y - _horner_lift(space, tables, n, s, r, vectors)
+        for w, v in vectors.items():
+            paths = tables.block(space, n - 2 * len(w), s, r)
+            parts.setdefault(w, {}).update(zip(paths, v.tolist()))
+    terms = [(OperatorWord(w), PathVector(n - 2 * len(w), c)) for w, c in parts.items()]
+    terms = [t for t in terms if not t[1].is_zero()]
+    terms.sort(key=lambda t: (len(t[0]), t[0].indices))
+    return Decomposition(length=n, terms=tuple(terms))
+
+
+_WORD_STEPS = weakref.WeakKeyDictionary()
+
+
+def _word_step(space, tables, length, s, r, k, z, create=False):
+    """c_k z from `length` on block (s, r), or c†_k z to `length`, through
+    the sparse form of `tables.annihilator`, memoised per tables."""
+    steps = _WORD_STEPS.setdefault(tables, {})
+    if (length, s, r, k) not in steps:
+        target, weight = tables.annihilator(space, length, s, r)
+        src = np.flatnonzero(target[k] >= 0)
+        steps[length, s, r, k] = (
+            src, target[k, src], weight[k, src],
+            len(tables.block(space, length, s, r)), len(tables.block(space, length - 2, s, r)),
+        )
+    src, dst, weight, size, below = steps[length, s, r, k]
+    if create:
+        return _spread(src, weight, z[dst], size)
+    return _spread(dst, weight, z[src], below)
+
+
+def _per_word_images(space, tables, n, s, r, y):
+    """Level l -> B_m^T c_w y, one row per level-l word, for the levels
+    whose block of E_m is not empty."""
+    out = {}
+    images = {(): y}
+    for l, words in enumerate(tables.words(n)[1:], start=1):
+        m = n - 2 * l
+        images = {
+            w: z
+            for w in words
+            if w[1:] in images
+            for z in (_word_step(space, tables, m + 2, s, r, w[0], images[w[1:]]),)
+            if z.any()
+        }
+        if not images:
+            break
+        basis, offsets = tables.basis(space, m, s, r)
+        if offsets:
+            rows = np.zeros((len(words), len(offsets)), dtype=y.dtype)
+            for j, w in enumerate(words):
+                if w in images:
+                    rows[j] = images[w] @ basis
+            out[l] = rows
+    return out
+
+
+def _horner_lift(space, tables, n, s, r, vectors):
+    """The sum of c†_w vectors[w] over the words w != () at length n:
+    deepest level first, each word passes c†_{w[0]} of its vector, plus
+    what its extensions passed to it, up to its suffix w[1:]."""
+    passed = {}
+    for l in range(n // 2, 0, -1):
+        for w in tables.words(n)[l]:
+            parts = [v for v in (vectors.get(w), passed.pop(w, None)) if v is not None]
+            if parts:
+                v = _word_step(space, tables, n - 2 * l + 2, s, r, w[0], sum(parts), create=True)
+                passed[w[1:]] = passed[w[1:]] + v if w[1:] in passed else v
+    return passed.get((), 0.0)
 
 
 def reference_projector(space, x, y, memo=None):

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -25,17 +27,19 @@ from pathhopf import (
     tridiagonal_det,
     tridiagonal_matrix,
     tridiagonal_solve,
+    zero_vector,
 )
 from pathhopf.errors import GraphError, PathHopfError, SingularSystemError
 from pathhopf.graph_core import Spectrum
-from pathhopf.essential_decomp import creation_words, word_gram
-from pathhopf.weak_hopf import CoefficientKey, coefficient_C
+from pathhopf.essential_decomp import _DecompositionTables, _tables, creation_words, word_gram
+from pathhopf.weak_hopf import CoefficientKey, coefficient_C, projector_P
 import frozen_cases
 from helpers import (
     assert_decomposition,
     block_projector,
     decomp_as_dict,
     path_graph,
+    per_word_decompose,
     pv,
     random_vector,
     recursive_decompose,
@@ -531,6 +535,84 @@ def test_decompose_matches_recursion_on_block_vectors(name, n):
         if trial:
             coeffs = coeffs + 1j * rng.standard_normal(len(paths))
         assert_matches_oracle(space, pv(dict(zip(paths, coeffs))))
+
+
+# -- the stacked level maps against the per-word oracle -------------------------
+
+
+def assert_matches_per_word(space, x):
+    """decompose(x) and `per_word_decompose(x)` have the same words and
+    walk keys, and coefficients within 1e-12 of the largest one."""
+    got, want = decompose(space, x).terms, per_word_decompose(space, x).terms
+    assert [w.indices for w, _ in got] == [w.indices for w, _ in want]
+    scale = max((v.sup_norm() for _, v in want), default=0.0)
+    for (word, u), (_, v) in zip(got, want):
+        assert u.coeffs.keys() == v.coeffs.keys(), word
+        assert max(abs(u.coeffs[p] - v.coeffs[p]) for p in u.coeffs) <= 1e-12 * scale, word
+
+
+@pytest.mark.parametrize("name", ["A_aff_2", "D_aff_4", "E6", "D5"])
+def test_stacked_maps_match_per_word_decompose_on_complex_block_vectors(name):
+    # every block of each length, then one vector dense over all blocks;
+    # D5 (h = 8) has Jones-Wenzl-truncated words at n = 8
+    space = PathSpace(edge_graph(name))
+    rng = np.random.default_rng(len(name))
+    for n in range(2, 9):
+        paths = space.enumerate_paths(n)
+        coeffs = rng.standard_normal(len(paths)) + 1j * rng.standard_normal(len(paths))
+        dense = dict(zip(paths, coeffs))
+        for ends in sorted({(p[0], p[-1]) for p in paths}):
+            block = {p: c for p, c in dense.items() if (p[0], p[-1]) == ends}
+            assert_matches_per_word(space, pv(block))
+        assert_matches_per_word(space, pv(dense))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "A_aff_2", "E6"])
+def test_stacked_maps_match_per_word_decompose_on_unit_paths(name):
+    space = PathSpace(edge_graph(name))
+    for n in range(9):
+        for p in space.enumerate_paths(n):
+            assert_matches_per_word(space, unit(p))
+
+
+def test_per_word_oracle_catches_a_scaled_level_map_weight():
+    space, walk = PathSpace(edge_graph("A_aff_2")), (0, 1, 0, 2, 1, 2, 0)
+    x, tables = unit(walk), _tables(space)
+    assert_matches_per_word(space, x)
+    maps = tables.level_maps(space, 6, 0, 0)
+    count, flat, src, weight = maps[1]
+    scaled = weight.copy()
+    # the first level-1 word whose c_w does not kill x
+    scaled[np.flatnonzero(src == tables.positions(space, 6, 0, 0, [walk])[0])[0]] *= 1.001
+    maps[1] = (count, flat, src, scaled)
+    with pytest.raises(AssertionError):
+        assert_matches_per_word(space, x)
+
+
+def test_stacked_maps_are_built_once_per_block(monkeypatch):
+    space = PathSpace(edge_graph("A_aff_2"))
+    builds = Counter()
+    level_maps = _DecompositionTables.level_maps
+
+    def counted(self, space, n, s, r):
+        builds[n, s, r] += (n, s, r) not in self.maps
+        return level_maps(self, space, n, s, r)
+
+    monkeypatch.setattr(_DecompositionTables, "level_maps", counted)
+    x, y = unit((0, 1, 2, 0, 1, 0, 2)), unit((0, 2, 1, 0, 2, 1, 2))
+    first = decompose(space, x)
+    projector_P(space, x, y)
+    projector_P(space, y, x)
+    again = decompose(space, x)
+    decompose(space, y)
+    assert (6, 0, 2) in builds and set(builds) == set(_tables(space).maps)
+    assert all(count == 1 for count in builds.values())
+    # output terms reuse the tables' frozen words
+    assert len(first.terms) > 1
+    assert all(a is b for (a, _), (b, _) in zip(first.terms, again.terms))
+    with pytest.raises(FrozenInstanceError):
+        first.terms[1][0].indices = (0,)
+    assert decompose(space, zero_vector(6)).terms == ()
 
 
 @pytest.mark.parametrize("path", [(0, 2, 1), (0, 1, 7), (7, 1, 0), (0, 1)])
