@@ -56,7 +56,6 @@ from .essential_decomp import (
 from .weak_hopf import (
     AlgebraElement,
     AxiomResult,
-    CoefficientKey,
     TensorSquare,
     VerificationReport,
     antipode,
@@ -80,7 +79,6 @@ __all__ = [
     "AlgebraElement",
     "AxiomResult",
     "BasisError",
-    "CoefficientKey",
     "CoxeterInfo",
     "CutoffError",
     "Decomposition",

@@ -32,7 +32,6 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BasisError, CutoffError, GraphError, PathHopfError, SingularSystemError
-from .graph_core import coxeter_info
 from .path_space import (
     OperatorWord,
     PathSpace,
@@ -443,8 +442,7 @@ class _DecompositionTables:
     """
 
     def __init__(self, space: PathSpace):
-        info = coxeter_info(space.spectrum)
-        self.coxeter = None if info is None else info.coxeter_number
+        self.top_length = space.top_length
         self.sqrt_mu = np.asarray(space.sqrt_mu)
         self.walks: dict = {}
         self.annihilators: dict = {}
@@ -554,7 +552,7 @@ class _DecompositionTables:
 
             def grow(suffix, length):
                 levels[len(suffix)].append(suffix)
-                low = 0 if self.coxeter is None else max(0, length - self.coxeter + 1)
+                low = max(0, length - self.top_length - 1)
                 high = length - 2 if not suffix else min(length - 2, suffix[0] - 1)
                 for i in range(low, high + 1):
                     grow((i,) + suffix, length - 2)

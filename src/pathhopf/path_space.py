@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import CutoffError, GraphError
-from .graph_core import Graph, Spectrum, perron_frobenius
+from .graph_core import Graph, Spectrum, coxeter_info, perron_frobenius
 
 #: Coefficients smaller than this in absolute value are dropped after every
 #: operation, so float dust cannot grow support sets.
@@ -199,6 +199,9 @@ class PathSpace:
         self.beta = float(self.spectrum.beta)
         self.mu = tuple(float(v) for v in self.spectrum.mu)
         self.sqrt_mu = tuple(math.sqrt(v) for v in self.mu)
+        info = coxeter_info(self.spectrum)
+        #: h - 2 on a finite ADE graph, past which every E_n is zero; inf if affine
+        self.top_length = math.inf if info is None else info.max_essential_length
         self.cutoff = default_cutoff() if cutoff is None else int(cutoff)
         if self.cutoff < 0:
             raise CutoffError(f"cutoff must be nonnegative, got {self.cutoff}")

@@ -7,7 +7,6 @@ import numpy as np
 
 from pathhopf import (
     AlgebraElement,
-    CoefficientKey,
     Decomposition,
     Graph,
     OperatorWord,
@@ -387,7 +386,7 @@ def reference_projector(space, x, y, memo=None):
         for iw, m2, right in terms(y):
             if len(jw) != len(iw):
                 continue
-            cij = coefficient_C(space, CoefficientKey(iw, jw), m)
+            cij = coefficient_C(space, iw, jw, m)
             for e, ce in left.items():
                 for f, cf in right.items():
                     out[m, e, f] = out.get((m, e, f), 0.0) + cij * ce * cf

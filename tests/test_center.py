@@ -84,7 +84,7 @@ def test_center_closure_catches_a_wrong_junction_scalar(monkeypatch):
 
     def scaled(beta, n1, n2):
         out = list(true_scalars(beta, n1, n2))
-        if len(out) > 1 and out[1] is not None:
+        if len(out) > 1:
             out[1] *= 1.01
         return tuple(out)
 

@@ -223,6 +223,15 @@ def test_cutoff_env_override(monkeypatch, capture):
     assert "cutoff" in err
 
 
+def test_verify_refuses_associativity_past_the_cutoff(capture, monkeypatch):
+    # (x y) z at --max-length 5 reaches length 15 on a_aff_2
+    monkeypatch.delenv("PATHHOPF_CUTOFF", raising=False)
+    code, out, err = capture("verify", TRI, "--max-length", "5", "--samples", "3")
+    assert code == 1
+    assert out == ""
+    assert "pathhopf: error" in err and "cutoff 12" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

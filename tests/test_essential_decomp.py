@@ -32,7 +32,7 @@ from pathhopf import (
 from pathhopf.errors import GraphError, PathHopfError, SingularSystemError
 from pathhopf.graph_core import Spectrum
 from pathhopf.essential_decomp import _DecompositionTables, _tables, creation_words, word_gram
-from pathhopf.weak_hopf import CoefficientKey, coefficient_C, projector_P
+from pathhopf.weak_hopf import coefficient_C, projector_P
 import frozen_cases
 from helpers import (
     assert_decomposition,
@@ -676,7 +676,7 @@ def test_word_gram_is_positive_definite_and_matches_coefficient_C(name, top):
             assert np.linalg.eigvalsh(gram).min() > 1e-9, (name, n, l)
             for a, wa in enumerate(words):
                 for b, wb in enumerate(words):
-                    c = coefficient_C(space, CoefficientKey(wb, wa), m)
+                    c = coefficient_C(space, wb, wa, m)
                     assert abs(gram[a, b] - c) < 1e-12, (name, n, l, wa, wb)
 
 

@@ -13,11 +13,13 @@ from pathhopf import (
     OperatorWord,
     PathSpace,
     PathVector,
+    Spectrum,
     concat,
     inner_product,
+    load_fixture,
     star,
 )
-from helpers import operator_residual, pv, random_vector, sup_diff, unit
+from helpers import graph_from_edges, operator_residual, pv, random_vector, sup_diff, unit
 
 ROOT2 = math.sqrt(2)
 Q = 2 ** 0.25  # sqrt(mu_1 / mu_0) on the three-vertex chain
@@ -34,6 +36,31 @@ def test_negative_cutoff_rejected(a3):
     assert PathSpace(a3.graph, a3.spectrum, cutoff=0).cutoff == 0
     with pytest.raises(CutoffError, match="nonnegative"):
         PathSpace(a3.graph, a3.spectrum, cutoff=-5)
+
+
+@pytest.mark.parametrize(
+    "graph, top",
+    [
+        ("a2", 1),
+        ("a3", 2),
+        ("a4", 3),
+        ("d4", 4),
+        ([(0, 1), (1, 2), (2, 3), (2, 4)], 6),  # D5, h = 8
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)], 10),  # E6, h = 12
+        ("a_aff_2", math.inf),
+    ],
+    ids=["a2", "a3", "a4", "d4", "D5", "E6", "a_aff_2"],
+)
+def test_top_length_is_two_below_the_coxeter_number(graph, top):
+    g = load_fixture(graph) if isinstance(graph, str) else graph_from_edges("g", graph)
+    assert PathSpace(g).top_length == top
+
+
+def test_top_length_comes_from_the_given_spectrum(a3):
+    # beta = 2 cos(pi / 6) is D4's, beta = 2 is affine
+    d4_beta = Spectrum(beta=2 * math.cos(math.pi / 6), mu=a3.spectrum.mu)
+    assert PathSpace(a3.graph, d4_beta).top_length == 4
+    assert PathSpace(a3.graph, Spectrum(beta=2.0, mu=a3.spectrum.mu)).top_length == math.inf
 
 
 # -- enumeration --------------------------------------------------------------

@@ -13,7 +13,6 @@ import frozen_cases
 from pathhopf import (
     AlgebraElement,
     BasisError,
-    CoefficientKey,
     CutoffError,
     GraphError,
     OperatorWord,
@@ -96,39 +95,39 @@ def random_element(space, max_length, rng, terms=4):
 
 
 def test_coefficient_identity_pair(a3):
-    c = coefficient_C(a3, CoefficientKey((0,), (0,)), 0)
+    c = coefficient_C(a3, (0,), (0,), 0)
     assert abs(c - a3.beta) < 1e-12
 
 
 def test_coefficient_neighbor_pair(a3):
-    c = coefficient_C(a3, CoefficientKey((0,), (1,)), 1)
+    c = coefficient_C(a3, (0,), (1,), 1)
     assert abs(c - 1.0) < 1e-12
-    c = coefficient_C(a3, CoefficientKey((1,), (0,)), 1)
+    c = coefficient_C(a3, (1,), (0,), 1)
     assert abs(c - 1.0) < 1e-12
 
 
 def test_coefficient_unequal_lengths_zero(a3):
-    assert coefficient_C(a3, CoefficientKey((0,), ()), 1) == 0
+    assert coefficient_C(a3, (0,), (), 1) == 0
 
 
 def test_coefficient_depends_on_base_length(tri):
     # creation at index 1 cannot act on a vertex, so the pair contracts to 0
     # at base length 0 but to beta at base length 1
-    assert abs(coefficient_C(tri, CoefficientKey((1,), (1,)), 0)) < 1e-12
-    assert abs(coefficient_C(tri, CoefficientKey((1,), (1,)), 1) - tri.beta) < 1e-12
+    assert abs(coefficient_C(tri, (1,), (1,), 0)) < 1e-12
+    assert abs(coefficient_C(tri, (1,), (1,), 1) - tri.beta) < 1e-12
 
 
 def test_coefficient_requires_nonempty_basis(a3):
     with pytest.raises(BasisError):
-        coefficient_C(a3, CoefficientKey((0,), (0,)), 3)
+        coefficient_C(a3, (0,), (0,), 3)
 
 
 def test_coefficient_word_pairs_match_hand_contraction(tri):
     # c_0 c_2 c_1† c_0† contracts to beta via c_2 c_1† = 1 and c_0 c_0† = beta
-    c = coefficient_C(tri, CoefficientKey((0, 2), (0, 1)), 0)
+    c = coefficient_C(tri, (0, 2), (0, 1), 0)
     assert abs(c - tri.beta) < 1e-12
     # c_0 c_1 c_1† c_0† = beta^2
-    c = coefficient_C(tri, CoefficientKey((0, 1), (0, 1)), 0)
+    c = coefficient_C(tri, (0, 1), (0, 1), 0)
     assert abs(c - tri.beta**2) < 1e-12
 
 
@@ -213,7 +212,7 @@ def test_junctions_vanish_where_the_scalar_is_singular(name, expected):
         for n1 in range(top + 1)
         for n2 in range(top + 1)
         for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2))
-        if scalar is None
+        if scalar == 0
     ]
     assert expected in singular
     for n1, n2, l in singular:
@@ -231,7 +230,7 @@ def test_nonzero_junction_at_a_singular_scalar_raises(a3, monkeypatch):
     from pathhopf import weak_hopf
 
     def singular_at_zero(beta, n1, n2):
-        return (None,) + _junction_scalars(beta, n1, n2)[1:]
+        return (0.0,) + _junction_scalars(beta, n1, n2)[1:]
 
     monkeypatch.setattr(weak_hopf, "_junction_scalars", singular_at_zero)
     space = PathSpace(a3.graph, a3.spectrum)
@@ -1172,6 +1171,17 @@ def test_verify_axioms_rejects_cutoff_overflow(tri):
     tight = PathSpace(tri.graph, tri.spectrum, cutoff=3)
     with pytest.raises(CutoffError):
         verify_axioms(tight, 2, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("samples", [1, 20])
+def test_verify_axioms_refuses_associativity_past_the_cutoff(tri, samples):
+    # (x y) z reaches length 3 * 5 = 15 past the cutoff 12 on an affine
+    # graph, whether or not a drawn triple reaches it; refused before any
+    # junction is built
+    space = PathSpace(tri.graph, tri.spectrum, cutoff=12)
+    with pytest.raises(CutoffError, match="cutoff 12"):
+        verify_axioms(space, 5, samples=samples, seed=0)
+    assert not space.cache.get("junctions")
 
 
 def test_verify_axioms_checks_only_built_lengths_on_a_finite_graph(a3):
