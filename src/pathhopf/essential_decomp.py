@@ -24,15 +24,15 @@ orthogonal projections.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .errors import BasisError, CutoffError, GraphError, PathHopfError, SingularSystemError
 from .path_space import (
+    PRUNE_TOL,
     OperatorWord,
     PathSpace,
     PathVector,
@@ -285,7 +285,8 @@ def decompose(space: PathSpace, x: PathVector) -> Decomposition:
     per level through the stacked map of that level's words.  The words
     are `creation_words(space, n)`: strictly increasing, every index
     <= n - 2, and on a finite ADE graph truncated so that the c†_w xi stay
-    independent.  recompose returns the input.
+    independent.  recompose returns the input.  The terms are adopted
+    (`PathVector._adopt`) from rows pruned in numpy (`_gather`).
     """
     n = x.length
     tables = _tables(space)
@@ -296,13 +297,21 @@ def decompose(space: PathSpace, x: PathVector) -> Decomposition:
             basis = tables.basis(space, n - 2 * l, s, r)[0]
             eta = tables.gram_inverse(space, n, l) @ rows @ basis.T
             y = y - _spread(src, weight, eta.ravel()[flat], len(y))
-            paths = tables.block(space, n - 2 * l, s, r)
-            for w, v in zip(words[l], eta.tolist()):
-                parts.setdefault(w, {}).update(zip(paths, v))
-        parts.setdefault((), {}).update(zip(tables.block(space, n, s, r), y.tolist()))
+            _gather(parts, words[l], eta, tables.block(space, n - 2 * l, s, r))
+        _gather(parts, [()], y[None], tables.block(space, n, s, r))
     ops = tables.operators[n]
-    terms = ((ops[w], PathVector(n - 2 * len(w), parts[w])) for w in ops if w in parts)
-    return Decomposition(length=n, terms=tuple(t for t in terms if not t[1].is_zero()))
+    terms = ((ops[w], PathVector._adopt(n - 2 * len(w), parts[w])) for w in ops if w in parts)
+    return Decomposition(length=n, terms=tuple(terms))
+
+
+def _gather(parts, words, rows, paths) -> None:
+    """Add row i of `rows` to parts[words[i]]: {paths[j]: complex} above PRUNE_TOL."""
+    mask = np.abs(rows) > PRUNE_TOL
+    keys = map(paths.__getitem__, np.nonzero(mask)[1].tolist())
+    pairs = zip(keys, rows[mask].astype(complex).tolist())
+    for w, count in zip(words, mask.sum(axis=1).tolist()):
+        if count:
+            parts.setdefault(w, {}).update(islice(pairs, count))
 
 
 def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
@@ -432,19 +441,21 @@ def _tables(space: PathSpace) -> "_DecompositionTables":
 class _DecompositionTables:
     """What `decompose` and `pair_levels` read, filled on first use.
 
-    Per (length, source, range) block: the walks in lexicographic order,
-    every c_k to length - 2 (`annihilator`), the stacked c_w of each
-    level's words (`level_maps`), and the block of the essential basis as
-    a dense real matrix.  Per length: the creation words of each level and
-    one `OperatorWord` each.  Per (length, level): their Gram matrix and
-    its inverse.  No dense map on all paths of a length is kept.  Holds no
-    reference to the space, so the space's cache does not point back at it.
+    Per (length, source, range) block: the walks in lexicographic order and
+    a {walk: position} dict, every c_k to length - 2 (`annihilator`), the
+    stacked c_w of each level's words (`level_maps`), and the block of the
+    essential basis as a dense real matrix.  Per length: the creation words
+    of each level and one `OperatorWord` each.  Per (length, level): their
+    Gram matrix and its inverse.  No dense map on all paths of a length is
+    kept.  Holds no reference to the space, so the space's cache does not
+    point back at it.
     """
 
     def __init__(self, space: PathSpace):
         self.top_length = space.top_length
         self.sqrt_mu = np.asarray(space.sqrt_mu)
         self.walks: dict = {}
+        self.indices: dict = {}
         self.annihilators: dict = {}
         self.maps: dict = {}
         self.bases: dict = {}
@@ -467,12 +478,13 @@ class _DecompositionTables:
     def positions(self, space, length, s, r, paths):
         """Positions of `paths` in `block(space, length, s, r)`; raises
         `GraphError` for one that is not in it."""
-        walks = self.block(space, length, s, r)
-        out = np.fromiter((bisect_left(walks, p) for p in paths), np.intp)
-        for p, j in zip(paths, out.tolist()):
-            if j == len(walks) or walks[j] != p:
-                raise GraphError(f"{format_path(p)} is not a walk of length {length}")
-        return out
+        key = (length, s, r)
+        if key not in self.indices:
+            self.indices[key] = {p: j for j, p in enumerate(self.block(space, length, s, r))}
+        try:
+            return np.fromiter(map(self.indices[key].__getitem__, paths), np.intp, len(paths))
+        except KeyError as e:
+            raise GraphError(f"{format_path(e.args[0])} is not a walk of length {length}") from None
 
     def annihilator(self, space, length, s, r):
         """Every c_k from `length` on block (s, r) as arrays (target, weight)

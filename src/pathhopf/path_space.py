@@ -51,7 +51,8 @@ class SparseCoefficients:
     A subclass is built as cls(tag, coeffs) and stores the tag (a length, a
     space) under the attribute that `_tag` names; sums and scalar multiples
     keep the class and the tag.  Construction drops every coefficient with
-    |c| <= `prune`, so float dust cannot grow support sets.
+    |c| <= `prune`, so float dust cannot grow support sets; `_adopt` skips
+    that pass for a dict that is already pruned and converted (`decompose`).
     """
 
     __slots__ = ("coeffs",)
@@ -62,6 +63,13 @@ class SparseCoefficients:
         setattr(self, self._tag, tag)
         prune = self.prune
         self.coeffs = {k: complex(c) for k, c in coeffs.items() if abs(c) > prune} if coeffs else {}
+
+    @classmethod
+    def _adopt(cls, tag, coeffs: dict):
+        """cls(tag, coeffs), keeping `coeffs` itself: its values must be complex, |c| > `prune`."""
+        out = cls(tag)
+        out.coeffs = coeffs
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -31,6 +31,7 @@ from pathhopf import (
 )
 from pathhopf.errors import GraphError, PathHopfError, SingularSystemError
 from pathhopf.graph_core import Spectrum
+from pathhopf.path_space import PRUNE_TOL
 from pathhopf.essential_decomp import _DecompositionTables, _tables, creation_words, word_gram
 from pathhopf.weak_hopf import coefficient_C, projector_P
 import frozen_cases
@@ -613,6 +614,30 @@ def test_stacked_maps_are_built_once_per_block(monkeypatch):
     with pytest.raises(FrozenInstanceError):
         first.terms[1][0].indices = (0,)
     assert decompose(space, zero_vector(6)).terms == ()
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "A_aff_2", "E6"])
+def test_decompose_terms_hold_the_adopt_contract(name):
+    # decompose hands its dicts to PathVector._adopt, which skips the
+    # conversion and the pruning of __init__: every value must already be a
+    # complex above PRUNE_TOL.  The vector over all blocks merges the dicts
+    # of one word from several blocks
+    space = PathSpace(edge_graph(name))
+    rng = np.random.default_rng(len(name) + 7)
+    inputs = []
+    for n in range(9):
+        paths = space.enumerate_paths(n)
+        inputs += [unit(p) for p in paths]
+        coeffs = rng.standard_normal(len(paths)) + 1j * rng.standard_normal(len(paths))
+        dense = dict(zip(paths, coeffs))
+        for ends in sorted({(p[0], p[-1]) for p in paths}):
+            inputs.append(pv({p: c for p, c in dense.items() if (p[0], p[-1]) == ends}))
+        inputs.append(pv(dense))
+    for x in inputs:
+        for word, v in decompose(space, x).terms:
+            assert v.coeffs, word
+            assert all(type(c) is complex and abs(c) > PRUNE_TOL for c in v.coeffs.values()), word
+            assert PathVector(v.length, dict(v.coeffs)).coeffs == v.coeffs, word
 
 
 @pytest.mark.parametrize("path", [(0, 2, 1), (0, 1, 7), (7, 1, 0), (0, 1)])

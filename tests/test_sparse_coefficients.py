@@ -1,6 +1,6 @@
 """The sparse arithmetic that path vectors, algebra elements and tensor
-squares share: pruning on construction, and sums and scalar multiples that
-keep their class and tag."""
+squares share: pruning on construction, adoption of an already pruned dict,
+and sums and scalar multiples that keep their class and tag."""
 
 import pytest
 
@@ -47,6 +47,33 @@ def test_graded_sums_and_multiples_keep_class_and_space(a3, cls, key):
     assert (x - y).coeffs == {key: 0.5}
     assert (x - x).is_zero()
     assert (-2 * x).sup_norm() == 2.0
+
+
+@pytest.mark.parametrize("cls", [PathVector, AlgebraElement])
+def test_adopt_matches_a_constructed_twin(a3, cls):
+    # _adopt takes a dict already in the form __init__ makes (complex values
+    # above the class's prune) as it is
+    if cls is PathVector:
+        tag, keys = 2, [(0, 1, 2), (1, 0, 1), (1, 2, 1)]
+    else:
+        tag, keys = a3, [(1, 0, 1), (1, 2, 3), (2, 1, 1)]
+    coeffs = dict(zip(keys, [1.5 + 0j, -0.25 + 2j, 3e-3j]))
+    adopted, twin = cls._adopt(tag, coeffs), cls(tag, dict(coeffs))
+    assert type(adopted) is cls
+    assert getattr(adopted, cls._tag) is tag
+    assert adopted.coeffs is coeffs
+    other = cls(tag, {keys[0]: -1.5, keys[2]: 1.0})
+    assert adopted.terms() == twin.terms()
+    for f in (
+        lambda v: v + other, lambda v: other + v, lambda v: v - other,
+        lambda v: 2j * v, lambda v: v * 0.5, lambda v: -v, lambda v: v + v,
+    ):
+        got, want = f(adopted), f(twin)
+        assert type(got) is cls and getattr(got, cls._tag) is tag
+        assert got.terms() == want.terms()
+    assert (adopted - twin).is_zero()
+    # the arithmetic builds new instances and leaves the adopted dict alone
+    assert coeffs == dict(zip(keys, [1.5 + 0j, -0.25 + 2j, 3e-3j]))
 
 
 def test_path_vectors_of_different_lengths_do_not_add():
