@@ -138,9 +138,12 @@ def test_verify_json(capture):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert any(r["name"] == "antipode cancellation" for r in doc["axioms"])
-    # pool: 3^2 + 4^2 basis keys plus 5 samples; pair and triple axioms see 5
+    # pool: 3^2 + 4^2 basis keys plus 5 samples; the sampled pair and triple
+    # axioms see 5, the two pair axioms checked on keys the 77 key pairs
+    # whose endpoints meet
+    on_keys = ("coproduct multiplicative", "counit of product")
     for r in doc["axioms"]:
-        assert r["checked"] in (30, 5)
+        assert r["checked"] == 77 if r["name"] in on_keys else r["checked"] in (30, 5)
         assert r["witness"] and all(len(key) == 3 for arg in r["witness"] for key in arg)
 
 
@@ -295,8 +298,9 @@ def test_negative_essentials_length_rejected(capture, length):
 
 
 def test_negative_tolerance_rejected(capture):
-    code, _, err = capture("spectrum", A3, "--tol", "-1")
+    code, _, err = capture("verify", A3, "--max-length", "1", "--samples", "2", "--tol", "-1")
     assert code == 1
+    assert "tolerance must be finite and positive" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
