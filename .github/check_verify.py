@@ -1,22 +1,32 @@
 """Check a `pathhopf verify --format json` report from a CI smoke run.
 
-Usage: python3 check_verify.py REPORT PAIRS
+Usage: python3 check_verify.py REPORT PAIRS KEYS
 
 Exits 0 when every axiom passed and checked at least one element or tuple,
-and "coproduct multiplicative" and "counit of product" each checked PAIRS
-key pairs, the exhaustive count of the meeting key pairs; 1 otherwise.
+"coproduct multiplicative" and "counit of product" each checked PAIRS key
+pairs, the exhaustive count of the meeting key pairs, each of the nine
+linear unary axioms checked KEYS basis keys, the number of keys (n, a, b)
+up to the report's max_length, and counit positivity checked those keys
+plus the report's samples; 1 otherwise.
 """
 
 import json
 import sys
 
-report, pairs = json.load(open(sys.argv[1])), int(sys.argv[2])
+report, pairs, keys = json.load(open(sys.argv[1])), int(sys.argv[2]), int(sys.argv[3])
 checked = {r["name"]: r["checked"] for r in report["axioms"]}
+expected = dict.fromkeys(("coproduct multiplicative", "counit of product"), pairs)
+expected.update(dict.fromkeys((
+    "unit element", "star involution", "coproduct star-compatible", "coassociativity",
+    "counit left inverse", "counit right inverse", "antipode star double",
+    "antipode coproduct rule", "antipode cancellation",
+), keys))
+expected["counit positivity"] = keys + report["samples"]
 problems = [f"{name} checked nothing" for name, count in checked.items() if count < 1]
 problems += [
-    f"{name} checked {checked.get(name)} key pairs, not {pairs}"
-    for name in ("coproduct multiplicative", "counit of product")
-    if checked.get(name) != pairs
+    f"{name} checked {checked.get(name)}, not {count}"
+    for name, count in expected.items()
+    if checked.get(name) != count
 ]
 if report["all_passed"] is not True:
     problems.append("not all axioms passed")

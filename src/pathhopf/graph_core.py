@@ -81,9 +81,10 @@ def parse_graph(text: str) -> Graph:
 
     `vertices` and `edges` are JSON arrays, every vertex label and the
     optional `name` are JSON strings.  Edges are unordered pairs of
-    vertex indices, each a JSON integer (not a boolean); the adjacency
-    matrix is derived symmetric.  Raises `GraphError` on malformed input or
-    when the resulting graph fails `validate`.
+    vertex indices, each a JSON integer (not a boolean), and no pair may be
+    listed twice, in either orientation; the adjacency matrix is derived
+    symmetric.  Raises `GraphError` on malformed input or when the
+    resulting graph fails `validate`.
     """
     try:
         doc = json.loads(text)
@@ -108,13 +109,16 @@ def parse_graph(text: str) -> Graph:
     if len(set(vertices)) != len(vertices):
         raise GraphError("duplicate vertex labels")
     n = len(vertices)
-    adjacency = np.zeros((n, n), dtype=int)
+    adjacency, listed = np.zeros((n, n), dtype=int), {}
     for edge in edges:
         if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
             raise GraphError(f"edge {edge!r} is not a pair of integer indices")
         i, j = edge
         if not (0 <= i < n and 0 <= j < n):
             raise GraphError(f"edge {edge!r} references a vertex out of range")
+        first = listed.setdefault((min(i, j), max(i, j)), edge)
+        if first is not edge:
+            raise GraphError(f"edge {edge!r} repeats edge {first!r}; multiple edges are not allowed")
         adjacency[i, j] = 1
         adjacency[j, i] = 1
     graph = Graph(name=name, vertices=tuple(vertices), adjacency=adjacency)

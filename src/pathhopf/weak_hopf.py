@@ -26,15 +26,16 @@ the full basis of its length, and the counit is the diagonal sum.
 blocks X[a, b] of the keys (n, a, b) (`_unary_residuals`): the maps
 written on the structure constants (S, the endpoint weights, the junction
 arrays and lambda), not the public maps above, evaluated at once on the
-stack of every basis key and on the sampled elements' blocks.  The
+stack of every basis key.  Each is linear or antilinear, so the keys
+bound every element's residual and no sampled element adds a check.  The
 junctions J_l of each pair of lengths are stacked once per call into dense
 arrays (`_junction_arrays`).  From them come, in closed form, counit
 positivity on every basis key (`_key_counits`) and coproduct
 multiplicativity and the counit of a product on every pair of basis keys
 whose endpoints meet (`_key_pair_residuals`); both pair axioms are
 bilinear, so the key pairs cover every pair of elements.  The other axioms
-in two or three arguments, and positivity on the sampled elements, are
-evaluated with the maps above.
+in two or three arguments, and positivity (quadratic) on the sampled
+elements, are evaluated with the maps above.
 """
 
 from __future__ import annotations
@@ -423,9 +424,9 @@ def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class AxiomResult:
-    """The worst residual of one axiom over its `checked` elements or tuples,
-    and `witness`: the sorted basis keys of each argument of the first one,
-    in pool order, that reached it."""
+    """The worst residual of one axiom over its `checked` keys, elements or
+    tuples, and `witness`: the sorted basis keys of each argument of the
+    first one in pool order within a relative 1e-9 of it (`_worst`)."""
 
     name: str
     residual: float
@@ -556,26 +557,27 @@ def _key_pair_residuals(space, arrays, n1, n2) -> tuple:
     return meet, delta_sup, np.abs(eps.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3) - split)
 
 
-def _unary_residuals(space, n, Z, weight_fn=None, *, arrays) -> dict:
-    """The nine linear unary axioms at length n: name -> (R, r), with R[a, b]
-    the residual of the basis key (n, a, b) and r[i] that of the block Z[i].
+def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
+    """The nine linear unary axioms at length n: name -> R, with R[a, b] the
+    residual of the basis key (n, a, b).
 
     A block X[a, b] holds the coefficients of the keys (n, a, b).  On blocks
     the star is S conj(X) S^T (star matrix S), the antipode
     (S (W o X) S^T)^T (endpoint weights W, one call of the weight per pair
     of blocks), the counit pairs X with eps = 1, and Delta(X)[a, c, c', b] =
     X[a, b] delta[c, c'], delta = 1.  A residual is the sup of the difference
-    of the axiom's two sides on X itself (on conj(X) for the antilinear
-    "coproduct star-compatible").  The keys' residuals are one evaluation on
-    the stack of all d^2 unit blocks, except where a tensor-square image
-    would make that d^6: "antipode coproduct rule" on e_ab is
-    (S e_ab S^T) (x) M[a, b], whose sup is the product of the factors' sups,
-    and "antipode cancellation" on e_ab is sum_c' R[a, c'] (x) e_c'b, with
-    R[a, c'] = m (S (x) id) Delta(e_ac') less the unit's part (x 1_(2) keeps
-    b by the right unit law, which "unit element" checks), whose sup depends
-    on a alone.  Tensor-square residuals of a batch are formed in slices of
-    about `_BATCH_ENTRIES` entries.  `arrays(n1, n2)` gives the junction
-    arrays of `_junction_arrays`.
+    of the axiom's two sides.  Each axiom is linear or antilinear, so an
+    element's residual is at most sum |z_k| R[k] over its keys k, and 0
+    exactly when every R[k] is: the keys are the whole check.  They are one
+    evaluation on the stack of all d^2 unit blocks, except where a
+    tensor-square image would make that d^6: "antipode coproduct rule" on
+    e_ab is (S e_ab S^T) (x) M[a, b], whose sup is the product of the
+    factors' sups, and "antipode cancellation" on e_ab is
+    sum_c' R[a, c'] (x) e_c'b, with R[a, c'] = m (S (x) id) Delta(e_ac')
+    less the unit's part (x 1_(2) keeps b by the right unit law, which
+    "unit element" checks), whose sup depends on a alone and is formed in
+    slices of about `_BATCH_ENTRIES` entries.  `arrays(n1, n2)` gives the
+    junction arrays of `_junction_arrays`.
     """
     basis = essential_basis(space, n)
     d, k, f = len(basis), len(basis.blocks), weight_fn or partial(_pf_weight, space)
@@ -610,7 +612,7 @@ def _unary_residuals(space, n, Z, weight_fn=None, *, arrays) -> dict:
         "counit right inverse": lambda Z: _sup(Z @ eps.T - Z),
         "antipode star double": lambda Z: _sup(star(anti(star(anti(Z)))) - Z),
     }
-    out = {name: (fn(units).reshape(d, d), fn(Z)) for name, fn in fns.items()}
+    out = {name: fn(units).reshape(d, d) for name, fn in fns.items()}
 
     # Delta(S X) - (S (x) S) tau Delta(X) on the legs (a', b', c2, c3) is the
     # sum over k of S (Wk[k] o X) S^T (x) G[k]: first Wk = W with G = delta,
@@ -618,17 +620,9 @@ def _unary_residuals(space, n, Z, weight_fn=None, *, arrays) -> dict:
     # e_ab it is (S e_ab S^T) (x) M[a, b]
     Wk = np.concatenate([W[None], W.T[:, :, None] * W[:, None, :]])
     G = np.concatenate([delta[None], -S.T[:, :, None] * S.T[:, None, :]]).reshape(d + 1, d * d)
-    M = np.tensordot(Wk, G, (0, 0))
+    M = np.abs(np.tensordot(Wk, G, (0, 0))).max(2, initial=0.0)
     column = np.abs(S).max(0, initial=0.0)
-
-    def coproduct_rule(Z):
-        Y = (S @ (Z[:, None] * Wk) @ S.T).reshape(len(Z), d + 1, d * d)
-        return _sup(np.swapaxes(Y, 1, 2) @ G)
-
-    out["antipode coproduct rule"] = (
-        column[:, None] * column * np.abs(M).max(2, initial=0.0),
-        _in_slices(coproduct_rule, Z, d**4),
-    )
+    out["antipode coproduct rule"] = column[:, None] * column * M
 
     # m (S (x) id) Delta(e_ac') = sum_c S(e_ac) e_cc' has at each l the terms
     # V[a, e] A[a, c', f] (m, e, f), with V = lambda_l W B, B[c, e] =
@@ -648,16 +642,7 @@ def _unary_residuals(space, n, Z, weight_fn=None, *, arrays) -> dict:
         parts[n] = parts[n] - np.tensordot(z, unit_part, (1, 0))[:, None]
         return np.max([_sup(part) for part in parts], axis=0)
 
-    def cancellation(Z):
-        i, f = np.nonzero(Z.any(axis=1))  # the nonzero columns of each block
-        sups = np.zeros(Z.shape[::2])
-        sups[i, f] = _in_slices(column_sups, Z[i, :, f], entries)
-        return sups.max(axis=1, initial=0.0)
-
-    out["antipode cancellation"] = (
-        np.repeat(_in_slices(column_sups, one, entries)[:, None], d, axis=1),
-        cancellation(Z),
-    )
+    out["antipode cancellation"] = np.repeat(_in_slices(column_sups, one, entries)[:, None], d, axis=1)
     return out
 
 
@@ -665,14 +650,14 @@ def _worst(name, pool, residuals) -> AxiomResult:
     """The largest of `residuals`, with the sorted keys of each argument of
     the first tuple in pool order that reached it to a relative 1e-9, so
     that rounding does not choose among tuples tied in exact arithmetic; a
-    NaN counts as the largest.  A pool of key pairs is an array of rows
-    (n1, a, b, n2, c, d)."""
+    NaN counts as the largest.  A pool of keys or of key pairs is an array
+    of rows (n, a, b) or (n1, a, b, n2, c, d)."""
     at = int(np.argmax(residuals))
     worst = float(residuals[at])
     if not math.isnan(worst):
         at = int(np.argmax(residuals >= worst * (1 - 1e-9)))
     if isinstance(pool, np.ndarray):
-        witness = tuple((key,) for key in map(tuple, pool[at].reshape(2, 3).tolist()))
+        witness = tuple((key,) for key in map(tuple, pool[at].reshape(-1, 3).tolist()))
     else:
         witness = tuple(tuple(sorted(x.coeffs)) for x in pool[at])
     return AxiomResult(name, worst, len(pool), witness)
@@ -688,14 +673,16 @@ def verify_axioms(
 ) -> VerificationReport:
     """Numerically check every weak-bialgebra and antipode axiom.
 
-    Unary axioms sweep all algebra basis elements with lengths up to
-    `max_length` plus `samples` seeded sparse random elements; the other
-    axioms in two or three arguments run on `samples` seeded random tuples
-    drawn from that pool.  Every unary axiom but counit positivity
-    (quadratic) is linear, or antilinear, and keeps lengths apart, so
-    `_unary_residuals` checks it per length on dense blocks, once for all
-    basis keys and once for the sampled elements' blocks, on the structure
-    constants (S, the endpoint weights W, the junction arrays and lambda,
+    The pool is every algebra basis key with length up to `max_length`
+    plus `samples` seeded sparse random elements; the axioms in two or
+    three arguments that are not checked on keys run on `samples` seeded
+    random tuples drawn from that pool.  Every unary axiom but counit
+    positivity (quadratic) is linear, or antilinear, and keeps lengths
+    apart, so an element's residual is bounded by its keys' residuals
+    weighted by |coefficient|, and vanishes when theirs do: these nine are
+    checked on the basis keys alone.  `_unary_residuals` evaluates them per
+    length on the stack of all unit blocks, on the structure constants (S,
+    the endpoint weights W, the junction arrays and lambda,
     Delta(X) = X (x) I, eps = tr), not through `star_alg`, `antipode`,
     `coproduct` or `counit`, which the tests hold to those forms.
     Coassociativity and the two counit laws are identities of that form, so
@@ -710,8 +697,8 @@ def verify_axioms(
     order (n1, n2, a, b, c, d); on the other pairs both sides vanish.
     Product associativity, the star antihomomorphism, the antipode product
     rule and positivity on the random elements evaluate each sampled tuple
-    directly.  Each result carries the number of elements, tuples or key
-    pairs checked and the basis keys of the first worst one.
+    directly.  Each result carries the number of keys, elements, tuples or
+    key pairs checked and the basis keys of the first worst one.
     `weight_fn` overrides the antipode's endpoint factor, which is how a
     deliberately corrupted antipode can be shown to fail.  Failures are
     reported as residuals, never raised.  An empty check (no samples, or a
@@ -728,15 +715,15 @@ def verify_axioms(
     if seed < 0:
         raise PathHopfError(f"seed must be nonnegative, got {seed}")
     _check_cutoff(space, 2 * max_length, max_length)  # (x y) z
-    triples_pool = [
+    keys = [
         (n, a, b)
         for n in range(max_length + 1)
         for a in range(len(essential_basis(space, n)))
         for b in range(len(essential_basis(space, n)))
     ]
     rng = np.random.default_rng(seed)
-    randoms = [_random_element(space, triples_pool, rng) for _ in range(samples)]
-    singles = [AlgebraElement.basis_element(space, *t) for t in triples_pool] + randoms
+    randoms = [_random_element(space, keys, rng) for _ in range(samples)]
+    singles = [AlgebraElement.basis_element(space, *k) for k in keys] + randoms
     pairs = [
         (singles[int(rng.integers(len(singles)))], singles[int(rng.integers(len(singles)))])
         for _ in range(samples)
@@ -753,23 +740,12 @@ def verify_axioms(
         values = np.asarray(values)
         return np.maximum(0.0, np.maximum(-values.real, np.abs(values.imag)))
 
-    # axiom -> (keys' residuals per length or pair of lengths, samples' residuals)
-    swept: dict = {"counit positivity": (
-        [], positivity([counit(multiply(x, star_alg(x))) for x in randoms]))}
+    swept: dict = {"counit positivity": []}  # axiom -> residuals per length or pair of lengths
     for n in range(max_length + 1):
-        d = len(essential_basis(space, n))
-        Z = np.zeros((samples, d, d), complex)
-        for i, x in enumerate(randoms):
-            for (m, a, b), z in x.coeffs.items():
-                if m == n:
-                    Z[i, a, b] = z
-        hit = np.flatnonzero(Z.any(axis=(1, 2)))
-        Z = Z[hit] if Z.imag.any() else Z[hit].real
-        for name, (keys, sampled) in _unary_residuals(space, n, Z, weight_fn, arrays=arrays).items():
-            kept, tail = swept.setdefault(name, ([], np.zeros(samples)))
-            kept.append(keys.ravel())
-            tail[hit] = np.maximum(tail[hit], sampled)
-        swept["counit positivity"][0].append(positivity(_key_counits(space, n, arrays)).ravel())
+        for name, R in _unary_residuals(space, n, weight_fn, arrays=arrays).items():
+            swept.setdefault(name, []).append(R.ravel())
+        swept["counit positivity"].append(positivity(_key_counits(space, n, arrays)).ravel())
+    swept["counit positivity"].append(positivity([counit(multiply(x, star_alg(x))) for x in randoms]))
     key_pairs = []  # rows (n1, a, b, n2, c, d)
     for n1 in range(max_length + 1):
         for n2 in range(max_length + 1):
@@ -777,8 +753,8 @@ def verify_axioms(
             a, b, c, d = np.nonzero(meet)
             key_pairs.append(np.column_stack([np.full_like(a, n1), a, b, np.full_like(a, n2), c, d]))
             for name, R in zip(("coproduct multiplicative", "counit of product"), residuals):
-                swept.setdefault(name, ([], np.zeros(0)))[0].append(R[meet])
-    key_pairs = np.concatenate(key_pairs)
+                swept.setdefault(name, []).append(R[meet])
+    key_pairs, keys = np.concatenate(key_pairs), np.array(keys)
     s_fn = partial(antipode, weight_fn=weight_fn)
     # two pair axioms read xy; each sampled pair is multiplied once
     product = lru_cache(maxsize=None)(multiply)
@@ -787,25 +763,25 @@ def verify_axioms(
     checks = (
         ("product associativity", triples,
          lambda x, y, z: (multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm()),
-        ("unit element", singles, None),
-        ("star involution", singles, None),
+        ("unit element", keys, None),
+        ("star involution", keys, None),
         ("star antihomomorphism", pairs,
          lambda x, y: (star_alg(product(x, y)) - multiply(star_alg(y), star_alg(x))).sup_norm()),
         ("coproduct multiplicative", key_pairs, None),
-        ("coproduct star-compatible", singles, None),
-        ("coassociativity", singles, None),
-        ("counit left inverse", singles, None),
-        ("counit right inverse", singles, None),
+        ("coproduct star-compatible", keys, None),
+        ("coassociativity", keys, None),
+        ("counit left inverse", keys, None),
+        ("counit right inverse", keys, None),
         ("counit of product", key_pairs, None),
         ("counit positivity", singles, None),
         ("antipode product rule", pairs,
          lambda x, y: (s_fn(product(x, y)) - multiply(s_fn(y), s_fn(x))).sup_norm()),
-        ("antipode star double", singles, None),
-        ("antipode coproduct rule", singles, None),
-        ("antipode cancellation", singles, None),
+        ("antipode star double", keys, None),
+        ("antipode coproduct rule", keys, None),
+        ("antipode cancellation", keys, None),
     )
     results = tuple(
-        _worst(name, pool, np.concatenate([*swept[name][0], swept[name][1]]) if fn is None
+        _worst(name, pool, np.concatenate(swept[name]) if fn is None
                else np.fromiter((fn(*args) for args in pool), float, len(pool)))
         for name, pool, fn in checks
     )

@@ -138,12 +138,14 @@ def test_verify_json(capture):
     doc = json.loads(out)
     assert doc["all_passed"] is True
     assert any(r["name"] == "antipode cancellation" for r in doc["axioms"])
-    # pool: 3^2 + 4^2 basis keys plus 5 samples; the sampled pair and triple
-    # axioms see 5, the two pair axioms checked on keys the 77 key pairs
-    # whose endpoints meet
-    on_keys = ("coproduct multiplicative", "counit of product")
+    # pool: 3^2 + 4^2 basis keys plus 5 samples; the nine linear unary
+    # axioms see the 25 keys, counit positivity all 30, the sampled pair and
+    # triple axioms 5, and the two pair axioms checked on keys the 77 key
+    # pairs whose endpoints meet
+    counts = {"coproduct multiplicative": 77, "counit of product": 77, "counit positivity": 30,
+              "product associativity": 5, "star antihomomorphism": 5, "antipode product rule": 5}
     for r in doc["axioms"]:
-        assert r["checked"] == 77 if r["name"] in on_keys else r["checked"] in (30, 5)
+        assert r["checked"] == counts.get(r["name"], 25), r["name"]
         assert r["witness"] and all(len(key) == 3 for arg in r["witness"] for key in arg)
 
 
@@ -153,7 +155,7 @@ def test_verify_text_names_the_worst_element(capture, monkeypatch):
     monkeypatch.setattr(wh, "_pf_weight", lambda *a: 1.0)
     code, out, _ = capture("verify", A3, "--max-length", "2", "--samples", "5", "--seed", "2")
     line = next(l for l in out.splitlines() if l.startswith("antipode cancellation"))
-    assert "FAIL" in line and "39 checked, worst at (" in line
+    assert "FAIL" in line and "34 checked, worst at (1,1,0)" in line
 
 
 def test_export_schema(capture):
@@ -209,6 +211,15 @@ def test_invalid_graph_file_exits_one(tmp_path, capture):
     code, _, err = capture("spectrum", str(bad))
     assert code == 1
     assert "no edges" in err
+
+
+def test_repeated_edge_exits_one(tmp_path, capture):
+    # before, the double edge ran as A2: beta = 1, Coxeter number 3, exit 0
+    bad = tmp_path / "double.json"
+    bad.write_text('{"vertices": ["0", "1"], "edges": [[0, 1], [1, 0]]}')
+    code, out, err = capture("spectrum", str(bad))
+    assert code == 1 and out == ""
+    assert "edge [1, 0] repeats edge [0, 1]" in err
 
 
 def test_cutoff_flag_enforced(capture):

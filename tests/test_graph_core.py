@@ -94,6 +94,21 @@ def test_parse_rejects_edge_out_of_range():
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # a double edge is the affine A1 multigraph; it must not run as A2
+        ([[0, 1], [0, 1]], r"edge \[0, 1\] repeats edge \[0, 1\]"),
+        ([[1, 2], [0, 1], [2, 1]], r"edge \[2, 1\] repeats edge \[1, 2\]"),
+    ],
+    ids=["same-orientation", "reversed"],
+)
+def test_parse_rejects_a_repeated_edge(edges, message):
+    text = json.dumps({"vertices": ["0", "1", "2"], "edges": edges})
+    with pytest.raises(GraphError, match=message):
+        parse_graph(text)
+
+
 def test_parse_rejects_self_loop():
     text = json.dumps({"vertices": ["0", "1"], "edges": [[0, 0], [0, 1]]})
     with pytest.raises(GraphError, match="diagonal"):
