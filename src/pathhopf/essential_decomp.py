@@ -2,8 +2,8 @@
 
 A path vector is essential when every annihilation operator kills it.
 `essential_basis` builds each E_n in Bratteli coordinates, over the
-vectors xi . (r -> t) of E_{n-1}, and forms walks only when a basis is
-expanded (`EssentialBasis.vectors`, `EssentialBasis.block`).  The
+vectors xi . (r -> t) of E_{n-1}, with one stacked SVD per block shape,
+and forms walks only on expansion (`EssentialBasis.vectors`, `.block`).  The
 degree-n slice splits as the orthogonal direct sum, over l, of the spans of
 c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
@@ -64,12 +64,10 @@ class EssentialBasis:
         self.length = length
         self.kernels = kernels
         self.below = below
-        self.blocks = {}
-        self.endpoints = ()
-        for key, parts in kernels.items():  # lexicographic in (source, range)
-            size = len(next(iter(parts.values())))
-            self.blocks[key] = tuple(range(len(self.endpoints), len(self.endpoints) + size))
-            self.endpoints += (key,) * size
+        sizes = [len(next(iter(parts.values()))) for parts in kernels.values()]
+        bounds = list(accumulate(sizes, initial=0))
+        self.blocks = {key: tuple(range(i, j)) for key, i, j in zip(kernels, bounds, bounds[1:])}
+        self.endpoints = tuple(key for key, size in zip(kernels, sizes) for _ in range(size))
         self._unsigned: dict = {}
 
     def __len__(self):
@@ -134,8 +132,10 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     on the orthonormal candidates xi_a . (r -> t).  Per (source, range)
     block, that kernel is read off the SVD of the matrix of c_{n-2} from
     the candidate coordinates to those of E_{n-2}, which the rows of
-    E_{n-1} give: building the basis forms no walk.  Walks appear when
-    `EssentialBasis.vectors` or `EssentialBasis.block` is first read.
+    E_{n-1} give (`_annihilation_matrix`); the matrices of one shape go
+    through one stacked `np.linalg.svd`, so each length makes one call per
+    shape, not per block.  Building the basis forms no walk.  Walks appear
+    when `EssentialBasis.vectors` or `EssentialBasis.block` is first read.
     The result is deterministic; within each block the orthonormal vectors
     are the SVD's, each signed so that its first coefficient above 1e-9, in
     lexicographic path order, is positive.  Raises `CutoffError` for n
@@ -152,41 +152,45 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
 
 
 def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
-    nv = space.graph.num_vertices
     if n == 0:
+        nv = space.graph.num_vertices
         return EssentialBasis(0, {(s, s): {s: np.ones((1, 1))} for s in range(nv)})
     below = essential_basis(space, n - 1)
-    blocks, kernels = below.blocks, {}
-    for s in range(nv):
-        for t in range(nv):
-            sizes = {r: len(blocks[s, r]) for r in space.graph.neighbors[t] if (s, r) in blocks}
-            kernel = _block_kernel(space, below, s, t, sizes) if sizes else ()
-            if len(kernel):
-                bounds = list(accumulate(sizes.values(), initial=0))
-                kernels[s, t] = {r: kernel[:, i:j] for r, i, j in zip(sizes, bounds, bounds[1:])}
+    candidates = {}
+    for (s, r), offsets in below.blocks.items():
+        for t in space.graph.neighbors[r]:
+            candidates.setdefault((s, t), {})[r] = len(offsets)
+    sizes, shapes = dict(sorted(candidates.items())), {}  # lexicographic in (source, range)
+    for (s, t), block in sizes.items():
+        m = _annihilation_matrix(space, below, s, t, block)
+        shapes.setdefault(m.shape, {})[s, t] = m
+    # one SVD per shape; the full V^T spans the candidates, and its rows
+    # past each block's rank span that block's kernel
+    cut = {}
+    for group in shapes.values():
+        _, sing, vt = np.linalg.svd(np.stack(list(group.values())))
+        cut.update(zip(group, zip(vt, (sing > KERNEL_TOL).sum(axis=1).tolist())))
+    kernels = {}
+    for key, block in sizes.items():
+        vt, rank = cut[key]
+        if rank < len(vt):
+            kernel, bounds = vt[rank:], list(accumulate(block.values(), initial=0))
+            kernels[key] = {r: kernel[:, i:j] for r, i, j in zip(block, bounds, bounds[1:])}
     return EssentialBasis(n, kernels, below)
 
 
-def _block_kernel(space, below: EssentialBasis, s, t, sizes) -> np.ndarray:
-    """Block (s, t) of E_n as the kernel of c_{n-2} on the candidates
-    xi_a . (r -> t), xi_a in block (s, r) of E_{n-1} = `below`, for the
-    r ~ t and block sizes in `sizes`.
-
-    c_{n-2} sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part of
-    xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of E_{n-2}:
-    its matrix in E_{n-2} coordinates is read off `below.kernels`.  At
-    n = 1 that part is empty, so every candidate is kept."""
-    images = {r: below.kernels[s, r].get(t) for r in sizes}
-    rows = next((k.shape[1] for k in images.values() if k is not None), 0)
-    m = np.zeros((rows, sum(sizes.values())))
-    j = 0
-    for r, size in sizes.items():
-        if images[r] is not None:
-            m[:, j : j + size] = space.sqrt_mu[r] / space.sqrt_mu[t] * images[r].T
-        j += size
-    # the full V^T spans the candidates; rows past the rank span the kernel
-    _, sing, vt = np.linalg.svd(m)
-    return vt[int((sing > KERNEL_TOL).sum()) :]
+def _annihilation_matrix(space, below: EssentialBasis, s, t, sizes) -> np.ndarray:
+    """The matrix of c_{n-2} on the candidates xi_a . (r -> t), xi_a in
+    block (s, r) of E_{n-1} = `below`, for the r ~ t and block sizes in
+    `sizes`: it sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part
+    of xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of
+    E_{n-2}, read off `below.kernels`.  Each r's kernels hold that part
+    exactly when block (s, t) of E_{n-2} is not empty; when it is (always
+    at n = 1), the matrix has no rows."""
+    if t not in below.kernels[s, next(iter(sizes))]:
+        return np.zeros((0, sum(sizes.values())))
+    root_mu = space.sqrt_mu[t]
+    return np.hstack([space.sqrt_mu[r] / root_mu * below.kernels[s, r][t].T for r in sizes])
 
 
 def is_essential(space: PathSpace, x: PathVector, tol: float = 1e-9) -> bool:

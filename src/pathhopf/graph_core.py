@@ -10,7 +10,6 @@ essential-path length) is driven by the largest adjacency eigenvalue
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
 
@@ -194,18 +191,14 @@ def perron_frobenius(graph: Graph) -> Spectrum:
 def coxeter_info(spectrum: Spectrum, tol: float = DEFAULT_TOL) -> CoxeterInfo | None:
     """Coxeter data for `spectrum`, or None when beta >= 2.
 
-    For beta < 2 the candidate Coxeter number is N = round(pi/arccos(beta/2)),
-    accepted only if beta matches 2 cos(pi/N) to 1e-9; a beta < 2 that fits
-    no integer N means the graph is not ADE and None is returned with a
-    logged diagnostic.
+    For beta < 2, N = round(pi/arccos(beta/2)) and beta must match
+    2 cos(pi/N) to 1e-9.  By Smith's theorem only the ADE diagrams have
+    beta < 2, and each matches, so a miss is a numerical fault: `GraphError`.
     """
     beta = spectrum.beta
     if beta >= 2.0 - tol:
         return None
     number = round(math.pi / math.acos(beta / 2.0))
     if number < 2 or abs(beta - 2.0 * math.cos(math.pi / number)) >= 1e-9:
-        logger.warning(
-            "beta=%.12f is below 2 but matches no integer Coxeter number", beta
-        )
-        return None
+        raise GraphError(f"beta = {beta:.12f} is below 2 but matches no Coxeter number")
     return CoxeterInfo(coxeter_number=number, max_essential_length=number - 2)

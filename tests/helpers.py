@@ -26,7 +26,7 @@ from pathhopf import (
     tridiagonal_solve,
     zero_vector,
 )
-from pathhopf.essential_decomp import _blocks, _factor_images, _spread, _tables, word_gram
+from pathhopf.essential_decomp import KERNEL_TOL, _blocks, _factor_images, _spread, _tables, word_gram
 from pathhopf.graph_core import coxeter_info
 from pathhopf.weak_hopf import _product, _random_element, element_in_path_coordinates
 
@@ -172,6 +172,29 @@ def walk_essential_basis(space, top):
                     level[s, t] = vectors
         levels.append(level)
     return levels
+
+
+def per_block_kernel(space, below, s, t, sizes) -> np.ndarray:
+    """Block (s, t) of E_n as the kernel of c_{n-2} on the candidates
+    xi_a . (r -> t), xi_a in block (s, r) of E_{n-1} = `below`, for the
+    r ~ t and block sizes in `sizes`: one SVD per block, the reference for
+    `essential_basis`, which stacks the SVDs of each length by shape.
+
+    c_{n-2} sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part of
+    xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of E_{n-2}:
+    its matrix in E_{n-2} coordinates is read off `below.kernels`.  At
+    n = 1 that part is empty, so every candidate is kept."""
+    images = {r: below.kernels[s, r].get(t) for r in sizes}
+    rows = next((k.shape[1] for k in images.values() if k is not None), 0)
+    m = np.zeros((rows, sum(sizes.values())))
+    j = 0
+    for r, size in sizes.items():
+        if images[r] is not None:
+            m[:, j : j + size] = space.sqrt_mu[r] / space.sqrt_mu[t] * images[r].T
+        j += size
+    # the full V^T spans the candidates; rows past the rank span the kernel
+    _, sing, vt = np.linalg.svd(m)
+    return vt[int((sing > KERNEL_TOL).sum()) :]
 
 
 def block_projector(vectors, paths):

@@ -32,6 +32,7 @@ from pathhopf import (
 from pathhopf.errors import GraphError, PathHopfError, SingularSystemError
 from pathhopf.graph_core import Spectrum
 from pathhopf.path_space import PRUNE_TOL
+from pathhopf import essential_decomp
 from pathhopf.essential_decomp import _DecompositionTables, _tables, creation_words, word_gram
 from pathhopf.weak_hopf import coefficient_C, projector_P
 import frozen_cases
@@ -40,6 +41,7 @@ from helpers import (
     block_projector,
     decomp_as_dict,
     path_graph,
+    per_block_kernel,
     per_word_decompose,
     pv,
     random_vector,
@@ -402,6 +404,7 @@ FUSION_GRAPHS = {
 ORACLE_GRAPHS = {
     "A3": (3, [(0, 1), (1, 2)]),
     "D4": (4, [(0, 1), (0, 2), (0, 3)]),
+    "A4": (4, [(0, 1), (1, 2), (2, 3)]),
 }
 
 
@@ -494,6 +497,61 @@ def test_block_projectors_match_the_walk_oracle(name, top):
             paths = sorted({p for xi in ours + theirs for p in xi.coeffs})
             diff = block_projector(ours, paths) - block_projector(theirs, paths)
             assert np.abs(diff).max() < 1e-12, (name, n, block)
+
+
+def candidate_sizes(space, below, s, t):
+    """{r: dim of block (s, r) of `below`} over the r ~ t that have one."""
+    return {r: len(below.blocks[s, r]) for r in space.graph.neighbors[t] if (s, r) in below.blocks}
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("A3", 2), ("A4", 3), ("D4", 4), ("D5", 6), ("E6", 10), ("E8", 10), ("A_aff_2", 8), ("D_aff_4", 8)],
+)
+def test_stacked_kernels_equal_the_per_block_oracle_bitwise(name, top):
+    space = PathSpace(edge_graph(name))
+    nv = space.graph.num_vertices
+    for n in range(1, top + 1):
+        below, kernels, built = essential_basis(space, n - 1), essential_basis(space, n).kernels, []
+        for s, t in itertools.product(range(nv), repeat=2):
+            sizes = candidate_sizes(space, below, s, t)
+            kernel = per_block_kernel(space, below, s, t, sizes) if sizes else ()
+            if len(kernel):
+                built.append((s, t))
+                assert list(kernels[s, t]) == list(sizes), (n, s, t)
+                bounds = list(itertools.accumulate(sizes.values(), initial=0))
+                for r, i, j in zip(sizes, bounds, bounds[1:]):
+                    assert np.array_equal(kernels[s, t][r], kernel[:, i:j]), (n, s, t, r)
+        assert list(kernels) == built, n
+        if n == 1:
+            # c_{-1} has no rows: every edge is its own block and is kept
+            assert len(built) == space.graph.adjacency.sum()
+
+
+@pytest.mark.parametrize("name, top", [("E6", 10), ("A_aff_2", 8)])
+def test_each_length_runs_one_svd_per_block_shape(monkeypatch, name, top):
+    space = PathSpace(edge_graph(name))
+    nv, svd, calls = space.graph.num_vertices, np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls[-1].append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(essential_decomp.np.linalg, "svd", counted)
+    for n in range(top + 1):
+        calls.append([])
+        essential_basis(space, n)
+    monkeypatch.undo()
+    assert calls[0] == []
+    for n in range(1, top + 1):
+        below = essential_basis(space, n - 1)
+        two_below = essential_basis(space, n - 2).blocks if n >= 2 else {}
+        shapes = Counter()
+        for s, t in itertools.product(range(nv), repeat=2):
+            sizes = candidate_sizes(space, below, s, t)
+            if sizes:
+                shapes[len(two_below.get((s, t), ())), sum(sizes.values())] += 1
+        assert sorted(calls[n]) == sorted((count, *shape) for shape, count in shapes.items()), n
 
 
 # -- the word-Gram solve against the recursive splitter -----------------------

@@ -2,19 +2,25 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathhopf
 from pathhopf import (
     Graph,
     GraphError,
+    PathSpace,
     coxeter_info,
     load_fixture,
     parse_graph,
     perron_frobenius,
     validate,
 )
+from pathhopf.graph_core import Spectrum
 from helpers import path_graph
 
 
@@ -220,6 +226,24 @@ def test_coxeter_info_a2():
     info = coxeter_info(perron_frobenius(load_fixture("a2")))
     assert info.coxeter_number == 3
     assert info.max_essential_length == 1
+
+
+@pytest.mark.parametrize("beta", [1.9, 0.5, -1.5])
+def test_coxeter_info_rejects_a_beta_below_two_off_every_coxeter_number(beta):
+    # by Smith's theorem no graph has such a beta: only a numerical fault gets here
+    spectrum = Spectrum(beta=beta, mu=np.ones(3))
+    with pytest.raises(GraphError, match="matches no Coxeter number"):
+        coxeter_info(spectrum)
+    with pytest.raises(GraphError, match="matches no Coxeter number"):
+        PathSpace(path_graph(3), spectrum=spectrum)
+
+
+def test_cli_import_leaves_logging_unloaded():
+    # importing logging cost several milliseconds of every fresh CLI process
+    src = str(Path(pathhopf.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import pathhopf.cli; print('logging' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 @pytest.mark.parametrize(
