@@ -34,7 +34,6 @@ from .path_space import (
     PathSpace,
     PathVector,
     concat,
-    default_cutoff,
     format_path,
     inner_product,
     path_from_literal,
@@ -62,9 +61,7 @@ from .weak_hopf import (
     coefficient_C,
     coproduct,
     counit,
-    element_from_obj,
     element_in_path_coordinates,
-    element_to_obj,
     identity,
     multiply,
     multiply_tensor_square,
@@ -104,10 +101,7 @@ __all__ = [
     "counit",
     "coxeter_info",
     "decompose",
-    "default_cutoff",
-    "element_from_obj",
     "element_in_path_coordinates",
-    "element_to_obj",
     "essential_basis",
     "fixture_path",
     "format_path",

@@ -21,7 +21,6 @@ from .path_space import PathSpace, PathVector, format_path, path_from_literal
 from .weak_hopf import (
     AlgebraElement,
     VerificationReport,
-    element_to_obj,
     multiply,
     projector_P,
     verify_axioms,
@@ -147,13 +146,13 @@ def _element_text(x: AlgebraElement, out: list) -> None:
 
 
 def _element_obj(x: AlgebraElement) -> list:
-    obj = element_to_obj(x)
-    for entry in obj:
-        entry["coeff"] = [_round(v) for v in entry["coeff"]]
-        for side in ("left", "right"):
-            for term in entry[side]:
-                term["coeff"] = [_round(v) for v in term["coeff"]]
-    return obj
+    """One entry per term: its length, the terms of both vectors and its coefficient."""
+    out = []
+    for (n, a, b), z in x.terms():
+        xi = essential_basis(x.space, n).vectors
+        out.append({"length": n, "left": _vector_obj(xi[a]), "right": _vector_obj(xi[b]),
+                    "coeff": [_round(z.real), _round(z.imag)]})
+    return out
 
 
 def format_report(report: VerificationReport, fmt: str = "text") -> str:

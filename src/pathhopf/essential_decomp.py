@@ -193,10 +193,10 @@ def _annihilation_matrix(space, below: EssentialBasis, s, t, sizes) -> np.ndarra
     return np.hstack([space.sqrt_mu[r] / root_mu * below.kernels[s, r][t].T for r in sizes])
 
 
-def is_essential(space: PathSpace, x: PathVector, tol: float = 1e-9) -> bool:
-    """True iff every applicable annihilation image of `x` has norm < tol."""
+def is_essential(space: PathSpace, x: PathVector) -> bool:
+    """True iff every applicable annihilation image of `x` has norm < 1e-9."""
     return all(
-        space.annihilate(i, x).norm() < tol for i in range(x.length - 1)
+        space.annihilate(i, x).norm() < 1e-9 for i in range(x.length - 1)
     )
 
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import GraphError
 
-DEFAULT_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -188,15 +186,15 @@ def perron_frobenius(graph: Graph) -> Spectrum:
     return Spectrum(beta=beta, mu=mu)
 
 
-def coxeter_info(spectrum: Spectrum, tol: float = DEFAULT_TOL) -> CoxeterInfo | None:
-    """Coxeter data for `spectrum`, or None when beta >= 2.
+def coxeter_info(spectrum: Spectrum) -> CoxeterInfo | None:
+    """Coxeter data for `spectrum`, or None when beta >= 2 - 1e-9.
 
     For beta < 2, N = round(pi/arccos(beta/2)) and beta must match
     2 cos(pi/N) to 1e-9.  By Smith's theorem only the ADE diagrams have
     beta < 2, and each matches, so a miss is a numerical fault: `GraphError`.
     """
     beta = spectrum.beta
-    if beta >= 2.0 - tol:
+    if beta >= 2.0 - 1e-9:
         return None
     number = round(math.pi / math.acos(beta / 2.0))
     if number < 2 or abs(beta - 2.0 * math.cos(math.pi / number)) >= 1e-9:

@@ -13,7 +13,6 @@ the per-space memo dict recompute identical values and are benign.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import CutoffError, GraphError
@@ -28,20 +27,6 @@ DEFAULT_CUTOFF = 12
 #: An elementary path is the tuple of visited vertex indices; a path of
 #: length n has n + 1 entries.
 ElementaryPath = tuple[int, ...]
-
-
-def default_cutoff() -> int:
-    """Path-length cutoff: PATHHOPF_CUTOFF if set, else 12."""
-    raw = os.environ.get("PATHHOPF_CUTOFF")
-    if raw is None:
-        return DEFAULT_CUTOFF
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CutoffError(f"PATHHOPF_CUTOFF must be an integer, got {raw!r}")
-    if value < 0:
-        raise CutoffError(f"PATHHOPF_CUTOFF must be nonnegative, got {value}")
-    return value
 
 
 class SparseCoefficients:
@@ -191,9 +176,10 @@ class OperatorWord:
 class PathSpace:
     """Path operations over one graph and its Perron-Frobenius weights.
 
-    The instance also owns `cache`, a memo dict shared by the higher modules
-    (essential bases, decompositions, structure constants); it is filled on
-    first use and read-only afterwards.
+    `cutoff` bounds the path lengths the space builds, `DEFAULT_CUTOFF`
+    when not given.  The instance also owns `cache`, a memo dict shared by
+    the higher modules (essential bases, decompositions, structure
+    constants); it is filled on first use and read-only afterwards.
     """
 
     def __init__(
@@ -210,7 +196,7 @@ class PathSpace:
         info = coxeter_info(self.spectrum)
         #: h - 2 on a finite ADE graph, past which every E_n is zero; inf if affine
         self.top_length = math.inf if info is None else info.max_essential_length
-        self.cutoff = default_cutoff() if cutoff is None else int(cutoff)
+        self.cutoff = DEFAULT_CUTOFF if cutoff is None else int(cutoff)
         if self.cutoff < 0:
             raise CutoffError(f"cutoff must be nonnegative, got {self.cutoff}")
         self.cache: dict = {}
@@ -328,9 +314,11 @@ def path_from_literal(graph: Graph, text: str) -> ElementaryPath:
     """Parse a path literal against `graph`.
 
     The canonical form is dash-separated vertex indices ("0-1-2"); a pure
-    digit string ("012") is accepted as shorthand when all indices are a
-    single digit.  Raises `GraphError` for unknown vertices or non-adjacent
-    steps.
+    digit string ("012") is accepted as shorthand, one vertex per digit, on
+    a graph of at most 10 vertices, where every index is a single digit.
+    Raises `GraphError` for a shorthand of two or more digits on a larger
+    graph ("10" could be vertex 10 or the path 1-0), unknown vertices or
+    non-adjacent steps.
     """
     text = text.strip()
     if not text:
@@ -338,6 +326,8 @@ def path_from_literal(graph: Graph, text: str) -> ElementaryPath:
     if "-" in text:
         parts = text.split("-")
     elif text.isdigit():
+        if len(text) > 1 and graph.num_vertices > 10:
+            raise GraphError(f"path literal {text!r} needs dashes on a graph of more than 10 vertices")
         parts = list(text)
     else:
         raise GraphError(f"cannot parse path literal {text!r}")

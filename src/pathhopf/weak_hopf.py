@@ -10,8 +10,9 @@ l annihilations at the junction, and lambda_l is a ratio of q-binomials in
 beta, 0 where it is singular on a finite graph (there J_l vanishes).  No
 length past `PathSpace.top_length` is built, and no creation word is
 formed.  A term is nonzero only when r(a) = s(c) and r(b) = s(d), so
-`multiply`, `multiply_tensor_square` and the verifier index the right
-factor by its sources and multiply only the pairs whose endpoints meet.
+`multiply` and the verifier index the right factor by its sources and
+multiply only the pairs whose endpoints meet; `multiply_tensor_square`
+multiplies slot by slot through the same product.
 `projector_P` projects arbitrary path pairs: per level it pairs the
 essential coordinates of the two factors' creation word images through the
 inverse word-Gram matrix, U^T G^-1 V, by `essential_decomp.pair_levels`.
@@ -29,13 +30,13 @@ arrays and lambda), not the public maps above, evaluated at once on the
 stack of every basis key.  Each is linear or antilinear, so the keys
 bound every element's residual and no sampled element adds a check.  The
 junctions J_l of each pair of lengths are stacked once per call into dense
-arrays (`_junction_arrays`).  From them come, in closed form, counit
-positivity on every basis key (`_key_counits`) and coproduct
+arrays (`_junction_arrays`).  From them come, in closed form, coproduct
 multiplicativity and the counit of a product on every pair of basis keys
-whose endpoints meet (`_key_pair_residuals`); both pair axioms are
-bilinear, so the key pairs cover every pair of elements.  The other axioms
-in two or three arguments, and positivity (quadratic) on the sampled
-elements, are evaluated with the maps above.
+whose endpoints meet (`_key_pair_residuals`), and counit positivity on
+every basis key, contracted from the same counits of key products; both
+pair axioms are bilinear, so the key pairs cover every pair of elements.
+The other axioms in two or three arguments, and positivity (quadratic) on
+the sampled elements, are evaluated with the maps above.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .path_space import (
     PathSpace,
     PathVector,
     SparseCoefficients,
-    format_path,
     inner_product,
     star,
 )
@@ -262,27 +262,22 @@ def _basis_product(space, n1, a, b, n2, c, d) -> dict:
     return out
 
 
-def _meeting_pairs(space, left: dict, right: dict, tensor=False):
+def _meeting_pairs(space, left: dict, right: dict):
     """The term pairs (kl, zl, kr, zr) whose endpoints meet, r(a) = s(c) and
-    r(b) = s(d) for (n1, a, b) . (n2, c, d), in both slots if `tensor`: the
-    only pairs with nonzero products.  The right terms are indexed by their
-    sources, so each left term looks up only its partners.  Raises
-    `CutoffError` first when the longest terms are too long to multiply,
-    whether their endpoints meet or not."""
-    slots = (lambda key: key) if tensor else (lambda key: (key,))
-    for i in range(2 if tensor else 1):
-        if left and right:
-            n1, n2 = (max(slots(k)[i][0] for k in keys) for keys in (left, right))
-            _check_cutoff(space, n1, n2)
+    r(b) = s(d) for (n1, a, b) . (n2, c, d): the only pairs with nonzero
+    products.  The right terms are indexed by their sources, so each left
+    term looks up only its partners.  Raises `CutoffError` first when the
+    longest terms are too long to multiply, whether their endpoints meet or
+    not."""
+    if left and right:
+        _check_cutoff(space, *(max(n for n, _, _ in keys) for keys in (left, right)))
     endpoints: dict = {}
 
     def ends(side, key):
-        out = ()
-        for n, a, b in slots(key):
-            if n not in endpoints:
-                endpoints[n] = essential_basis(space, n).endpoints
-            out += (endpoints[n][a][side], endpoints[n][b][side])
-        return out
+        n, a, b = key
+        if n not in endpoints:
+            endpoints[n] = essential_basis(space, n).endpoints
+        return endpoints[n][a][side], endpoints[n][b][side]
 
     partners: dict = {}
     for kr, zr in right.items():
@@ -390,21 +385,23 @@ def counit(x: AlgebraElement) -> complex:
 
 
 def multiply_tensor_square(u: TensorSquare, v: TensorSquare) -> TensorSquare:
-    """Slotwise product (p boxtimes q)(r boxtimes s) = pr boxtimes qs, over
-    the term pairs whose endpoints meet in both slots."""
+    """Slotwise product (p boxtimes q)(r boxtimes s) = pr boxtimes qs.
+
+    Each slot multiplies the meeting pairs of its keys as `multiply` does,
+    one slot at a time, so a `CutoffError` in either slot is raised even
+    where the other slot's endpoints do not meet."""
     space = u.space
+    slots = [
+        {(k1, k2): _basis_product(space, *k1, *k2) for k1, _, k2, _ in _meeting_pairs(
+            space, dict.fromkeys(k[i] for k in u.coeffs), dict.fromkeys(k[i] for k in v.coeffs))}
+        for i in (0, 1)
+    ]
     out: dict = {}
-    for (p, q), zu, (r, s), zv in _meeting_pairs(space, u.coeffs, v.coeffs, tensor=True):
-        pr = _basis_product(space, *p, *r)
-        if not pr:
-            continue
-        qs = _basis_product(space, *q, *s)
-        z = zu * zv
-        for k1, z1 in pr.items():
-            zz = z * z1
-            for k2, z2 in qs.items():
-                key = (k1, k2)
-                out[key] = out.get(key, 0.0) + zz * z2
+    for (p, q), zu in u.coeffs.items():
+        for (r, s), zv in v.coeffs.items():
+            for k1, z1 in slots[0].get((p, r), {}).items():
+                for k2, z2 in slots[1].get((q, s), {}).items():
+                    out[k1, k2] = out.get((k1, k2), 0.0) + zu * zv * z1 * z2
     return TensorSquare(space, out)
 
 
@@ -508,21 +505,11 @@ def _by_rows(J):
     return J.reshape(J.shape[0] * J.shape[1], J.shape[2])
 
 
-def _key_counits(space, n, arrays) -> np.ndarray:
-    """eps(k k*) of every basis key k = (n, a, b) at once, as the matrix
-    sum_l lambda_l (u_l u_l^T)[a, b] with u_l[a, e] =
-    sum_a' J_l[a, a', e] S[a', a], for the (n, n) junction arrays."""
-    S, V = _star_matrix(space, n), 0.0
-    for z, J in zip(_junction_scalars(space.beta, n, n), arrays(n, n)):
-        u = np.einsum("ace,ca->ae", J, S)
-        V = V + z * u @ u.T
-    return V
-
-
 def _key_pair_residuals(space, arrays, n1, n2) -> tuple:
     """The key pairs (n1, a, b), (n2, c, d) whose endpoints meet, r(a) = s(c)
-    and r(b) = s(d), and the residuals of "coproduct multiplicative" and
-    "counit of product" on every pair, as arrays [a, b, c, d].
+    and r(b) = s(d), the residuals of "coproduct multiplicative" and
+    "counit of product" on every pair, and eps((n1, a, b) (n2, c, d)) on
+    every pair, as arrays [a, b, c, d].
 
     On one pair the (l, l') tensor-square block of Delta(xy) -
     Delta(x) Delta(y) is -lambda_l J_l(a, c) (x) J_l'(b, d) (x) D_ll', with
@@ -553,8 +540,10 @@ def _key_pair_residuals(space, arrays, n1, n2) -> tuple:
     sources = [s for s, _ in essential_basis(space, n2).endpoints]
     ends = np.equal.outer(ranges, sources)
     meet = ends[:, None, :, None] & ends[None, :, None, :]
-    split = np.eye(d1)[:, :, None, None] * np.eye(d2) * meet
-    return meet, delta_sup, np.abs(eps.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3) - split)
+    split = np.eye(d1, dtype=bool)[:, :, None, None] & np.eye(d2, dtype=bool) & meet
+    eps = eps.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
+    residual = eps - split
+    return meet, delta_sup, np.abs(residual, out=residual), eps
 
 
 def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
@@ -687,14 +676,15 @@ def verify_axioms(
     `coproduct` or `counit`, which the tests hold to those forms.
     Coassociativity and the two counit laws are identities of that form, so
     their residuals are exactly 0.  The junction arrays of each pair of
-    lengths up to `max_length` are built once per call and shared: counit
-    positivity reads every basis key's eps(k k*) off them in closed form,
-    and coproduct multiplicativity and the counit of a product read the sup
-    of Delta(xy) - Delta(x) Delta(y) and eps(xy) less its split over
-    Delta(1) (`_key_pair_residuals`), with no product formed.  These two
+    lengths up to `max_length` are built once per call and shared:
+    coproduct multiplicativity and the counit of a product read the sup of
+    Delta(xy) - Delta(x) Delta(y) and eps(xy) less its split over Delta(1)
+    off them (`_key_pair_residuals`), with no product formed.  These two
     bilinear axioms are checked on every pair of basis keys (n1, a, b),
     (n2, c, d) whose endpoints meet, r(a) = s(c) and r(b) = s(d), in the
     order (n1, n2, a, b, c, d); on the other pairs both sides vanish.
+    Counit positivity reads every basis key's eps(k k*) = sum_{c,d}
+    eps((n, a, b) (n, c, d)) S[c, a] S[d, b] off the same counits.
     Product associativity, the star antihomomorphism, the antipode product
     rule and positivity on the random elements evaluate each sampled tuple
     directly.  Each result carries the number of keys, elements, tuples or
@@ -744,16 +734,19 @@ def verify_axioms(
     for n in range(max_length + 1):
         for name, R in _unary_residuals(space, n, weight_fn, arrays=arrays).items():
             swept.setdefault(name, []).append(R.ravel())
-        swept["counit positivity"].append(positivity(_key_counits(space, n, arrays)).ravel())
-    swept["counit positivity"].append(positivity([counit(multiply(x, star_alg(x))) for x in randoms]))
     key_pairs = []  # rows (n1, a, b, n2, c, d)
     for n1 in range(max_length + 1):
         for n2 in range(max_length + 1):
-            meet, *residuals = _key_pair_residuals(space, arrays, n1, n2)
+            meet, *residuals, eps = _key_pair_residuals(space, arrays, n1, n2)
             a, b, c, d = np.nonzero(meet)
             key_pairs.append(np.column_stack([np.full_like(a, n1), a, b, np.full_like(a, n2), c, d]))
             for name, R in zip(("coproduct multiplicative", "counit of product"), residuals):
                 swept.setdefault(name, []).append(R[meet])
+            if n1 == n2:
+                S = _star_matrix(space, n1)
+                swept["counit positivity"].append(positivity(np.einsum("abcd,ca,db->ab", eps, S, S)).ravel())
+            del eps  # the (n1, n2) counit array, not held while the next pair of lengths is built
+    swept["counit positivity"].append(positivity([counit(multiply(x, star_alg(x))) for x in randoms]))
     key_pairs, keys = np.concatenate(key_pairs), np.array(keys)
     s_fn = partial(antipode, weight_fn=weight_fn)
     # two pair axioms read xy; each sampled pair is multiplied once
@@ -795,71 +788,7 @@ def verify_axioms(
     )
 
 
-# -- serialization (external JSON surface) -----------------------------------------
-
-
-def _vector_to_obj(x: PathVector) -> list:
-    return [
-        {"path": format_path(p), "coeff": [c.real, c.imag]} for p, c in x.terms()
-    ]
-
-
-def _vector_from_obj(entries, length: int) -> PathVector:
-    coeffs = {}
-    for item in entries:
-        path = tuple(int(v) for v in str(item["path"]).split("-"))
-        if len(path) - 1 != length:
-            raise ValueError(
-                f"path {item['path']!r} does not have length {length}"
-            )
-        re, im = item["coeff"]
-        coeffs[path] = coeffs.get(path, 0.0) + complex(float(re), float(im))
-    return PathVector(length, coeffs)
-
-
-def element_to_obj(x: AlgebraElement) -> list:
-    """Serialize an algebra element with the essential vectors expanded in
-    elementary-path coordinates."""
-    space = x.space
-    out = []
-    for (n, a, b), z in x.terms():
-        basis = essential_basis(space, n)
-        out.append(
-            {
-                "length": n,
-                "left": _vector_to_obj(basis.vectors[a]),
-                "right": _vector_to_obj(basis.vectors[b]),
-                "coeff": [z.real, z.imag],
-            }
-        )
-    return out
-
-
-def element_from_obj(space: PathSpace, obj) -> AlgebraElement:
-    """Inverse of `element_to_obj`; the listed vectors must be essential."""
-    out: dict = {}
-    for entry in obj:
-        n = int(entry["length"])
-        left = _vector_from_obj(entry["left"], n)
-        right = _vector_from_obj(entry["right"], n)
-        re, im = entry["coeff"]
-        z = complex(float(re), float(im))
-        basis = essential_basis(space, n)
-        for side, vec in (("left", left), ("right", right)):
-            residual = vec
-            for a, ca in basis.expand(vec).items():
-                residual = residual - ca * basis.vectors[a]
-            if residual.sup_norm() > 1e-9:
-                raise BasisError(
-                    f"{side} vector of a length-{n} entry is not essential"
-                )
-        la = basis.expand(left)
-        rb = basis.expand(right)
-        for a, ca in la.items():
-            for b, cb in rb.items():
-                k = (n, a, b)
-                out[k] = out.get(k, 0.0) + z * ca * cb
-    return AlgebraElement(space, out)
+# -- path coordinates ------------------------------------------------------------
 
 
 def element_in_path_coordinates(x: AlgebraElement) -> dict:

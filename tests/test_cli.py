@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from pathhopf import fixture_path
+from pathhopf import (
+    PathSpace,
+    PathVector,
+    element_in_path_coordinates,
+    fixture_path,
+    format_path,
+    load_fixture,
+    projector_P,
+)
 from pathhopf.cli import run
 
 
@@ -104,8 +112,23 @@ def test_project_json_matches_schema(capture):
     doc = json.loads(out)
     lengths = sorted(entry["length"] for entry in doc)
     assert lengths == [0, 2, 4]
+    # the entries expand, in path coordinates, to the projected element
+    coords = {}
     for entry in doc:
         assert set(entry) == {"length", "left", "right", "coeff"}
+        for side in ("left", "right"):
+            for term in entry[side]:
+                assert set(term) == {"path", "coeff"}
+        z = complex(*entry["coeff"])
+        for p in entry["left"]:
+            for q in entry["right"]:
+                key = (p["path"], q["path"])
+                coords[key] = coords.get(key, 0) + z * complex(*p["coeff"]) * complex(*q["coeff"])
+    space = PathSpace(load_fixture("a_aff_2"))
+    element = projector_P(space, PathVector.unit((0, 1, 2, 1, 0)), PathVector.unit((2, 1, 0, 1, 2)))
+    want = {(format_path(p), format_path(q)): z for (p, q), z in element_in_path_coordinates(element).items()}
+    assert set(want) <= set(coords)
+    assert all(abs(coords[k] - want.get(k, 0)) < 1e-8 for k in coords)
 
 
 def test_multiply_shorthand_literals(capture):
@@ -118,6 +141,25 @@ def test_multiply_dashed_literals(capture):
     code, out, _ = capture("multiply", A3, "--a", "(2-1|1-2)", "--b", "(1-2|2-1)")
     assert code == 0
     assert "0.707106781" in out
+    # the same product as the shorthand, below the header that echoes the literals
+    _, shorthand, _ = capture("multiply", A3, "--a", "(21|12)", "--b", "(12|21)")
+    assert shorthand.splitlines()[1:] == out.splitlines()[1:]
+
+
+def test_digit_shorthand_needs_a_graph_of_at_most_ten_vertices(capture, tmp_path):
+    # on a 12-vertex chain "10" could be the vertex 10 or the path 1-0
+    chain = tmp_path / "A12.json"
+    chain.write_text(json.dumps(
+        {"name": "A12", "vertices": [str(v) for v in range(12)], "edges": [[v, v + 1] for v in range(11)]}
+    ))
+    code, out, err = capture("decompose", str(chain), "--path", "10")
+    assert code == 1
+    assert out == ""
+    assert "dashes" in err
+    for literal, path in (("1-0", "1-0"), ("5", "5")):
+        code, out, _ = capture("decompose", str(chain), "--path", literal)
+        assert code == 0
+        assert out.startswith(f"decomposition of {path} on A12")
 
 
 def test_verify_passes(capture):
@@ -230,16 +272,17 @@ def test_cutoff_flag_enforced(capture):
     assert "cutoff" in err
 
 
-def test_cutoff_env_override(monkeypatch, capture):
+def test_cutoff_is_not_read_from_the_environment(monkeypatch, capture):
+    # only --cutoff sets the cutoff; the default 12 admits this length-4 path
+    unset = capture("decompose", TRI, "--path", "0-1-0-1-0")
     monkeypatch.setenv("PATHHOPF_CUTOFF", "3")
-    code, _, err = capture("decompose", TRI, "--path", "0-1-0-1-0")
-    assert code == 1
-    assert "cutoff" in err
+    code, out, err = capture("decompose", TRI, "--path", "0-1-0-1-0")
+    assert code == 0
+    assert (code, out, err) == unset
 
 
-def test_verify_refuses_associativity_past_the_cutoff(capture, monkeypatch):
+def test_verify_refuses_associativity_past_the_cutoff(capture):
     # (x y) z at --max-length 5 reaches length 15 on a_aff_2
-    monkeypatch.delenv("PATHHOPF_CUTOFF", raising=False)
     code, out, err = capture("verify", TRI, "--max-length", "5", "--samples", "3")
     assert code == 1
     assert out == ""
