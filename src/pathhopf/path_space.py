@@ -203,19 +203,15 @@ class PathSpace:
 
     # -- enumeration ------------------------------------------------------
 
-    def enumerate_paths(
-        self, n: int, source: int | None = None, target: int | None = None
-    ) -> list[ElementaryPath]:
+    def enumerate_paths(self, n: int, source: int | None = None) -> list[ElementaryPath]:
         """All walks of length n, lexicographically ordered, optionally
-        filtered by source and/or range vertex."""
+        only those from `source`."""
         if n < 0:
             raise ValueError("path length must be nonnegative")
         starts = range(self.graph.num_vertices) if source is None else (source,)
         paths = [(v,) for v in starts]
         for _ in range(n):
             paths = [p + (w,) for p in paths for w in self.graph.neighbors[p[-1]]]
-        if target is not None:
-            paths = [p for p in paths if p[-1] == target]
         return paths
 
     # -- ladder operators --------------------------------------------------
@@ -316,9 +312,11 @@ def path_from_literal(graph: Graph, text: str) -> ElementaryPath:
     The canonical form is dash-separated vertex indices ("0-1-2"); a pure
     digit string ("012") is accepted as shorthand, one vertex per digit, on
     a graph of at most 10 vertices, where every index is a single digit.
-    Raises `GraphError` for a shorthand of two or more digits on a larger
-    graph ("10" could be vertex 10 or the path 1-0), unknown vertices or
-    non-adjacent steps.
+    On a larger graph a pure digit string is one vertex index, a length-0
+    path ("10" is the vertex 10); one of two or more digits that is out of
+    range or starts with 0 ("12" on 12 vertices, "011") raises a
+    `GraphError` that asks for dashes.  Raises `GraphError` for unknown
+    vertices or non-adjacent steps.
     """
     text = text.strip()
     if not text:
@@ -326,9 +324,7 @@ def path_from_literal(graph: Graph, text: str) -> ElementaryPath:
     if "-" in text:
         parts = text.split("-")
     elif text.isdigit():
-        if len(text) > 1 and graph.num_vertices > 10:
-            raise GraphError(f"path literal {text!r} needs dashes on a graph of more than 10 vertices")
-        parts = list(text)
+        parts = list(text) if graph.num_vertices <= 10 else [text]
     else:
         raise GraphError(f"cannot parse path literal {text!r}")
     try:
@@ -336,6 +332,11 @@ def path_from_literal(graph: Graph, text: str) -> ElementaryPath:
     except ValueError:
         raise GraphError(f"cannot parse path literal {text!r}")
     n = graph.num_vertices
+    if len(parts) == 1 and len(text) > 1 and (text[0] == "0" or path[0] >= n):
+        raise GraphError(
+            f"path literal {text!r} is one vertex index on a graph of more than 10 vertices, and it is"
+            " out of range or starts with 0; write a path of two or more vertices with dashes"
+        )
     for v in path:
         if not 0 <= v < n:
             raise GraphError(f"vertex {v} out of range in path {text!r}")

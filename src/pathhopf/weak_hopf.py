@@ -23,14 +23,17 @@ S[a', a] S[b', b] (n, a', b'), and the antipode swaps the slots and scales
 by its endpoint factor (`_pf_weight`).  The coproduct splits each key over
 the full basis of its length, and the counit is the diagonal sum.
 
-`verify_axioms` checks the nine linear unary axioms per length, on dense
+`verify_axioms` checks the nine linear unary axioms per length, on the
 blocks X[a, b] of the keys (n, a, b) (`_unary_residuals`): the maps
 written on the structure constants (S, the endpoint weights, the junction
-arrays and lambda), not the public maps above, evaluated at once on the
-stack of every basis key.  Each is linear or antilinear, so the keys
-bound every element's residual and no sampled element adds a check.  The
-junctions J_l of each pair of lengths are stacked once per call into dense
-arrays (`_junction_arrays`).  From them come, in closed form, coproduct
+arrays and lambda), not the public maps above, three of them evaluated at
+once on the stack of every basis key and six read per key in closed form.
+Of those six, the two counit laws read the public `counit` of each key,
+and coassociativity is an identity of the verifier's form
+Delta(X) = X (x) I, so it reads 0.  Each is linear or antilinear, so the
+keys bound every element's residual and no sampled element adds a check.
+The junctions J_l of each pair of lengths are stacked once per call into
+dense arrays (`_junction_arrays`).  From them come, in closed form, coproduct
 multiplicativity and the counit of a product on every pair of basis keys
 whose endpoints meet (`_key_pair_residuals`), and counit positivity on
 every basis key, contracted from the same counits of key products; both
@@ -465,9 +468,6 @@ def _random_element(space, pool, rng) -> AlgebraElement:
     return AlgebraElement(space, coeffs)
 
 
-_BATCH_ENTRIES = 1 << 16  # about the most residual entries held at once
-
-
 def _sup(x):
     """The largest modulus in each element of a batch, 0 for an empty one;
     a real batch takes no |x| copy."""
@@ -475,13 +475,6 @@ def _sup(x):
     if np.iscomplexobj(x):
         return np.abs(x).max(axis=axes, initial=0.0)
     return np.maximum(x.max(axis=axes, initial=0.0), np.abs(x.min(axis=axes, initial=0.0)))
-
-
-def _in_slices(fn, Z, entries):
-    """fn over slices of the batch Z that hold about `_BATCH_ENTRIES`
-    residual entries, `entries` per element."""
-    step = max(1, _BATCH_ENTRIES // max(entries, 1))
-    return np.concatenate([np.zeros(0)] + [fn(Z[i : i + step]) for i in range(0, len(Z), step)])
 
 
 def _junction_arrays(space, n1, n2) -> list:
@@ -553,27 +546,28 @@ def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
     A block X[a, b] holds the coefficients of the keys (n, a, b).  On blocks
     the star is S conj(X) S^T (star matrix S), the antipode
     (S (W o X) S^T)^T (endpoint weights W, one call of the weight per pair
-    of blocks), the counit pairs X with eps = 1, and Delta(X)[a, c, c', b] =
-    X[a, b] delta[c, c'], delta = 1.  A residual is the sup of the difference
-    of the axiom's two sides.  Each axiom is linear or antilinear, so an
-    element's residual is at most sum |z_k| R[k] over its keys k, and 0
-    exactly when every R[k] is: the keys are the whole check.  They are one
-    evaluation on the stack of all d^2 unit blocks, except where a
-    tensor-square image would make that d^6: "antipode coproduct rule" on
-    e_ab is (S e_ab S^T) (x) M[a, b], whose sup is the product of the
-    factors' sups, and "antipode cancellation" on e_ab is
+    of blocks) and Delta(X)[a, c, c', b] = X[a, b] delta[c, c'].  A residual
+    is the sup of the difference of the axiom's two sides.  Each axiom is
+    linear or antilinear, so an element's residual is at most
+    sum |z_k| R[k] over its keys k, and 0 exactly when every R[k] is: the
+    keys are the whole check.  "unit element", "star involution" and
+    "antipode star double" are one evaluation on the stack of all d^2 unit
+    blocks.  The other six are read per key in closed form: the star
+    compatibility of Delta and "antipode coproduct rule" on e_ab are
+    S[:, a] S[:, b]^T times a split-point factor, whose sup is the product
+    of the factors' sups; the counit laws pair Delta(e_ab) with
+    E[a, c] = `counit`(e_ac), the public map; coassociativity is an identity
+    of the Delta form, 0; and "antipode cancellation" on e_ab is
     sum_c' R[a, c'] (x) e_c'b, with R[a, c'] = m (S (x) id) Delta(e_ac')
     less the unit's part (x 1_(2) keeps b by the right unit law, which
-    "unit element" checks), whose sup depends on a alone and is formed in
-    slices of about `_BATCH_ENTRIES` entries.  `arrays(n1, n2)` gives the
-    junction arrays of `_junction_arrays`.
+    "unit element" checks), whose sup depends on a alone.  `arrays(n1, n2)`
+    gives the junction arrays of `_junction_arrays`.
     """
     basis = essential_basis(space, n)
     d, k, f = len(basis), len(basis.blocks), weight_fn or partial(_pf_weight, space)
     at = np.repeat(np.arange(k), [len(v) for v in basis.blocks.values()])  # the block of each index
     W = np.array([[f(*p, *q) for q in basis.blocks] for p in basis.blocks]).reshape(k, k)[np.ix_(at, at)]
     S, one = _star_matrix(space, n), np.eye(d)
-    eps = delta = one
     units = np.eye(d * d).reshape(d * d, d, d)
     left = arrays(0, n)[0].sum(0)  # 1 X = left^T X left
     ends = arrays(n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
@@ -585,53 +579,51 @@ def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
     def anti(Z):
         return np.swapaxes(S @ (W * Z) @ S.T, -1, -2)
 
-    # coassociativity: both sides are X[a, b] times delta at each of the two
-    # split points, which (Delta (x) id) and (id (x) Delta) take in opposite
-    # orders; star-compatibility: both sides are x* on the outer indices,
-    # times delta or S delta S^T at the split point
-    split_twice = np.multiply.outer(delta, delta)
-    coassociative = np.abs(split_twice - split_twice.transpose(2, 3, 0, 1)).max(initial=0.0)
-    star_split = np.abs(delta - S @ delta @ S.T).max(initial=0.0)
     fns = {
         "unit element": lambda Z: np.maximum(_sup(left.T @ Z @ left - Z), _sup(right.T @ Z @ right - Z)),
         "star involution": lambda Z: _sup(star(star(Z)) - Z),
-        "coproduct star-compatible": lambda Z: _sup(star(Z)) * star_split,
-        "coassociativity": lambda Z: _sup(Z) * coassociative,
-        "counit left inverse": lambda Z: _sup(eps.T @ Z - Z),
-        "counit right inverse": lambda Z: _sup(Z @ eps.T - Z),
         "antipode star double": lambda Z: _sup(star(anti(star(anti(Z)))) - Z),
     }
     out = {name: fn(units).reshape(d, d) for name, fn in fns.items()}
 
+    # both sides of star-compatibility are x* on the outer indices, times I
+    # or S S^T at the split point; on e_ab x* is S[:, a] S[:, b]^T
+    column = np.abs(S).max(0, initial=0.0)
+    sides = column[:, None] * column  # sup |S e_ab S^T|
+    out["coproduct star-compatible"] = sides * np.abs(one - S @ S.T).max(initial=0.0)
+    # coassociativity is an identity of Delta(X) = X (x) I: both sides are
+    # X[a, b] times I at each of the two split points
+    out["coassociativity"] = np.zeros((d, d))
+    # the counit laws read the public counit, E[a, b] = eps(e_ab):
+    # (eps (x) id) Delta(e_ab) = sum_c E[a, c] e_cb and
+    # (id (x) eps) Delta(e_ab) = sum_c E[c, b] e_ac
+    E = np.array([[counit(AlgebraElement.basis_element(space, n, a, b)) for b in range(d)] for a in range(d)])
+    off = np.abs(E.reshape(d, d) - one)
+    out["counit left inverse"] = np.broadcast_to(off.max(1, initial=0.0)[:, None], (d, d))
+    out["counit right inverse"] = np.broadcast_to(off.max(0, initial=0.0), (d, d))
+
     # Delta(S X) - (S (x) S) tau Delta(X) on the legs (a', b', c2, c3) is the
-    # sum over k of S (Wk[k] o X) S^T (x) G[k]: first Wk = W with G = delta,
+    # sum over k of S (Wk[k] o X) S^T (x) G[k]: first Wk = W with G = I,
     # then for each c, Wk = W[a, c] W[c, b] with G = -S[:, c] S[:, c]^T; on
     # e_ab it is (S e_ab S^T) (x) M[a, b]
     Wk = np.concatenate([W[None], W.T[:, :, None] * W[:, None, :]])
-    G = np.concatenate([delta[None], -S.T[:, :, None] * S.T[:, None, :]]).reshape(d + 1, d * d)
+    G = np.concatenate([one[None], -S.T[:, :, None] * S.T[:, None, :]]).reshape(d + 1, d * d)
     M = np.abs(np.tensordot(Wk, G, (0, 0))).max(2, initial=0.0)
-    column = np.abs(S).max(0, initial=0.0)
-    out["antipode coproduct rule"] = column[:, None] * column * M
+    out["antipode coproduct rule"] = sides * M
 
     # m (S (x) id) Delta(e_ac') = sum_c S(e_ac) e_cc' has at each l the terms
     # V[a, e] A[a, c', f] (m, e, f), with V = lambda_l W B, B[c, e] =
-    # sum_q S[q, c] J_l[q, c, e] and A[a, c', f] = sum_p S[p, a] J_l[p, c', f];
-    # at m = 0 the unit's sum_{s, t} (0, s, t) J_0(a, t)[c'] is taken off
-    factors = [
-        (z * W @ np.einsum("qc,qce->ce", S, J), np.einsum("pa,pcf->acf", S, J))
-        for z, J in zip(_junction_scalars(space.beta, n, n), arrays(n, n))
-    ]
-    unit_part = ends.transpose(0, 2, 1)  # [a, c', t]
-    entries = d * sum(V.shape[1] ** 2 for V, _ in factors)
-
-    def column_sups(z):
-        """The sup over (m, e, c', f) of the terms (m, e, f) (x) (n, c', f')
-        from a column X[:, f'] = z[i], for each i."""
-        parts = [np.tensordot(z[:, :, None] * V, A, (1, 0)) for V, A in factors]
-        parts[n] = parts[n] - np.tensordot(z, unit_part, (1, 0))[:, None]
-        return np.max([_sup(part) for part in parts], axis=0)
-
-    out["antipode cancellation"] = np.repeat(_in_slices(column_sups, one, entries)[:, None], d, axis=1)
+    # sum_q S[q, c] J_l[q, c, e] and A[a, c', f] = sum_p S[p, a] J_l[p, c', f],
+    # whose sup is sup |V[a]| sup |A[a]|; at m = 0 (l = n) the unit's
+    # sum_{s, t} (0, s, t) J_0(a, t)[c'] is taken off first
+    sups = []
+    for l, (z, J) in enumerate(zip(_junction_scalars(space.beta, n, n), arrays(n, n))):
+        V, A = z * W @ np.einsum("qc,qce->ce", S, J), np.einsum("pa,pcf->acf", S, J)
+        if l < n:
+            sups.append(_sup(V) * _sup(A))
+        else:
+            sups.append(_sup(V[:, :, None, None] * A[:, None] - ends.transpose(0, 2, 1)[:, None]))
+    out["antipode cancellation"] = np.broadcast_to(np.max(sups, axis=0)[:, None], (d, d))
     return out
 
 
@@ -670,12 +662,13 @@ def verify_axioms(
     apart, so an element's residual is bounded by its keys' residuals
     weighted by |coefficient|, and vanishes when theirs do: these nine are
     checked on the basis keys alone.  `_unary_residuals` evaluates them per
-    length on the stack of all unit blocks, on the structure constants (S,
-    the endpoint weights W, the junction arrays and lambda,
-    Delta(X) = X (x) I, eps = tr), not through `star_alg`, `antipode`,
-    `coproduct` or `counit`, which the tests hold to those forms.
-    Coassociativity and the two counit laws are identities of that form, so
-    their residuals are exactly 0.  The junction arrays of each pair of
+    length, three on the stack of all unit blocks and six per key in closed
+    form, on the structure constants (S, the endpoint weights W, the
+    junction arrays and lambda, Delta(X) = X (x) I), not through
+    `star_alg`, `antipode` or `coproduct`, which the tests hold to those
+    forms.  The two counit laws read the public `counit` of every key, so a
+    wrong counit fails them.  Coassociativity is an identity of the Delta
+    form, so its residual is exactly 0.  The junction arrays of each pair of
     lengths up to `max_length` are built once per call and shared:
     coproduct multiplicativity and the counit of a product read the sup of
     Delta(xy) - Delta(x) Delta(y) and eps(xy) less its split over Delta(1)

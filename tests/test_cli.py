@@ -147,16 +147,19 @@ def test_multiply_dashed_literals(capture):
 
 
 def test_digit_shorthand_needs_a_graph_of_at_most_ten_vertices(capture, tmp_path):
-    # on a 12-vertex chain "10" could be the vertex 10 or the path 1-0
+    # on a 12-vertex chain a literal without dashes is one vertex index, so
+    # "10" is the length-0 path at vertex 10, not the path 1-0
     chain = tmp_path / "A12.json"
     chain.write_text(json.dumps(
         {"name": "A12", "vertices": [str(v) for v in range(12)], "edges": [[v, v + 1] for v in range(11)]}
     ))
-    code, out, err = capture("decompose", str(chain), "--path", "10")
-    assert code == 1
-    assert out == ""
-    assert "dashes" in err
-    for literal, path in (("1-0", "1-0"), ("5", "5")):
+    # "12" is out of range, and "011" would quietly be vertex 11 through int()
+    for literal in ("12", "011"):
+        code, out, err = capture("decompose", str(chain), "--path", literal)
+        assert code == 1
+        assert out == ""
+        assert "out of range or starts with 0" in err and "dashes" in err
+    for literal, path in (("10", "10"), ("1-0", "1-0"), ("5", "5")):
         code, out, _ = capture("decompose", str(chain), "--path", literal)
         assert code == 0
         assert out.startswith(f"decomposition of {path} on A12")

@@ -589,7 +589,7 @@ def test_decompose_matches_recursion_on_block_vectors(name, n):
     ends = sorted({(p[0], p[-1]) for p in space.enumerate_paths(n)})
     for trial in range(3):
         s, r = ends[int(rng.integers(len(ends)))]
-        paths = space.enumerate_paths(n, source=s, target=r)
+        paths = [p for p in space.enumerate_paths(n, source=s) if p[-1] == r]
         coeffs = rng.standard_normal(len(paths))
         if trial:
             coeffs = coeffs + 1j * rng.standard_normal(len(paths))
@@ -740,7 +740,7 @@ def test_untruncated_words_at_beta_two_and_overcount_on_a3():
     a3 = PathSpace(edge_graph("A3"))
     dims = fusion_dims(a3.graph.adjacency, 4)
     assert ballot(4, 1) * dims[2][0, 2] + ballot(4, 2) * dims[0][0, 2] == 3
-    assert len(a3.enumerate_paths(4, source=0, target=2)) == 2
+    assert len([p for p in a3.enumerate_paths(4, source=0) if p[-1] == 2]) == 2
     assert [len(w) for w in creation_words(a3, 4)] == [1, 2, 2]
 
 

@@ -87,8 +87,8 @@ def test_enumerate_triangle_length_two(tri):
 
 
 def test_enumerate_endpoint_filters(a3):
-    assert a3.enumerate_paths(2, source=0, target=2) == [(0, 1, 2)]
-    assert a3.enumerate_paths(2, source=0, target=1) == []
+    assert a3.enumerate_paths(2, source=0) == [(0, 1, 0), (0, 1, 2)]
+    assert a3.enumerate_paths(1, source=1) == [(1, 0), (1, 2)]
 
 
 # -- inner product ------------------------------------------------------------

@@ -882,6 +882,35 @@ def test_cancellation_matches_direct_sweedler_sum(space_name, samples, request):
     assert abs(direct - report.residual("antipode cancellation")) < 1e-12
 
 
+@pytest.mark.parametrize("space_name", ["d4", "tri"])
+def test_cancellation_per_key_matches_the_sweedler_sum(space_name, request):
+    # every key of length <= 3 under a bent antipode: the levels l < n, read
+    # as products of sups, the m = 0 level less the unit's part, and, on d4,
+    # levels past the top length 4
+    space = request.getfixturevalue(space_name)
+    arrays = lru_cache(maxsize=None)(partial(_junction_arrays, space))
+    for n in range(4):
+        R = _unary_residuals(space, n, BENT, arrays=arrays)["antipode cancellation"]
+        d = len(essential_basis(space, n))
+        assert R.shape == (d, d)
+        for a, b in itertools.product(range(d), repeat=2):
+            want = sweedler_cancellation(AlgebraElement.basis_element(space, n, a, b), BENT)
+            assert R[a, b] == pytest.approx(want, rel=1e-12, abs=1e-12), (n, a, b)
+
+
+def test_a_doubled_public_counit_fails_the_counit_laws(tri, monkeypatch):
+    # the counit laws read the public counit of every key: doubled, it gives
+    # E = 2 I, so each law is off by 1 on the diagonal
+    from pathhopf import weak_hopf
+
+    true_counit = weak_hopf.counit
+    monkeypatch.setattr(weak_hopf, "counit", lambda x: 2 * true_counit(x))
+    report = verify_axioms(tri, 2)
+    assert report.residual("counit left inverse") == 1.0
+    assert report.residual("counit right inverse") == 1.0
+    assert not report.all_passed
+
+
 def test_verify_axioms_memo_is_local_to_each_call():
     # plain, flattened, plain on one space: no key map image may leak from
     # one call's weight_fn into the next
