@@ -2,8 +2,9 @@
 
 A path vector is essential when every annihilation operator kills it.
 `essential_basis` builds each E_n in Bratteli coordinates, over the
-vectors xi . (r -> t) of E_{n-1}, with one stacked SVD per block shape,
-and forms walks only on expansion (`EssentialBasis.vectors`, `.block`).  The
+vectors xi . (r -> t) of E_{n-1}, with one stacked SVD per block shape;
+walks appear only on expansion (`EssentialBasis.vectors`, `.block`) and
+for the sign rule of the signed `append` and `prepend` matrices.  The
 degree-n slice splits as the orthogonal direct sum, over l, of the spans of
 c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
@@ -37,7 +38,6 @@ from .path_space import (
     PathSpace,
     PathVector,
     format_path,
-    inner_product,
     zero_vector,
 )
 
@@ -94,13 +94,42 @@ class EssentialBasis:
             self._unsigned[key] = walks, rows
         return self._unsigned[key]
 
+    def _signs(self, s, t):
+        """The sign rule: +-1 per vector of block (s, t), so that its first
+        coefficient above 1e-9, in lexicographic path order, is positive."""
+        rows = self._walk_coordinates(s, t)[1]
+        return np.sign(rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)])
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """`_signs` of every vector, in basis order."""
+        return np.concatenate([self._signs(s, t) for s, t in self.blocks] or [np.ones(0)])
+
     def block(self, s, t):
-        """Block (s, t) in walk coordinates, as `_walk_coordinates`, with
-        each vector signed so that its first coefficient above 1e-9, in
-        lexicographic path order, is positive."""
+        """Block (s, t) in walk coordinates, as `_walk_coordinates`, signed by `_signs`."""
         walks, rows = self._walk_coordinates(s, t)
-        lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)]
-        return walks, rows * np.sign(lead)[:, None]
+        return walks, rows * self._signs(s, t)[:, None]
+
+    @cached_property
+    def append(self) -> np.ndarray:
+        """A[a, b] with xi_a = sum_b A[a, b] xi_b . (r(b) -> r(a)) over the
+        signed vectors xi_b of `below`: the kernel rows, signed."""
+        out = np.zeros((len(self), len(self.below)))
+        for (s, t), rows in self.blocks.items():
+            for r, k in self.kernels[s, t].items():
+                out[np.ix_(rows, self.below.blocks[s, r])] = k
+        return self.signs[:, None] * out * self.below.signs
+
+    @cached_property
+    def prepend(self) -> np.ndarray:
+        """P[c, f] with xi_c = sum_f P[c, f] (s(c) -> s(f)) . xi_f over the
+        vectors xi_f of `below` (an essential vector less its first edge is
+        essential): [r(c) = f] at length 1, and above
+        [r(c) = r(f)] (A P' A'^T), A = `append`, A' and P' those of `below`."""
+        out = np.equal.outer(*([r for _, r in b.endpoints] for b in (self, self.below))).astype(float)
+        if self.length > 1:
+            out *= self.append @ self.below.prepend @ self.below.append.T
+        return out
 
     @cached_property
     def vectors(self) -> tuple[PathVector, ...]:
@@ -111,15 +140,6 @@ class EssentialBasis:
             paths = list(map(tuple, walks.tolist()))
             out.extend(PathVector(self.length, dict(zip(paths, v))) for v in rows.tolist())
         return tuple(out)
-
-    def expand(self, x: PathVector) -> dict[int, complex]:
-        """Coefficients of `x` against the basis: index -> (xi_a, x)."""
-        out = {}
-        for a, xi in enumerate(self.vectors):
-            c = inner_product(xi, x)
-            if abs(c) > 1e-14:
-                out[a] = c
-        return out
 
 
 def essential_basis(space: PathSpace, n: int) -> EssentialBasis:

@@ -7,18 +7,20 @@ essentials.  On basis keys it has the closed junction form
 (n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d):
 J_l holds the E_m coordinates, m = n1 + n2 - 2l, of xi_a . xi_c after the
 l annihilations at the junction, and lambda_l is a ratio of q-binomials in
-beta, 0 where it is singular on a finite graph (there J_l vanishes).  No
-length past `PathSpace.top_length` is built, and no creation word is
-formed.  A term is nonzero only when r(a) = s(c) and r(b) = s(d), so
-`multiply` and the verifier index the right factor by its sources and
-multiply only the pairs whose endpoints meet; `multiply_tensor_square`
-multiplies slot by slot through the same product.
+beta, 0 where it is singular on a finite graph (there J_l vanishes).
+The J_l of each pair of lengths are dense arrays, cached on the space and
+built with no walk from the bases' Bratteli coordinates, up to
+`PathSpace.top_length` (`_junction_arrays`).  A term is nonzero only when
+r(a) = s(c) and r(b) = s(d), so `multiply` multiplies only the pairs whose
+endpoints meet, through the arrays' nonzero entries (`_junction_rows`);
+`multiply_tensor_square` multiplies slot by slot through the same product.
 `projector_P` projects arbitrary path pairs: per level it pairs the
 essential coordinates of the two factors' creation word images through the
 inverse word-Gram matrix, U^T G^-1 V, by `essential_decomp.pair_levels`.
 
 The star and the antipode are one sum over the nonzero entries of the
-star matrix S of each length (`_starred`): (n, a, b) goes to
+star matrix S of each length, built from the one below
+(`_star_matrix`, `_starred`): (n, a, b) goes to
 S[a', a] S[b', b] (n, a', b'), and the antipode swaps the slots and scales
 by its endpoint factor (`_pf_weight`).  The coproduct splits each key over
 the full basis of its length, and the counit is the diagonal sum.
@@ -32,8 +34,7 @@ Of those six, the two counit laws read the public `counit` of each key,
 and coassociativity is an identity of the verifier's form
 Delta(X) = X (x) I, so it reads 0.  Each is linear or antilinear, so the
 keys bound every element's residual and no sampled element adds a check.
-The junctions J_l of each pair of lengths are stacked once per call into
-dense arrays (`_junction_arrays`).  From them come, in closed form, coproduct
+From the junction arrays come, in closed form, coproduct
 multiplicativity and the counit of a product on every pair of basis keys
 whose endpoints meet (`_key_pair_residuals`), and counit positivity on
 every basis key, contracted from the same counits of key products; both
@@ -57,7 +58,6 @@ from .path_space import (
     PathVector,
     SparseCoefficients,
     inner_product,
-    star,
 )
 
 
@@ -182,25 +182,6 @@ def _junction_scalars(beta: float, n1: int, n2: int) -> tuple:
     return tuple(out)
 
 
-def _junction_walks(space, xi, omega, n1, l) -> dict:
-    """c_{n1-l} ... c_{n1-1} (xi . omega) as {walk: coefficient}, for xi of
-    length n1.  The l annihilations join a walk p of xi and a walk q of
-    omega whose last and first l steps retrace each other
-    (p[n1 - j] = q[j] for j <= l) into p[:n1 - l + 1] + q[l + 1:], with
-    the telescoped weight sqrt(mu[p[n1]] / mu[p[n1 - l]]), so no walk longer
-    than the result is formed."""
-    heads: dict = {}
-    for q, zq in omega.coeffs.items():
-        heads.setdefault(q[: l + 1], []).append((q[l + 1 :], zq.real))
-    walks: dict = {}
-    for p, zp in xi.coeffs.items():
-        w = zp.real * space.sqrt_mu[p[n1]] / space.sqrt_mu[p[n1 - l]]  # the basis is real
-        for tail, zq in heads.get(p[n1 - l :][::-1], ()):
-            walk = p[: n1 - l + 1] + tail
-            walks[walk] = walks.get(walk, 0.0) + w * zq
-    return walks
-
-
 def _check_cutoff(space, n1, n2) -> None:
     """Refuse a product of lengths n1 and n2 whose longest built length,
     min(n1 + n2, h - 2) on a finite graph and n1 + n2 on an affine one,
@@ -209,56 +190,76 @@ def _check_cutoff(space, n1, n2) -> None:
         raise CutoffError(f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}")
 
 
-def _junctions(space, n1, a, n2, c, bases=None) -> tuple:
-    """J_l(a, c) for l = 0..min(n1, n2): the coordinates against
-    `essential_basis(space, m)`, m = n1 + n2 - 2l, of the l-fold junction
-    contraction c_{n1-l} ... c_{n1-1} (xi_a . xi_c); () when r(a) != s(c).
-    Only the (s(a), r(c)) block of E_m is read, and no walk is formed for
-    an l whose block is empty or whose m is past the top essential length,
-    where E_m is not even built.  Where lambda_l is singular (0), J_l must
-    vanish and is stored empty; a nonzero one raises `BasisError`.  Cached
-    as plain dicts.  `bases`, the bases of lengths n1 and n2 and
-    {m: E_m basis}, spares their lookups when given."""
+def _junction_arrays(space, n1, n2) -> list:
+    """J_l(a, c) for l = 0..min(n1, n2) as dense arrays [a, c, e]: the E_m
+    coordinates, m = n1 + n2 - 2l, of c_{n1-l} ... c_{n1-1} (xi_a . xi_c),
+    0 where r(a) != s(c), entries at or below 1e-14 dropped; no e (and no
+    E_m built) for an m past the top length.  Where lambda_l is singular,
+    J_l must vanish and is stored as 0; a nonzero one raises `BasisError`.
+    Cached under "junctions" and built with no walk from the bases' signed
+    `append` A and `prepend` P: splitting off the last edges of xi_c and
+    xi_e, J_0^(n1,n2)[a, c, e] = [r(c) = r(e)] sum_{b,f} A_n2[c, b]
+    A_m[e, f] J_0^(n1,n2-1)[a, b, f] from J_0^(n1,0)[a, t, e] =
+    delta_ae [r(a) = t]; and the first contraction retraces the last edge
+    of xi_a with the first of xi_c, so for l >= 1 J_l^(n1,n2)[a, c, e] =
+    [r(a) = s(c)] sum_{b,f} A_n1[a, b] sqrt(mu[r(a)] / mu[r(b)]) P_n2[c, f]
+    J_(l-1)^(n1-1,n2-1)[b, f, e]."""
     cache = space.cache.setdefault("junctions", {})
-    if (n1, a, n2, c) not in cache:
-        left, right, targets = bases or (essential_basis(space, n1), essential_basis(space, n2), None)
-        (s, r), (r2, t) = left.endpoints[a], right.endpoints[c]
+    if (n1, n2) not in cache:
+        left, right = essential_basis(space, n1), essential_basis(space, n2)
+        ranges, sources = [r for _, r in left.endpoints], [s for s, _ in right.endpoints]
         out = []
-        for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2) if r == r2 else ()):
+        for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2)):
             m = n1 + n2 - 2 * l
             if m > space.top_length:
-                out.append({})
-                continue
-            target = targets[m] if targets else essential_basis(space, m)
-            block = target.blocks.get((s, t), ())
-            walks = _junction_walks(space, left.vectors[a], right.vectors[c], n1, l) if block else {}
-            coords = {}
-            for e in block:
-                v = target.vectors[e].coeffs
-                z = sum(zw * v[walk].real for walk, zw in walks.items() if walk in v)
-                if abs(z) > 1e-14:
-                    coords[e] = z
-            if scalar == 0 and any(abs(z) > 1e-9 for z in coords.values()):
-                raise BasisError(
-                    f"junction {l} of ({n1}, {a}) . ({n2}, {c}) is nonzero where lambda is singular"
-                )
-            out.append(coords if scalar else {})
-        cache[n1, a, n2, c] = tuple(out)
-    return cache[n1, a, n2, c]
+                J = np.zeros((len(left), len(right), 0))
+            elif l:
+                root = np.asarray(space.sqrt_mu)
+                below = [r for _, r in essential_basis(space, n1 - 1).endpoints]
+                step = left.append * root[ranges][:, None] / root[below]  # sqrt(mu[r(a)] / mu[r(b)]) A[a, b]
+                J = right.prepend @ np.tensordot(step, _junction_arrays(space, n1 - 1, n2 - 1)[l - 1], 1)
+                J *= np.equal.outer(ranges, sources)[:, :, None]
+            elif n2:
+                target = essential_basis(space, m)
+                J = right.append @ (_junction_arrays(space, n1, n2 - 1)[0] @ target.append.T)
+                J *= np.equal.outer([r for _, r in right.endpoints], [r for _, r in target.endpoints])
+            else:
+                J = np.eye(len(left))[:, None, :] * np.equal.outer(ranges, range(len(right)))[:, :, None]
+            J[np.abs(J) <= 1e-14] = 0.0
+            if scalar == 0 and np.abs(J).max(initial=0.0) > 1e-9:
+                raise BasisError(f"junction {l} of lengths {n1} and {n2} is nonzero where lambda is singular")
+            out.append(J if scalar else 0.0 * J)
+        cache[n1, n2] = out
+    return cache[n1, n2]
+
+
+def _junction_rows(space, n1, n2) -> dict:
+    """The nonzero entries of `_junction_arrays(space, n1, n2)`, read in one
+    pass for the dict product: (a, c) -> one list of (e, J_l[a, c, e]) per
+    level, and no (a, c) whose junctions all vanish.  Cached."""
+    cache = space.cache.setdefault("junction_rows", {})
+    if (n1, n2) not in cache:
+        arrays, rows = _junction_arrays(space, n1, n2), {}
+        for l, J in enumerate(arrays):
+            index = np.nonzero(J)
+            for a, c, e, z in zip(*(i.tolist() for i in index), J[index].tolist()):
+                rows.setdefault((a, c), [[] for _ in arrays])[l].append((e, z))
+        cache[n1, n2] = rows
+    return cache[n1, n2]
 
 
 def _basis_product(space, n1, a, b, n2, c, d) -> dict:
     """The coefficients of the product of two basis elements,
     (n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d),
-    from the cached junctions; empty when the endpoints do not meet."""
+    from `_junction_rows`; empty when the endpoints do not meet."""
     _check_cutoff(space, n1, n2)
-    left, right = _junctions(space, n1, a, n2, c), _junctions(space, n1, b, n2, d)
+    rows = _junction_rows(space, n1, n2)
     scalars = _junction_scalars(space.beta, n1, n2)
     out = {}
-    for l, (jl, jr) in enumerate(zip(left, right)):
+    for l, (jl, jr) in enumerate(zip(rows.get((a, c), ()), rows.get((b, d), ()))):
         m, scalar = n1 + n2 - 2 * l, scalars[l]
-        for e, ze in jl.items():
-            for f, zf in jr.items():
+        for e, ze in jl:
+            for f, zf in jr:
                 z = scalar * ze * zf
                 if abs(z) > 1e-14:
                     out[m, e, f] = z
@@ -323,16 +324,21 @@ def identity(space: PathSpace) -> AlgebraElement:
 
 
 def _star_matrix(space, n):
-    """The length-n star matrix S, real: column a holds the expansion of
-    star(xi_a) against the basis.  Cached under "star_columns"."""
+    """The length-n star matrix S, real: column a holds the coordinates of
+    star(xi_a), entries at or below 1e-14 dropped.  As star(xi_b . (r(b) ->
+    r(a))) = (r(a) -> r(b)) . star(xi_b), S_n = [s(a') = r(a)] P S_(n-1) A^T
+    with the basis's `prepend` P and `append` A, from S_0 = I; cached under
+    "star_columns", filled in order from 0."""
     cache = space.cache.setdefault("star_columns", {})
-    if n not in cache:
-        basis = essential_basis(space, n)
-        S = np.zeros((len(basis), len(basis)))
-        for a, xi in enumerate(basis.vectors):
-            for a2, z in basis.expand(star(xi)).items():
-                S[a2, a] = z.real
-        cache[n] = S
+    while n not in cache:
+        k = len(cache)
+        basis = essential_basis(space, k)
+        S = np.eye(len(basis))
+        if k:
+            S = basis.prepend @ cache[k - 1] @ basis.append.T
+            S *= np.equal.outer([s for s, _ in basis.endpoints], [r for _, r in basis.endpoints])
+            S[np.abs(S) <= 1e-14] = 0.0
+        cache[k] = S
     return cache[n]
 
 
@@ -477,28 +483,7 @@ def _sup(x):
     return np.maximum(x.max(axis=axes, initial=0.0), np.abs(x.min(axis=axes, initial=0.0)))
 
 
-def _junction_arrays(space, n1, n2) -> list:
-    """The junctions J_l(a, c) of `_junctions`, l = 0..min(n1, n2), as dense
-    arrays [a, c, e]; one whose length n1 + n2 - 2l is past the top has no e.
-    Each basis is read once per array."""
-    lengths = range(n1 + n2, abs(n1 - n2) - 1, -2)
-    targets = {m: essential_basis(space, m) for m in lengths if m <= space.top_length}
-    bases = left, right, _ = essential_basis(space, n1), essential_basis(space, n2), targets
-    out = [np.zeros((len(left), len(right), len(targets[m]) if m in targets else 0)) for m in lengths]
-    for a, (_, r) in enumerate(left.endpoints):
-        for c in (c for c, (s, _) in enumerate(right.endpoints) if s == r):
-            for J, coords in zip(out, _junctions(space, n1, a, n2, c, bases)):
-                for e, z in coords.items():
-                    J[a, c, e] = z
-    return out
-
-
-def _by_rows(J):
-    """A junction array J[a, c, e] as a matrix with rows a * d_n2 + c."""
-    return J.reshape(J.shape[0] * J.shape[1], J.shape[2])
-
-
-def _key_pair_residuals(space, arrays, n1, n2) -> tuple:
+def _key_pair_residuals(space, n1, n2) -> tuple:
     """The key pairs (n1, a, b), (n2, c, d) whose endpoints meet, r(a) = s(c)
     and r(b) = s(d), the residuals of "coproduct multiplicative" and
     "counit of product" on every pair, and eps((n1, a, b) (n2, c, d)) on
@@ -514,11 +499,11 @@ def _key_pair_residuals(space, arrays, n1, n2) -> tuple:
     counit eps(xy) = sum_l lambda_l <J_l(a, c), J_l(b, d)>; its split
     sum eps(x 1_(1)) eps(1_(2) y) over Delta(1) = sum (0, s, u) (x) (0, u, t)
     is 1 where a = b, c = d and r(a) = s(c), and 0 elsewhere, by the unit
-    law that "unit element" checks.  `arrays(n1, n2)` gives the junction
-    arrays of `_junction_arrays`.
+    law that "unit element" checks.
     """
-    Js = arrays(n1, n2)
-    (d1, d2), Ms = Js[0].shape[:2], [_by_rows(J) for J in Js]
+    Js = _junction_arrays(space, n1, n2)
+    d1, d2 = Js[0].shape[:2]
+    Ms = [J.reshape(d1 * d2, J.shape[2]) for J in Js]  # rows a * d2 + c
     scalars = _junction_scalars(space.beta, n1, n2)
     u = [np.abs(J).max(2, initial=0.0) for J in Js]
     delta_sup, eps = np.zeros((d1, d1, d2, d2)), np.zeros((d1 * d2, d1 * d2))
@@ -539,7 +524,7 @@ def _key_pair_residuals(space, arrays, n1, n2) -> tuple:
     return meet, delta_sup, np.abs(residual, out=residual), eps
 
 
-def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
+def _unary_residuals(space, n, weight_fn=None) -> dict:
     """The nine linear unary axioms at length n: name -> R, with R[a, b] the
     residual of the basis key (n, a, b).
 
@@ -560,8 +545,7 @@ def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
     of the Delta form, 0; and "antipode cancellation" on e_ab is
     sum_c' R[a, c'] (x) e_c'b, with R[a, c'] = m (S (x) id) Delta(e_ac')
     less the unit's part (x 1_(2) keeps b by the right unit law, which
-    "unit element" checks), whose sup depends on a alone.  `arrays(n1, n2)`
-    gives the junction arrays of `_junction_arrays`.
+    "unit element" checks), whose sup depends on a alone.
     """
     basis = essential_basis(space, n)
     d, k, f = len(basis), len(basis.blocks), weight_fn or partial(_pf_weight, space)
@@ -569,8 +553,8 @@ def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
     W = np.array([[f(*p, *q) for q in basis.blocks] for p in basis.blocks]).reshape(k, k)[np.ix_(at, at)]
     S, one = _star_matrix(space, n), np.eye(d)
     units = np.eye(d * d).reshape(d * d, d, d)
-    left = arrays(0, n)[0].sum(0)  # 1 X = left^T X left
-    ends = arrays(n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
+    left = _junction_arrays(space, 0, n)[0].sum(0)  # 1 X = left^T X left
+    ends = _junction_arrays(space, n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
     right = ends.sum(1)  # X 1 = right^T X right
 
     def star(Z):
@@ -617,7 +601,7 @@ def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
     # whose sup is sup |V[a]| sup |A[a]|; at m = 0 (l = n) the unit's
     # sum_{s, t} (0, s, t) J_0(a, t)[c'] is taken off first
     sups = []
-    for l, (z, J) in enumerate(zip(_junction_scalars(space.beta, n, n), arrays(n, n))):
+    for l, (z, J) in enumerate(zip(_junction_scalars(space.beta, n, n), _junction_arrays(space, n, n))):
         V, A = z * W @ np.einsum("qc,qce->ce", S, J), np.einsum("pa,pcf->acf", S, J)
         if l < n:
             sups.append(_sup(V) * _sup(A))
@@ -627,12 +611,13 @@ def _unary_residuals(space, n, weight_fn=None, *, arrays) -> dict:
     return out
 
 
-def _worst(name, pool, residuals) -> AxiomResult:
+def _worst(name, pool, residuals, element) -> AxiomResult:
     """The largest of `residuals`, with the sorted keys of each argument of
     the first tuple in pool order that reached it to a relative 1e-9, so
     that rounding does not choose among tuples tied in exact arithmetic; a
     NaN counts as the largest.  A pool of keys or of key pairs is an array
-    of rows (n, a, b) or (n1, a, b, n2, c, d)."""
+    of rows (n, a, b) or (n1, a, b, n2, c, d), any other one tuples of
+    `element` indices."""
     at = int(np.argmax(residuals))
     worst = float(residuals[at])
     if not math.isnan(worst):
@@ -640,7 +625,7 @@ def _worst(name, pool, residuals) -> AxiomResult:
     if isinstance(pool, np.ndarray):
         witness = tuple((key,) for key in map(tuple, pool[at].reshape(-1, 3).tolist()))
     else:
-        witness = tuple(tuple(sorted(x.coeffs)) for x in pool[at])
+        witness = tuple(tuple(sorted(element(i).coeffs)) for i in pool[at])
     return AxiomResult(name, worst, len(pool), witness)
 
 
@@ -668,19 +653,17 @@ def verify_axioms(
     `star_alg`, `antipode` or `coproduct`, which the tests hold to those
     forms.  The two counit laws read the public `counit` of every key, so a
     wrong counit fails them.  Coassociativity is an identity of the Delta
-    form, so its residual is exactly 0.  The junction arrays of each pair of
-    lengths up to `max_length` are built once per call and shared:
-    coproduct multiplicativity and the counit of a product read the sup of
-    Delta(xy) - Delta(x) Delta(y) and eps(xy) less its split over Delta(1)
-    off them (`_key_pair_residuals`), with no product formed.  These two
-    bilinear axioms are checked on every pair of basis keys (n1, a, b),
+    form, so its residual is exactly 0.  Coproduct multiplicativity and the
+    counit of a product read the sup of Delta(xy) - Delta(x) Delta(y) and
+    eps(xy) less its split over Delta(1) off the junction arrays
+    (`_key_pair_residuals`), on every pair of basis keys (n1, a, b),
     (n2, c, d) whose endpoints meet, r(a) = s(c) and r(b) = s(d), in the
-    order (n1, n2, a, b, c, d); on the other pairs both sides vanish.
-    Counit positivity reads every basis key's eps(k k*) = sum_{c,d}
-    eps((n, a, b) (n, c, d)) S[c, a] S[d, b] off the same counits.
-    Product associativity, the star antihomomorphism, the antipode product
-    rule and positivity on the random elements evaluate each sampled tuple
-    directly.  Each result carries the number of keys, elements, tuples or
+    order (n1, n2, a, b, c, d); on the other pairs both bilinear sides
+    vanish.  Counit positivity reads every basis key's eps(k k*) =
+    sum_{c,d} eps((n, a, b) (n, c, d)) S[c, a] S[d, b] off the same counits.
+    The other axioms, and positivity on the random elements, evaluate each
+    sampled tuple directly; only the pool elements that they read are
+    built.  Each result carries the number of keys, elements, tuples or
     key pairs checked and the basis keys of the first worst one.
     `weight_fn` overrides the antipode's endpoint factor, which is how a
     deliberately corrupted antipode can be shown to fail.  Failures are
@@ -706,18 +689,14 @@ def verify_axioms(
     ]
     rng = np.random.default_rng(seed)
     randoms = [_random_element(space, keys, rng) for _ in range(samples)]
-    singles = [AlgebraElement.basis_element(space, *k) for k in keys] + randoms
-    pairs = [
-        (singles[int(rng.integers(len(singles)))], singles[int(rng.integers(len(singles)))])
-        for _ in range(samples)
-    ]
-    triples = [
-        tuple(singles[int(rng.integers(len(singles)))] for _ in range(3))
-        for _ in range(samples)
-    ]
-    singles = [(x,) for x in singles]
+    size = len(keys) + samples  # the pool: every basis key, then the random elements
+    pairs = [(int(rng.integers(size)), int(rng.integers(size))) for _ in range(samples)]
+    triples = [tuple(int(rng.integers(size)) for _ in range(3)) for _ in range(samples)]
+    singles = [(i,) for i in range(size)]
 
-    arrays = lru_cache(maxsize=None)(partial(_junction_arrays, space))
+    @lru_cache(maxsize=None)
+    def element(i):
+        return AlgebraElement.basis_element(space, *keys[i]) if i < len(keys) else randoms[i - len(keys)]
 
     def positivity(values):
         values = np.asarray(values)
@@ -725,12 +704,12 @@ def verify_axioms(
 
     swept: dict = {"counit positivity": []}  # axiom -> residuals per length or pair of lengths
     for n in range(max_length + 1):
-        for name, R in _unary_residuals(space, n, weight_fn, arrays=arrays).items():
+        for name, R in _unary_residuals(space, n, weight_fn).items():
             swept.setdefault(name, []).append(R.ravel())
     key_pairs = []  # rows (n1, a, b, n2, c, d)
     for n1 in range(max_length + 1):
         for n2 in range(max_length + 1):
-            meet, *residuals, eps = _key_pair_residuals(space, arrays, n1, n2)
+            meet, *residuals, eps = _key_pair_residuals(space, n1, n2)
             a, b, c, d = np.nonzero(meet)
             key_pairs.append(np.column_stack([np.full_like(a, n1), a, b, np.full_like(a, n2), c, d]))
             for name, R in zip(("coproduct multiplicative", "counit of product"), residuals):
@@ -740,7 +719,7 @@ def verify_axioms(
                 swept["counit positivity"].append(positivity(np.einsum("abcd,ca,db->ab", eps, S, S)).ravel())
             del eps  # the (n1, n2) counit array, not held while the next pair of lengths is built
     swept["counit positivity"].append(positivity([counit(multiply(x, star_alg(x))) for x in randoms]))
-    key_pairs, keys = np.concatenate(key_pairs), np.array(keys)
+    key_pairs, key_rows = np.concatenate(key_pairs), np.array(keys)
     s_fn = partial(antipode, weight_fn=weight_fn)
     # two pair axioms read xy; each sampled pair is multiplied once
     product = lru_cache(maxsize=None)(multiply)
@@ -749,26 +728,26 @@ def verify_axioms(
     checks = (
         ("product associativity", triples,
          lambda x, y, z: (multiply(multiply(x, y), z) - multiply(x, multiply(y, z))).sup_norm()),
-        ("unit element", keys, None),
-        ("star involution", keys, None),
+        ("unit element", key_rows, None),
+        ("star involution", key_rows, None),
         ("star antihomomorphism", pairs,
          lambda x, y: (star_alg(product(x, y)) - multiply(star_alg(y), star_alg(x))).sup_norm()),
         ("coproduct multiplicative", key_pairs, None),
-        ("coproduct star-compatible", keys, None),
-        ("coassociativity", keys, None),
-        ("counit left inverse", keys, None),
-        ("counit right inverse", keys, None),
+        ("coproduct star-compatible", key_rows, None),
+        ("coassociativity", key_rows, None),
+        ("counit left inverse", key_rows, None),
+        ("counit right inverse", key_rows, None),
         ("counit of product", key_pairs, None),
         ("counit positivity", singles, None),
         ("antipode product rule", pairs,
          lambda x, y: (s_fn(product(x, y)) - multiply(s_fn(y), s_fn(x))).sup_norm()),
-        ("antipode star double", keys, None),
-        ("antipode coproduct rule", keys, None),
-        ("antipode cancellation", keys, None),
+        ("antipode star double", key_rows, None),
+        ("antipode coproduct rule", key_rows, None),
+        ("antipode cancellation", key_rows, None),
     )
     results = tuple(
         _worst(name, pool, np.concatenate(swept[name]) if fn is None
-               else np.fromiter((fn(*args) for args in pool), float, len(pool)))
+               else np.fromiter((fn(*map(element, args)) for args in pool), float, len(pool)), element)
         for name, pool, fn in checks
     )
     return VerificationReport(

@@ -20,8 +20,10 @@ from pathhopf import (
     decompose,
     essential_basis,
     identity,
+    inner_product,
     multiply,
     multiply_tensor_square,
+    star,
     star_alg,
     tridiagonal_solve,
     zero_vector,
@@ -385,6 +387,76 @@ def _horner_lift(space, tables, n, s, r, vectors):
     return passed.get((), 0.0)
 
 
+def expand(basis, x):
+    """Coefficients of `x` against an essential basis: index -> (xi_a, x),
+    those above 1e-14."""
+    out = {}
+    for a, xi in enumerate(basis.vectors):
+        c = inner_product(xi, x)
+        if abs(c) > 1e-14:
+            out[a] = c
+    return out
+
+
+def walk_star_matrix(space, n):
+    """The oracle of `weak_hopf._star_matrix`: column a holds the expansion
+    of star(xi_a), the reversed walks, against the length-n basis."""
+    basis = essential_basis(space, n)
+    S = np.zeros((len(basis), len(basis)))
+    for a, xi in enumerate(basis.vectors):
+        for a2, z in expand(basis, star(xi)).items():
+            S[a2, a] = z.real
+    return S
+
+
+def junction_walks(space, xi, omega, n1, l):
+    """c_{n1-l} ... c_{n1-1} (xi . omega) as {walk: coefficient}, for xi of
+    length n1.  The l annihilations join a walk p of xi and a walk q of
+    omega whose last and first l steps retrace each other
+    (p[n1 - j] = q[j] for j <= l) into p[:n1 - l + 1] + q[l + 1:], with
+    the telescoped weight sqrt(mu[p[n1]] / mu[p[n1 - l]]), so no walk longer
+    than the result is formed."""
+    heads: dict = {}
+    for q, zq in omega.coeffs.items():
+        heads.setdefault(q[: l + 1], []).append((q[l + 1 :], zq.real))
+    walks: dict = {}
+    for p, zp in xi.coeffs.items():
+        w = zp.real * space.sqrt_mu[p[n1]] / space.sqrt_mu[p[n1 - l]]  # the basis is real
+        for tail, zq in heads.get(p[n1 - l :][::-1], ()):
+            walk = p[: n1 - l + 1] + tail
+            walks[walk] = walks.get(walk, 0.0) + w * zq
+    return walks
+
+
+def walk_junctions(space, n1, a, n2, c):
+    """The oracle of `weak_hopf._junction_arrays` on one key pair: J_l(a, c)
+    for l = 0..min(n1, n2) as {e: coordinate} dicts, the coordinates
+    against the E_m basis, m = n1 + n2 - 2l, of the walks of
+    `junction_walks`, those above 1e-14; () when r(a) != s(c), and {} for an
+    m past the top length.  Where lambda_l is singular the coordinates are
+    returned as computed, not dropped."""
+    left, right = essential_basis(space, n1), essential_basis(space, n2)
+    (s, r), (r2, t) = left.endpoints[a], right.endpoints[c]
+    if r != r2:
+        return ()
+    out = []
+    for l in range(min(n1, n2) + 1):
+        m = n1 + n2 - 2 * l
+        if m > space.top_length:
+            out.append({})
+            continue
+        target = essential_basis(space, m)
+        walks = junction_walks(space, left.vectors[a], right.vectors[c], n1, l)
+        coords = {}
+        for e in target.blocks.get((s, t), ()):
+            v = target.vectors[e].coeffs
+            z = sum(zw * v[walk].real for walk, zw in walks.items() if walk in v)
+            if abs(z) > 1e-14:
+                coords[e] = z
+        out.append(coords)
+    return tuple(out)
+
+
 def reference_projector(space, x, y, memo=None):
     """P(x (x) y) as {(m, e, f): coefficient}, from the paper's formula with
     C evaluated by `coefficient_C`.
@@ -400,7 +472,7 @@ def reference_projector(space, x, y, memo=None):
         key = frozenset(v.coeffs.items())
         if key not in memo:
             memo[key] = [
-                (w.indices, xi.length, essential_basis(space, xi.length).expand(xi))
+                (w.indices, xi.length, expand(essential_basis(space, xi.length), xi))
                 for w, xi in decompose(space, v).terms
             ]
         return memo[key]

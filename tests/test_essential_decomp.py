@@ -40,6 +40,7 @@ from helpers import (
     assert_decomposition,
     block_projector,
     decomp_as_dict,
+    expand,
     path_graph,
     per_block_kernel,
     per_word_decompose,
@@ -71,7 +72,7 @@ def test_a3_length_two_content(a3):
     gamma = pv({(1, 2, 1): 1 / ROOT2, (1, 0, 1): -1 / ROOT2})
     for xi in (unit((0, 1, 2)), unit((2, 1, 0)), gamma):
         residual = xi
-        for a, c in basis.expand(xi).items():
+        for a, c in expand(basis, xi).items():
             residual = residual - c * basis.vectors[a]
         assert residual.sup_norm() < 1e-10
 

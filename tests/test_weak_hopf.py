@@ -4,7 +4,6 @@ import gc
 import itertools
 import math
 import weakref
-from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from pathhopf import (
     star_alg,
     verify_axioms,
 )
+from pathhopf.essential_decomp import EssentialBasis
 from pathhopf.weak_hopf import (
     TensorSquare,
     _basis_product,
@@ -45,6 +45,7 @@ from pathhopf.weak_hopf import (
     _junction_scalars,
     _key_pair_residuals,
     _q_integers,
+    _star_matrix,
     _unary_residuals,
 )
 from helpers import (
@@ -52,6 +53,7 @@ from helpers import (
     direct_axiom_residuals,
     direct_pair_residuals,
     direct_unary_axioms,
+    expand,
     graph_from_edges,
     meeting_key_pairs,
     pv,
@@ -61,6 +63,8 @@ from helpers import (
     sup_diff,
     sweedler_cancellation,
     unit,
+    walk_junctions,
+    walk_star_matrix,
     word_pair_basis_product,
 )
 
@@ -158,6 +162,7 @@ JUNCTION_GRAPHS = {
     "E6": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
     "A_aff_2": [(0, 1), (1, 2), (0, 2)],
     "D_aff_4": [(0, 1), (0, 2), (0, 3), (0, 4)],
+    "E8": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
 }
 
 
@@ -197,6 +202,30 @@ def test_junction_product_matches_word_pair_oracle(name, top, tol):
     assert compared > 100
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "A_aff_2", "E6", "D5", "E8"])
+def test_junction_arrays_and_star_matrices_match_the_walk_oracles(name):
+    # the recursions in Bratteli coordinates against the walk dicts: every
+    # key pair of lengths n1 <= 6 and n2 <= 4, capped at the top length,
+    # every level, and the star matrices up to length 6; where lambda_l is
+    # singular the array is 0 and the walks' coordinates nearly so
+    space = junction_space(name)
+    top = min(space.top_length, space.cutoff)
+    for n1 in range(min(6, top) + 1):
+        assert np.abs(_star_matrix(space, n1) - walk_star_matrix(space, n1)).max(initial=0.0) < 1e-13, n1
+        for n2 in range(min(4, top) + 1):
+            arrays, scalars = _junction_arrays(space, n1, n2), _junction_scalars(space.beta, n1, n2)
+            want = [np.zeros_like(J) for J in arrays]
+            for a, c in np.ndindex(arrays[0].shape[:2]):
+                for W, coords in zip(want, walk_junctions(space, n1, a, n2, c)):
+                    for e, z in coords.items():
+                        W[a, c, e] = z
+            for l, (J, W) in enumerate(zip(arrays, want)):
+                if scalars[l]:
+                    assert np.abs(J - W).max(initial=0.0) < 1e-13, (n1, n2, l)
+                else:
+                    assert not J.any() and np.abs(W).max(initial=0.0) < 1e-9, (n1, n2, l)
+
+
 @pytest.mark.parametrize(
     "name, expected", [("A3", (2, 2, 1)), ("D4", (3, 3, 1)), ("D5", (5, 5, 2))]
 )
@@ -220,7 +249,7 @@ def test_junctions_vanish_where_the_scalar_is_singular(name, expected):
                 y = concat(xi, omega)
                 for k in range(1, l + 1):
                     y = space.annihilate(n1 - k, y)
-                coords = target.expand(y)
+                coords = expand(target, y)
                 assert max(map(abs, coords.values()), default=0.0) < 1e-9, (n1, n2, l)
 
 
@@ -236,6 +265,71 @@ def test_nonzero_junction_at_a_singular_scalar_raises(a3, monkeypatch):
     a, c = ends.index((0, 1)), ends.index((1, 2))
     with pytest.raises(BasisError):
         _basis_product(space, 1, a, a, 1, c, c)  # (0-1-2) spans a block of E_2
+
+
+@pytest.mark.parametrize("name", ["D4", "A_aff_2", "E6"])
+def test_junction_arrays_reverse_under_the_star(name):
+    # an oracle for the arrays apart from their recursions: star(xi_a xi_c)
+    # = star(xi_c) star(xi_a), and the l contractions at the junction are
+    # the l contractions at the reversed junction, so wherever lambda_l != 0
+    # S_m J_l^(n1,n2)(a, c) = sum S_n2[c', c] S_n1[a', a] J_l^(n2,n1)(c', a')
+    space = junction_space(name)
+    checked = 0
+    for n1, n2 in itertools.product(range(7), repeat=2):
+        if n1 + n2 > 6:
+            continue
+        forward, backward = _junction_arrays(space, n1, n2), _junction_arrays(space, n2, n1)
+        S1, S2 = _star_matrix(space, n1), _star_matrix(space, n2)
+        for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2)):
+            m = n1 + n2 - 2 * l
+            if scalar and m <= space.top_length:
+                reversed_ = np.einsum("xc,ya,xye->ace", S2, S1, backward[l])
+                assert np.abs(forward[l] @ _star_matrix(space, m).T - reversed_).max(initial=0.0) < 1e-13, (n1, n2, l)
+                checked += np.count_nonzero(forward[l])
+    assert checked > 200
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "E6", "A_aff_2", "D_aff_4"])
+def test_block_units_multiply_by_the_fusion_rules(name):
+    # u_n = sum_a (n, a, a) multiply as the fusion rules of A_(h-1):
+    # u_1 u_n = u_n u_1 = u_(n-1) + u_(n+1), with u_(-1) = 0 and u_n = 0 past
+    # the top length; on an affine graph with no truncation
+    space = junction_space(name)
+
+    def u(n):
+        if not 0 <= n <= space.top_length:
+            return AlgebraElement(space, {})
+        return AlgebraElement(space, {(n, a, a): 1.0 for a in range(len(essential_basis(space, n)))})
+
+    for n in range(min(space.top_length, 6) + 1):
+        want = u(n - 1) + u(n + 1)
+        assert (multiply(u(1), u(n)) - want).sup_norm() < 1e-12, n
+        assert (multiply(u(n), u(1)) - want).sup_norm() < 1e-12, n
+
+
+def test_the_algebra_expands_no_basis_into_walk_dicts(tri, d4, monkeypatch):
+    # products, stars, antipodes and the verifier read the bases' Bratteli
+    # coordinates and the junction arrays, never `EssentialBasis.vectors`
+    expected = {
+        space.graph.name: [(r.name, r.residual, r.checked) for r in verify_axioms(space, 3).results]
+        for space in (tri, d4)
+    }
+
+    def no_vectors(self):
+        raise AssertionError("expanded a basis into walk dicts")
+
+    monkeypatch.setattr(EssentialBasis, "vectors", property(no_vectors))
+    for fixture in (tri, d4):
+        space = PathSpace(fixture.graph, fixture.spectrum)
+        report = verify_axioms(space, 3)
+        assert report.all_passed
+        for r, (name, residual, checked) in zip(report.results, expected[space.graph.name]):
+            assert r.name == name and r.checked == checked, name
+            assert r.residual == pytest.approx(residual, abs=1e-12), name
+        x = AlgebraElement(space, {(2, 0, 1): 1.0, (3, 2, 2): -0.5j})
+        assert counit(multiply(x, star_alg(x))).real > 0.1
+        assert (star_alg(star_alg(x)) - x).sup_norm() < 1e-12
+        assert (star_alg(antipode(star_alg(antipode(x)))) - x).sup_norm() < 1e-12
 
 
 def test_junction_scalars_at_beta_two():
@@ -566,13 +660,14 @@ def test_affine_products_past_the_cutoff_raise(tri):
 
 
 def test_space_is_freed_without_the_cycle_collector(a3):
-    # the memo tables hold plain values, so dropping the last reference
-    # frees a space even while the cycle collector is off
+    # the memo tables hold plain values (the junction arrays, their nonzero
+    # entries and the bases' cached matrices), so dropping the last
+    # reference frees a space even while the cycle collector is off
     space = PathSpace(a3.graph, a3.spectrum)
     x = AlgebraElement.basis_element(space, 1, 0, 0)
     one = identity(space)
-    assert not multiply(one, x).is_zero()
-    assert space.cache["junctions"]
+    assert not multiply(one, x).is_zero() and not star_alg(x).is_zero()
+    assert space.cache["junctions"] and space.cache["junction_rows"] and space.cache["star_columns"]
     ref = weakref.ref(space)
     gc.disable()
     try:
@@ -888,9 +983,8 @@ def test_cancellation_per_key_matches_the_sweedler_sum(space_name, request):
     # as products of sups, the m = 0 level less the unit's part, and, on d4,
     # levels past the top length 4
     space = request.getfixturevalue(space_name)
-    arrays = lru_cache(maxsize=None)(partial(_junction_arrays, space))
     for n in range(4):
-        R = _unary_residuals(space, n, BENT, arrays=arrays)["antipode cancellation"]
+        R = _unary_residuals(space, n, BENT)["antipode cancellation"]
         d = len(essential_basis(space, n))
         assert R.shape == (d, d)
         for a, b in itertools.product(range(d), repeat=2):
@@ -1020,10 +1114,12 @@ JUNCTION_AXIOMS = ("coproduct multiplicative", "counit of product", "counit posi
 def test_junction_axioms_follow_a_mutated_product(tri, monkeypatch, mutation, max_length, samples, failing):
     # the verifier reads these three axioms off the junction arrays and
     # closed forms, the oracle off `multiply` and `multiply_tensor_square`;
-    # both see the mutation, through `_junction_scalars` or `_junctions`
+    # both see the mutation, through `_junction_scalars` or the space's
+    # cached junction arrays
     from pathhopf import weak_hopf
 
-    true_scalars, true_junctions = weak_hopf._junction_scalars, weak_hopf._junctions
+    space = PathSpace(tri.graph, tri.spectrum)
+    true_scalars = weak_hopf._junction_scalars
     if mutation.startswith("lambda_1"):
         factor = 1.01 if mutation.endswith("1.01") else -1.0
 
@@ -1035,19 +1131,12 @@ def test_junction_axioms_follow_a_mutated_product(tri, monkeypatch, mutation, ma
 
         monkeypatch.setattr(weak_hopf, "_junction_scalars", scalars)
     else:
-        # J_0 of the length-1 keys 5 and 3, which meet, at the E_2 index 8;
-        # the unit's junctions (lengths (0, n) and (n, 0)) are untouched
-        a, c, e = 5, 3, 8
-        assert e in true_junctions(tri, 1, a, 1, c)[0]
-
-        def junctions(space, n1, a2, n2, c2, *bases):
-            out = true_junctions(space, n1, a2, n2, c2, *bases)
-            if (n1, a2, n2, c2) == (1, a, 1, c):
-                out = ({**out[0], e: 2 * out[0][e]},) + out[1:]
-            return out
-
-        monkeypatch.setattr(weak_hopf, "_junctions", junctions)
-    space = PathSpace(tri.graph, tri.spectrum)
+        # J_0 of the length-1 keys 5 and 3, which meet, at the E_2 index 8,
+        # doubled in the cache before anything reads it; the unit's
+        # junctions (lengths (0, n) and (n, 0)) are untouched
+        J = _junction_arrays(space, 1, 1)[0]
+        assert abs(J[5, 3, 8]) > 0.1
+        J[5, 3, 8] *= 2
     report = {r.name: r for r in verify_axioms(space, max_length, samples=samples, seed=0).results}
     direct = direct_axiom_residuals(space, max_length, samples, 0)
     for name in JUNCTION_AXIOMS:
@@ -1076,30 +1165,19 @@ def test_pair_axioms_check_every_meeting_key_pair(space_name, max_length, count,
 
 
 @pytest.mark.parametrize("level, e, factor", [(0, 8, 0.0), (1, 2, 2.0)], ids=["J0-zeroed", "J1-doubled"])
-def test_coproduct_residual_matches_the_tensor_square_product_per_pair(tri, monkeypatch, level, e, factor):
+def test_coproduct_residual_matches_the_tensor_square_product_per_pair(tri, level, e, factor):
     # one junction entry of the length-1 keys 5 and 3 is changed, so the
     # levels l != l' of a product no longer join orthogonally (K_ll' != 0);
     # the closed forms of both pair axioms are compared with the dict
     # evaluation through the public maps on every meeting pair of keys of
     # length <= 1, in the verifier's order
-    from pathhopf import weak_hopf
-
-    true_junctions = weak_hopf._junctions
-    a, c = 5, 3
-    assert e in true_junctions(tri, 1, a, 1, c)[level]
-
-    def junctions(space, n1, a2, n2, c2, *bases):
-        out = list(true_junctions(space, n1, a2, n2, c2, *bases))
-        if (n1, a2, n2, c2) == (1, a, 1, c):
-            out[level] = {**out[level], e: factor * out[level][e]}
-        return tuple(out)
-
-    monkeypatch.setattr(weak_hopf, "_junctions", junctions)
     space = PathSpace(tri.graph, tri.spectrum)
-    arrays = lru_cache(maxsize=None)(partial(_junction_arrays, space))
+    J = _junction_arrays(space, 1, 1)[level]  # the cached array, which every product reads
+    assert abs(J[5, 3, e]) > 0.1
+    J[5, 3, e] *= factor
     pairs, got = [], {"coproduct multiplicative": [], "counit of product": []}
     for n1, n2 in itertools.product(range(2), repeat=2):
-        meet, *residuals, _ = _key_pair_residuals(space, arrays, n1, n2)
+        meet, *residuals, _ = _key_pair_residuals(space, n1, n2)
         pairs += [((n1, a2, b2), (n2, c2, d2)) for a2, b2, c2, d2 in np.argwhere(meet).tolist()]
         for values, R in zip(got.values(), residuals):
             values += R[meet].tolist()
@@ -1130,8 +1208,7 @@ def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
     x = AlgebraElement(space, {(1, 0, 1): 1.0, (1, 1, 2): 1j, (1, 2, 3): 0.3 - 0.8j, (2, 1, 1): -0.5j})
     y = AlgebraElement(space, {(1, 0, 1): 0.4 - 1.2j})  # one key: |z| residual(k)
     direct = direct_unary_axioms(space, BENT)
-    arrays = partial(_junction_arrays, space)
-    tables = [_unary_residuals(space, n, BENT, arrays=arrays) for n in range(3)]
+    tables = [_unary_residuals(space, n, BENT) for n in range(3)]
     assert set(tables[0]) == set(direct)
     for name, fn in direct.items():
         on_keys = {k: fn(AlgebraElement.basis_element(space, *k)) for k in x.coeffs}
@@ -1168,32 +1245,29 @@ def test_each_length_is_tabulated_once_per_call(tri, monkeypatch):
 
 
 def test_junction_arrays_are_stacked_once_per_call(tri, monkeypatch):
-    # the unary sweep, counit positivity and coproduct multiplicativity share
-    # one stack per pair of lengths, and a stack reads each basis it needs
-    # once, not once per cold key pair
+    # the unary sweep, counit positivity, coproduct multiplicativity and the
+    # products share one stack per pair of lengths, cached on the space: a
+    # second call builds none, and a fresh space builds them again
     from pathhopf import weak_hopf
 
-    true_arrays, true_basis = weak_hopf._junction_arrays, weak_hopf.essential_basis
-    stacked, reads = [], []
-
-    def basis(space, n):
-        reads.append(n)
-        return true_basis(space, n)
+    true_arrays = weak_hopf._junction_arrays
+    built = []
 
     def arrays(space, n1, n2):
-        stacked.append((n1, n2))
-        reads.clear()
-        out = true_arrays(space, n1, n2)
-        assert sorted(reads) == sorted([n1, n2, *range(n1 + n2, abs(n1 - n2) - 1, -2)]), (n1, n2)
-        return out
+        if (n1, n2) not in space.cache.get("junctions", {}):
+            built.append((n1, n2))
+        return true_arrays(space, n1, n2)
 
-    monkeypatch.setattr(weak_hopf, "essential_basis", basis)
     monkeypatch.setattr(weak_hopf, "_junction_arrays", arrays)
     swept = {(m, n) for n in range(4) for m in (0, n)} | {(n, 0) for n in range(4)}
     for _ in range(2):
-        stacked.clear()
-        assert verify_axioms(PathSpace(tri.graph, tri.spectrum), 3, samples=40, seed=3).all_passed
-        assert len(stacked) == len(set(stacked)) and set(stacked) >= swept
+        built.clear()
+        space = PathSpace(tri.graph, tri.spectrum)
+        assert verify_axioms(space, 3, samples=40, seed=3).all_passed
+        assert len(built) == len(set(built)) and set(built) >= swept
+        first = len(built)
+        assert verify_axioms(space, 3, samples=40, seed=3).all_passed
+        assert len(built) == first
 
 
 def test_a_scaled_star_entry_fails_star_involution_at_its_keys(monkeypatch):
