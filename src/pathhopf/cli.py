@@ -185,7 +185,7 @@ def format_report(report: VerificationReport, fmt: str = "text") -> str:
         status = "PASS" if r.passed(report.tolerance) else "FAIL"
         lines.append(
             f"{r.name:<26} max residual {_fmt_res(r.residual)}  {status}"
-            f"  {r.checked} checked, worst at {_fmt_witness(r.witness)}"
+            f"  {r.checked} checked" + (f", worst at {_fmt_witness(r.witness)}" if r.witness else "")
         )
     return "\n".join(lines)
 

@@ -1,10 +1,11 @@
 """Essential paths and the orthogonal decomposition of path space.
 
 A path vector is essential when every annihilation operator kills it.
-`essential_basis` builds each E_n in Bratteli coordinates, over the
-vectors xi . (r -> t) of E_{n-1}, with one stacked SVD per block shape;
-walks appear only on expansion (`EssentialBasis.vectors`, `.block`) and
-for the sign rule of the signed `append` and `prepend` matrices.  The
+`essential_basis` builds each E_n in Bratteli coordinates, as one kernel
+matrix over the vectors xi . (r -> t) of E_{n-1}, with one stacked SVD
+per block shape; walks appear only on expansion (`EssentialBasis.vectors`,
+`.block`) and for the sign rule of the signed `append` and `prepend`
+matrices.  The
 degree-n slice splits as the orthogonal direct sum, over l, of the spans of
 c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -51,23 +52,19 @@ class EssentialBasis:
 
     Vectors are grouped by (source, range) block; annihilation preserves
     endpoints, so the essential subspace splits over blocks and every basis
-    vector has well-defined endpoints.  `blocks` maps a block to the flat
-    positions of its vectors, and `endpoints` gives each vector's block;
-    blocks are ordered lexicographically.  `kernels[s, t]` maps each r ~ t
-    to the columns, over the vectors xi_b . (r -> t) with xi_b in block
-    (s, r) of `below` (the basis at length - 1), of the block's rows; at
-    length 0 each block holds its vertex.  No walk is formed until `block`
-    or `vectors` is read.
+    vector has well-defined endpoints.  `endpoints` gives each vector's
+    block and `blocks` each block's flat positions, in lexicographic block
+    order.  At length 0 each block holds its vertex.  Above it, the
+    d_n x d_{n-1} matrix `kernel` holds the unsigned vectors: row a, in
+    block (s, t), over the vectors xi_b . (r(b) -> t) of `below` (the basis
+    at length - 1), zero outside the b with s(b) = s and r(b) in
+    `neighbors[t]`.  No walk is formed until `block` or `vectors` is read.
     """
 
-    def __init__(self, length, kernels, below=None):
-        self.length = length
-        self.kernels = kernels
-        self.below = below
-        sizes = [len(next(iter(parts.values()))) for parts in kernels.values()]
-        bounds = list(accumulate(sizes, initial=0))
-        self.blocks = {key: tuple(range(i, j)) for key, i, j in zip(kernels, bounds, bounds[1:])}
-        self.endpoints = tuple(key for key, size in zip(kernels, sizes) for _ in range(size))
+    def __init__(self, length, endpoints, kernel=None, below=None, neighbors=None):
+        self.length, self.endpoints, self.kernel = length, endpoints, kernel
+        self.below, self.neighbors = below, neighbors
+        self.blocks = {key: tuple(at) for key, at in groupby(range(len(endpoints)), endpoints.__getitem__)}
         self._unsigned: dict = {}
 
     def __len__(self):
@@ -82,11 +79,13 @@ class EssentialBasis:
             if self.below is None:
                 walks, rows = np.array([[s]]), np.ones((1, 1))
             else:
-                walks, rows = [], []
-                for r, k in self.kernels[key].items():
-                    w, v = self.below._walk_coordinates(s, r)
-                    walks.append(np.column_stack((w, np.full(len(w), t))))
-                    rows.append(k @ v)
+                walks, rows, at = [], [], self.blocks[key]
+                for r in self.neighbors[t]:
+                    if (s, r) in self.below.blocks:
+                        w, v = self.below._walk_coordinates(s, r)
+                        b = self.below.blocks[s, r]
+                        walks.append(np.column_stack((w, np.full(len(w), t))))
+                        rows.append(self.kernel[at[0] : at[-1] + 1, b[0] : b[-1] + 1] @ v)
                 walks, rows = np.vstack(walks), np.hstack(rows)
                 order = np.lexsort(walks.T[::-1])
                 # the smallest integer type that holds every vertex
@@ -113,12 +112,8 @@ class EssentialBasis:
     @cached_property
     def append(self) -> np.ndarray:
         """A[a, b] with xi_a = sum_b A[a, b] xi_b . (r(b) -> r(a)) over the
-        signed vectors xi_b of `below`: the kernel rows, signed."""
-        out = np.zeros((len(self), len(self.below)))
-        for (s, t), rows in self.blocks.items():
-            for r, k in self.kernels[s, t].items():
-                out[np.ix_(rows, self.below.blocks[s, r])] = k
-        return self.signs[:, None] * out * self.below.signs
+        signed vectors xi_b of `below`: `kernel`, signed."""
+        return self.signs[:, None] * self.kernel * self.below.signs
 
     @cached_property
     def prepend(self) -> np.ndarray:
@@ -149,13 +144,16 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     From there the basis grows from the cached length-(n-1) basis: grouped
     by its last edge (r -> t), an essential vector of length n has every
     part in E_{n-1}, so E_n is the kernel of the last annihilation c_{n-2}
-    on the orthonormal candidates xi_a . (r -> t).  Per (source, range)
+    on the orthonormal candidates xi_b . (r(b) -> t).  Per (source, range)
     block, that kernel is read off the SVD of the matrix of c_{n-2} from
-    the candidate coordinates to those of E_{n-2}, which the rows of
-    E_{n-1} give (`_annihilation_matrix`); the matrices of one shape go
-    through one stacked `np.linalg.svd`, so each length makes one call per
-    shape, not per block.  Building the basis forms no walk.  Walks appear
-    when `EssentialBasis.vectors` or `EssentialBasis.block` is first read.
+    the candidate coordinates to those of E_{n-2}, which the `kernel` of
+    E_{n-1} gives.  The matrices of one shape are gathered from it in one
+    indexing step and go through one stacked `np.linalg.svd`, so each
+    length makes one call per shape, not per block; their V^T go into
+    one row per candidate in one assignment, and `kernel` keeps the rows
+    past each block's rank.  Building the basis forms no walk.  Walks
+    appear when `EssentialBasis.vectors` or `EssentialBasis.block` is
+    first read.
     The result is deterministic; within each block the orthonormal vectors
     are the SVD's, each signed so that its first coefficient above 1e-9, in
     lexicographic path order, is positive.  Raises `CutoffError` for n
@@ -172,45 +170,36 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
 
 
 def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
+    nv = space.graph.num_vertices
     if n == 0:
-        nv = space.graph.num_vertices
-        return EssentialBasis(0, {(s, s): {s: np.ones((1, 1))} for s in range(nv)})
+        return EssentialBasis(0, tuple((s, s) for s in range(nv)))
     below = essential_basis(space, n - 1)
-    candidates = {}
-    for (s, r), offsets in below.blocks.items():
-        for t in space.graph.neighbors[r]:
-            candidates.setdefault((s, t), {})[r] = len(offsets)
-    sizes, shapes = dict(sorted(candidates.items())), {}  # lexicographic in (source, range)
-    for (s, t), block in sizes.items():
-        m = _annihilation_matrix(space, below, s, t, block)
-        shapes.setdefault(m.shape, {})[s, t] = m
-    # one SVD per shape; the full V^T spans the candidates, and its rows
-    # past each block's rank span that block's kernel
-    cut = {}
-    for group in shapes.values():
-        _, sing, vt = np.linalg.svd(np.stack(list(group.values())))
-        cut.update(zip(group, zip(vt, (sing > KERNEL_TOL).sum(axis=1).tolist())))
-    kernels = {}
-    for key, block in sizes.items():
-        vt, rank = cut[key]
-        if rank < len(vt):
-            kernel, bounds = vt[rank:], list(accumulate(block.values(), initial=0))
-            kernels[key] = {r: kernel[:, i:j] for r, i, j in zip(block, bounds, bounds[1:])}
-    return EssentialBasis(n, kernels, below)
-
-
-def _annihilation_matrix(space, below: EssentialBasis, s, t, sizes) -> np.ndarray:
-    """The matrix of c_{n-2} on the candidates xi_a . (r -> t), xi_a in
-    block (s, r) of E_{n-1} = `below`, for the r ~ t and block sizes in
-    `sizes`: it sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part
-    of xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of
-    E_{n-2}, read off `below.kernels`.  Each r's kernels hold that part
-    exactly when block (s, t) of E_{n-2} is not empty; when it is (always
-    at n = 1), the matrix has no rows."""
-    if t not in below.kernels[s, next(iter(sizes))]:
-        return np.zeros((0, sum(sizes.values())))
-    root_mu = space.sqrt_mu[t]
-    return np.hstack([space.sqrt_mu[r] / root_mu * below.kernels[s, r][t].T for r in sizes])
+    source, target = np.array(below.endpoints, dtype=np.intp).reshape(-1, 2).T
+    # the candidates b of each block (s, t): s(b) = s and r(b) ~ t, ascending
+    s, t, b = np.nonzero((source == np.arange(nv)[:, None, None]) & (space.graph.adjacency[:, target] > 0))
+    keys, first, width = np.unique(s * nv + t, return_index=True, return_counts=True)
+    # each block's rows: the vectors f of block (s, t) of E_{n-2}
+    spans = [below.below.blocks.get(divmod(k, nv), ()) if n > 1 else () for k in keys.tolist()]
+    shapes: dict = {}
+    for i, shape in enumerate(zip(map(len, spans), width.tolist())):
+        shapes.setdefault(shape, []).append(i)
+    root = np.asarray(space.sqrt_mu)
+    # one row per candidate: its block's row of V^T, kept past the block's rank
+    kernel, keep = np.zeros((len(b), len(below))), np.zeros(len(b), bool)
+    for (m, c), group in shapes.items():
+        at = first[group][:, None] + np.arange(c)
+        cols, rows = b[at], np.array([spans[i] for i in group], dtype=np.intp).reshape(len(group), m, 1)
+        # c_{n-2} sends xi_b . (r(b) -> t) to sqrt(mu[r(b)] / mu[t]) times
+        # the part of xi_b on the vectors xi_f . (t -> r(b))
+        scale = root[target[cols]] / root[t[at]]
+        stack = scale[:, None] * below.kernel[cols[:, None], rows] if m else np.zeros((len(group), 0, c))
+        # the full V^T spans the candidates, and its rows past each block's
+        # rank span that block's kernel
+        _, sing, vt = np.linalg.svd(stack)
+        kernel[at[:, :, None], cols[:, None]] = vt
+        keep[at] = np.arange(c) >= (sing > KERNEL_TOL).sum(axis=1)[:, None]
+    endpoints = tuple(zip(s[keep].tolist(), t[keep].tolist()))
+    return EssentialBasis(n, endpoints, kernel[keep], below, space.graph.neighbors)
 
 
 def is_essential(space: PathSpace, x: PathVector) -> bool:

@@ -432,7 +432,8 @@ def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
 class AxiomResult:
     """The worst residual of one axiom over its `checked` keys, elements or
     tuples, and `witness`: the sorted basis keys of each argument of the
-    first one in pool order within a relative 1e-9 of it (`_worst`)."""
+    first one in pool order within a relative 1e-9 of it, or () when the
+    residual is at most the tolerance times 1e-3 (`_worst`)."""
 
     name: str
     residual: float
@@ -611,17 +612,18 @@ def _unary_residuals(space, n, weight_fn=None) -> dict:
     return out
 
 
-def _worst(name, pool, residuals, element) -> AxiomResult:
+def _worst(name, pool, residuals, element, floor) -> AxiomResult:
     """The largest of `residuals`, with the sorted keys of each argument of
     the first tuple in pool order that reached it to a relative 1e-9, so
-    that rounding does not choose among tuples tied in exact arithmetic; a
-    NaN counts as the largest.  A pool of keys or of key pairs is an array
-    of rows (n, a, b) or (n1, a, b, n2, c, d), any other one tuples of
+    that rounding does not choose among tuples tied in exact arithmetic; at
+    or below `floor` rounding would choose, so there is no witness.  A NaN
+    counts as the largest.  A pool of keys or of key pairs is an array of
+    rows (n, a, b) or (n1, a, b, n2, c, d), any other one tuples of
     `element` indices."""
-    at = int(np.argmax(residuals))
-    worst = float(residuals[at])
-    if not math.isnan(worst):
-        at = int(np.argmax(residuals >= worst * (1 - 1e-9)))
+    worst = float(np.max(residuals))
+    if worst <= floor:
+        return AxiomResult(name, worst, len(pool))
+    at = int(np.argmax(residuals if math.isnan(worst) else residuals >= worst * (1 - 1e-9)))
     if isinstance(pool, np.ndarray):
         witness = tuple((key,) for key in map(tuple, pool[at].reshape(-1, 3).tolist()))
     else:
@@ -664,7 +666,8 @@ def verify_axioms(
     The other axioms, and positivity on the random elements, evaluate each
     sampled tuple directly; only the pool elements that they read are
     built.  Each result carries the number of keys, elements, tuples or
-    key pairs checked and the basis keys of the first worst one.
+    key pairs checked and the basis keys of the first worst one, if above
+    the tolerance times 1e-3.
     `weight_fn` overrides the antipode's endpoint factor, which is how a
     deliberately corrupted antipode can be shown to fail.  Failures are
     reported as residuals, never raised.  An empty check (no samples, or a
@@ -747,7 +750,8 @@ def verify_axioms(
     )
     results = tuple(
         _worst(name, pool, np.concatenate(swept[name]) if fn is None
-               else np.fromiter((fn(*map(element, args)) for args in pool), float, len(pool)), element)
+               else np.fromiter((fn(*map(element, args)) for args in pool), float, len(pool)),
+               element, tolerance * 1e-3)
         for name, pool, fn in checks
     )
     return VerificationReport(

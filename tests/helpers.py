@@ -184,15 +184,16 @@ def per_block_kernel(space, below, s, t, sizes) -> np.ndarray:
 
     c_{n-2} sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part of
     xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of E_{n-2}:
-    its matrix in E_{n-2} coordinates is read off `below.kernels`.  At
-    n = 1 that part is empty, so every candidate is kept."""
-    images = {r: below.kernels[s, r].get(t) for r in sizes}
-    rows = next((k.shape[1] for k in images.values() if k is not None), 0)
-    m = np.zeros((rows, sum(sizes.values())))
+    its matrix in E_{n-2} coordinates is a block of `below.kernel`.  At
+    n = 1, and wherever block (s, t) of E_{n-2} is empty, that part is
+    empty, so every candidate is kept."""
+    two = below.below.blocks.get((s, t), ()) if below.length else ()
+    m = np.zeros((len(two), sum(sizes.values())))
     j = 0
     for r, size in sizes.items():
-        if images[r] is not None:
-            m[:, j : j + size] = space.sqrt_mu[r] / space.sqrt_mu[t] * images[r].T
+        if two:
+            part = below.kernel[np.ix_(below.blocks[s, r], two)]
+            m[:, j : j + size] = space.sqrt_mu[r] / space.sqrt_mu[t] * part.T
         j += size
     # the full V^T spans the candidates; rows past the rank span the kernel
     _, sing, vt = np.linalg.svd(m)

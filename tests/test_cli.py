@@ -191,7 +191,28 @@ def test_verify_json(capture):
               "product associativity": 5, "star antihomomorphism": 5, "antipode product rule": 5}
     for r in doc["axioms"]:
         assert r["checked"] == counts.get(r["name"], 25), r["name"]
-        assert r["witness"] and all(len(key) == 3 for arg in r["witness"] for key in arg)
+        # a witness exactly when the residual is above the floor, the tolerance times 1e-3
+        assert bool(r["witness"]) == (r["residual"] > doc["tolerance"] * 1e-3), r["name"]
+        assert all(len(key) == 3 for arg in r["witness"] for key in arg)
+
+
+def test_verify_names_a_witness_only_above_the_floor(capture):
+    # at --tol 1e-14 the floor is 1e-17: rounding residuals of about 1e-16
+    # get a witness, exact zeros none; at the default floor, 1e-12, none does
+    for tol, witnessed in (("1e-14", True), ("1e-9", False)):
+        argv = ("verify", A3, "--max-length", "2", "--samples", "5", "--seed", "2", "--tol", tol)
+        code, out, _ = capture(*argv, "--format", "json")
+        assert code == 0
+        axioms = {r["name"]: r for r in json.loads(out)["axioms"]}
+        assert axioms["coassociativity"]["residual"] == 0.0 and axioms["coassociativity"]["witness"] == []
+        assert 0 < axioms["counit of product"]["residual"] < 1e-14
+        assert bool(axioms["counit of product"]["witness"]) == witnessed
+        _, out, _ = capture(*argv)
+        lines = {l.split("  ")[0].strip(): l for l in out.splitlines()[1:]}
+        assert lines["coassociativity"].endswith("PASS  34 checked")
+        assert ("136 checked, worst at (" in lines["counit of product"]) == witnessed
+        if not witnessed:
+            assert lines["counit of product"].endswith("PASS  136 checked")
 
 
 def test_verify_text_names_the_worst_element(capture, monkeypatch):

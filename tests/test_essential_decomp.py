@@ -513,20 +513,22 @@ def test_stacked_kernels_equal_the_per_block_oracle_bitwise(name, top):
     space = PathSpace(edge_graph(name))
     nv = space.graph.num_vertices
     for n in range(1, top + 1):
-        below, kernels, built = essential_basis(space, n - 1), essential_basis(space, n).kernels, []
+        below, basis, built = essential_basis(space, n - 1), essential_basis(space, n), []
+        assert basis.kernel.shape == (len(basis), len(below)), n
         for s, t in itertools.product(range(nv), repeat=2):
             sizes = candidate_sizes(space, below, s, t)
             kernel = per_block_kernel(space, below, s, t, sizes) if sizes else ()
             if len(kernel):
                 built.append((s, t))
-                assert list(kernels[s, t]) == list(sizes), (n, s, t)
-                bounds = list(itertools.accumulate(sizes.values(), initial=0))
-                for r, i, j in zip(sizes, bounds, bounds[1:]):
-                    assert np.array_equal(kernels[s, t][r], kernel[:, i:j]), (n, s, t, r)
-        assert list(kernels) == built, n
+                # the block's rows: the oracle on its candidates, 0 elsewhere
+                rows = np.zeros((len(kernel), len(below)))
+                rows[:, [b for r in sizes for b in below.blocks[s, r]]] = kernel
+                assert np.array_equal(basis.kernel[list(basis.blocks[s, t])], rows), (n, s, t)
+        assert list(basis.blocks) == built, n
         if n == 1:
             # c_{-1} has no rows: every edge is its own block and is kept
             assert len(built) == space.graph.adjacency.sum()
+            assert np.array_equal(basis.kernel, np.equal.outer([s for s, _ in basis.endpoints], range(nv)))
 
 
 @pytest.mark.parametrize("name, top", [("E6", 10), ("A_aff_2", 8)])
@@ -553,6 +555,24 @@ def test_each_length_runs_one_svd_per_block_shape(monkeypatch, name, top):
             if sizes:
                 shapes[len(two_below.get((s, t), ())), sum(sizes.values())] += 1
         assert sorted(calls[n]) == sorted((count, *shape) for shape, count in shapes.items()), n
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "A_aff_2", "D5", "E6"])
+def test_append_and_prepend_hold_their_definitions_in_walk_coordinates(name):
+    # xi_a = sum_b A[a, b] xi_b . (r(b) -> r(a)) and
+    # xi_c = sum_f P[c, f] (s(c) -> s(f)) . xi_f, over the vectors one step shorter
+    space = PathSpace(edge_graph(name))
+    for n in range(1, min(space.top_length, 6) + 1):
+        basis, below = essential_basis(space, n), essential_basis(space, n - 1)
+        for a, (xi, (s, t)) in enumerate(zip(basis.vectors, basis.endpoints)):
+            appended, prepended = {}, {}
+            for b, omega in enumerate(below.vectors):
+                for p, c in omega.coeffs.items():
+                    appended[p + (t,)] = appended.get(p + (t,), 0) + basis.append[a, b] * c
+                    prepended[(s,) + p] = prepended.get((s,) + p, 0) + basis.prepend[a, b] * c
+            for built in (appended, prepended):
+                walks = xi.coeffs.keys() | {p for p, c in built.items() if c != 0}
+                assert max(abs(xi.coeffs.get(p, 0) - built.get(p, 0)) for p in walks) < 1e-13, (n, a)
 
 
 # -- the word-Gram solve against the recursive splitter -----------------------

@@ -289,6 +289,27 @@ def test_junction_arrays_reverse_under_the_star(name):
     assert checked > 200
 
 
+@pytest.mark.parametrize("space_name", ["a3", "d4", "tri"])
+def test_counit_gram_matrix_vanishes_off_the_endpoint_classes(space_name, request):
+    # G[k, k'] = eps(k k'*) for keys k = (n, a, b) and k' = (n', a', b') is 0
+    # unless s(a) = s(b), s(a') = s(b'), r(a) = r(a') and r(b) = r(b'), so G
+    # is block diagonal with at most nv^2 blocks
+    space = request.getfixturevalue(space_name)
+    ends = [essential_basis(space, n).endpoints for n in range(3)]
+    keys = [(n, a, b) for n in range(3) for a in range(len(ends[n])) for b in range(len(ends[n]))]
+    stars = [star_alg(AlgebraElement.basis_element(space, *k)) for k in keys]
+    inside = 0
+    for n, a, b in keys:
+        x, (sa, ra), (sb, rb) = AlgebraElement.basis_element(space, n, a, b), ends[n][a], ends[n][b]
+        for (m, c, d), y in zip(keys, stars):
+            (sc, rc), (sd, rd) = ends[m][c], ends[m][d]
+            if sa == sb and sc == sd and ra == rc and rb == rd:
+                inside += 1
+            else:
+                assert counit(multiply(x, y)) == 0, ((n, a, b), (m, c, d))
+    assert 0 < inside < len(keys) ** 2
+
+
 @pytest.mark.parametrize("name", ["A3", "D4", "D5", "E6", "A_aff_2", "D_aff_4"])
 def test_block_units_multiply_by_the_fusion_rules(name):
     # u_n = sum_a (n, a, a) multiply as the fusion rules of A_(h-1):
