@@ -3,9 +3,8 @@
 A path vector is essential when every annihilation operator kills it.
 `essential_basis` builds each E_n in Bratteli coordinates, as one kernel
 matrix over the vectors xi . (r -> t) of E_{n-1}, with one stacked SVD
-per block shape; walks appear only on expansion (`EssentialBasis.vectors`,
-`.block`) and for the sign rule of the signed `append` and `prepend`
-matrices.  The
+per block shape, and signs each vector on its kernel row; walks appear
+only on expansion (`EssentialBasis.vectors`, `.block`).  The
 degree-n slice splits as the orthogonal direct sum, over l, of the spans of
 c†_w xi for creation words w of length l and essential xi of length
 m = n - 2l.  The Gram matrix of those vectors is G_{m,l} (x) I: it depends
@@ -58,7 +57,8 @@ class EssentialBasis:
     d_n x d_{n-1} matrix `kernel` holds the unsigned vectors: row a, in
     block (s, t), over the vectors xi_b . (r(b) -> t) of `below` (the basis
     at length - 1), zero outside the b with s(b) = s and r(b) in
-    `neighbors[t]`.  No walk is formed until `block` or `vectors` is read.
+    `neighbors[t]`.  `signs` fixes each vector's sign from its kernel row.
+    No walk is formed until `block` or `vectors` is read.
     """
 
     def __init__(self, length, endpoints, kernel=None, below=None, neighbors=None):
@@ -93,21 +93,21 @@ class EssentialBasis:
             self._unsigned[key] = walks, rows
         return self._unsigned[key]
 
-    def _signs(self, s, t):
-        """The sign rule: +-1 per vector of block (s, t), so that its first
-        coefficient above 1e-9, in lexicographic path order, is positive."""
-        rows = self._walk_coordinates(s, t)[1]
-        return np.sign(rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)])
-
     @cached_property
     def signs(self) -> np.ndarray:
-        """`_signs` of every vector, in basis order."""
-        return np.concatenate([self._signs(s, t) for s, t in self.blocks] or [np.ones(0)])
+        """The sign rule: +-1 per vector, so that the first entry above 1e-9
+        of its row of `append`, the `kernel` row times `below.signs` in
+        candidate order, is positive.  +1 at length 0."""
+        if self.kernel is None or not len(self):
+            return np.ones(len(self))
+        rows = self.kernel * self.below.signs
+        return np.sign(rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)])
 
     def block(self, s, t):
-        """Block (s, t) in walk coordinates, as `_walk_coordinates`, signed by `_signs`."""
+        """Block (s, t) in walk coordinates, as `_walk_coordinates`, signed by `signs`."""
         walks, rows = self._walk_coordinates(s, t)
-        return walks, rows * self._signs(s, t)[:, None]
+        at = self.blocks[s, t]
+        return walks, rows * self.signs[at[0] : at[-1] + 1, None]
 
     @cached_property
     def append(self) -> np.ndarray:
@@ -151,13 +151,13 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     indexing step and go through one stacked `np.linalg.svd`, so each
     length makes one call per shape, not per block; their V^T go into
     one row per candidate in one assignment, and `kernel` keeps the rows
-    past each block's rank.  Building the basis forms no walk.  Walks
-    appear when `EssentialBasis.vectors` or `EssentialBasis.block` is
-    first read.
+    past each block's rank.  Neither building nor signing the basis forms a
+    walk: only `EssentialBasis.vectors` and `EssentialBasis.block` do.
     The result is deterministic; within each block the orthonormal vectors
-    are the SVD's, each signed so that its first coefficient above 1e-9, in
-    lexicographic path order, is positive.  Raises `CutoffError` for n
-    beyond the space's cutoff and `PathHopfError` for a negative n.
+    are the SVD's, each signed so that the first entry above 1e-9 of its
+    row of `EssentialBasis.append`, in candidate order, is positive.
+    Raises `CutoffError` for n beyond the space's cutoff and
+    `PathHopfError` for a negative n.
     """
     if n < 0:
         raise PathHopfError("path length must be nonnegative")

@@ -490,6 +490,13 @@ def reference_projector(space, x, y, memo=None):
     return out
 
 
+def basis_product(space, n1, a, b, n2, c, d):
+    """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient},
+    through the library's dict product on the two keys: the closed
+    junction form sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d)."""
+    return _product(space, {(n1, a, b): 1.0}, {(n2, c, d): 1.0})
+
+
 def reference_basis_product(space, n1, a, b, n2, c, d, memo=None):
     """The product (n1, a, b) . (n2, c, d) as {(m, e, f): coefficient}:
     `reference_projector` of the slotwise concatenations xi_a xi_c and

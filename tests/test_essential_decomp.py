@@ -135,15 +135,22 @@ def test_basis_deterministic(tri):
         assert sup_diff(x, y) == 0.0
 
 
-@pytest.mark.parametrize("name", ["a3", "d4", "tri", "E6"])
+@pytest.mark.parametrize("name", ["a3", "d4", "tri", "E6", "D5"])
 def test_basis_vectors_lead_with_a_positive_coefficient(name, request):
-    # the sign rule: the first coefficient above 1e-9, in lexicographic
-    # path order, is positive
-    space = PathSpace(edge_graph(name)) if name == "E6" else request.getfixturevalue(name)
-    for n in range(7):
-        for a, xi in enumerate(essential_basis(space, n).vectors):
-            lead = next(c for _, c in xi.terms() if abs(c) > 1e-9)
-            assert lead.real > 0, (name, n, a)
+    # the sign rule: the first entry above 1e-9 of each row of `append`, in
+    # candidate order, is positive; in walk coordinates each vector is its
+    # unsigned row of `_walk_coordinates`, up to sign
+    space = PathSpace(edge_graph(name)) if name in FUSION_GRAPHS else request.getfixturevalue(name)
+    for n in range(1, 7):
+        basis = essential_basis(space, n)
+        for a, row in enumerate(basis.append):
+            assert row[np.abs(row) > 1e-9][0] > 0, (name, n, a)
+        for (s, t), at in basis.blocks.items():
+            walks, rows = basis._walk_coordinates(s, t)
+            paths = list(map(tuple, walks.tolist()))
+            for a, row in zip(at, rows):
+                got = np.array([basis.vectors[a].coeffs.get(p, 0.0) for p in paths])
+                assert min(np.abs(got - row).max(), np.abs(got + row).max()) <= PRUNE_TOL, (name, n, a)
 
 
 def assert_stable_under_rounding_in_mu(space, top, eps):
