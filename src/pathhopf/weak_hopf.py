@@ -38,12 +38,13 @@ verifier's form Delta(X) = X (x) I, so it reads 0.  Each is linear or
 antilinear, so the keys bound every element's residual and no sampled
 element adds a check.  From the junction arrays come, in closed form,
 coproduct multiplicativity and the counit of a product on every pair of
-basis keys whose endpoints meet (`_key_pair_residuals`), and counit
-positivity on every basis key, contracted from the same counits of key
-products; both pair axioms are bilinear, so the key pairs cover every pair
-of elements.  The other axioms in two or three arguments, and positivity
-(quadratic) on the sampled elements, are evaluated on coefficient dicts
-through `_product` and `_starred`, the cores of the maps above.
+basis keys whose endpoints meet (`_key_pair_residuals`); both are
+bilinear, so the key pairs cover every pair of elements.  Counit
+positivity holds on every element exactly when the Gram matrix
+G[k, k'] = eps(k k'*), contracted from the same counits, is symmetric and
+positive semidefinite: one eigenvalue solve.  The other three axioms, in
+two or three arguments, are evaluated on sampled coefficient dicts through
+`_product` and `_starred`, the cores of the maps above.
 """
 
 from __future__ import annotations
@@ -360,12 +361,13 @@ def _starred(space, coeffs: dict, weight=None) -> dict:
     is."""
     cache = space.cache.setdefault("star_nonzero", {})
     out: dict = {}
+    endpoints: dict = {}  # n -> the endpoints of E_n, for the weight
     for (n, a, b), z in coeffs.items():
         if n not in cache:
             cache[n] = [[(i, s) for i, s in enumerate(c) if s] for c in _star_matrix(space, n).T.tolist()]
         columns, f = cache[n], 1.0
         if weight:
-            ends = essential_basis(space, n).endpoints
+            ends = endpoints.get(n) or endpoints.setdefault(n, essential_basis(space, n).endpoints)
             f = weight(*ends[a], *ends[b])
         for a2, sa in columns[a]:
             for b2, sb in columns[b]:
@@ -439,7 +441,7 @@ def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class AxiomResult:
-    """The worst residual of one axiom over its `checked` keys, elements or
+    """The worst residual of one axiom over its `checked` keys or
     tuples, and `witness`: the sorted basis keys of each argument of the
     first one in pool order within a relative 1e-9 of it, or () when the
     residual is at most the tolerance times 1e-3 (`_worst`)."""
@@ -670,41 +672,38 @@ def verify_axioms(
     """Numerically check every weak-bialgebra and antipode axiom.
 
     The pool is every algebra basis key with length up to `max_length`
-    plus `samples` seeded sparse random elements; the axioms in two or
-    three arguments that are not checked on keys run on `samples` seeded
-    random tuples drawn from that pool.  Every unary axiom but counit
-    positivity (quadratic) is linear, or antilinear, and keeps lengths
-    apart, so an element's residual is bounded by its keys' residuals
-    weighted by |coefficient|, and vanishes when theirs do: these nine are
-    checked on the basis keys alone.  `_unary_residuals` evaluates them per
-    length, one on the stack of all unit blocks and eight per key in closed
-    form (the unit element and the star involution through
-    `_conjugation_residuals`), on the structure constants (S, the endpoint
-    weights W, the junction arrays and lambda, Delta(X) = X (x) I), not
-    through `star_alg`, `antipode` or `coproduct`, which the tests hold to
-    those forms.  The two counit laws read the public `counit` of every
-    key, so a wrong counit fails them.  Coassociativity is an identity of
-    the Delta form, so its residual is exactly 0.  Coproduct
-    multiplicativity and the counit of a product read the sup of
+    plus `samples` seeded sparse random elements; product associativity,
+    the star antihomomorphism and the antipode product rule run on
+    `samples` seeded random tuples drawn from that pool, every other axiom
+    on the keys or key pairs.  Nine unary axioms are linear or antilinear
+    and keep lengths apart, so the keys' residuals, weighted by
+    |coefficient|, bound every element's.  `_unary_residuals` evaluates
+    them per length on the structure constants, not through `star_alg`,
+    `antipode` or `coproduct`, which the tests hold to those forms; the two
+    counit laws read the public `counit` of every key.
+    Coproduct multiplicativity and the counit of a product read the sup of
     Delta(xy) - Delta(x) Delta(y) and eps(xy) less its split over Delta(1)
-    off the junction arrays
-    (`_key_pair_residuals`), on every pair of basis keys (n1, a, b),
-    (n2, c, d) whose endpoints meet, r(a) = s(c) and r(b) = s(d), in the
-    order (n1, n2, a, b, c, d); on the other pairs both bilinear sides
-    vanish.  Counit positivity reads every basis key's eps(k k*) =
-    sum_{c,d} eps((n, a, b) (n, c, d)) S[c, a] S[d, b] off the same counits.
-    The other axioms evaluate each sampled tuple directly, and positivity
-    each random element's eps(x x*) through the public `counit`, on the
-    pool's coefficient dicts, {key: 1.0} or a random element's
-    coefficients: products go through `_product`, stars and antipodes
-    through `_starred`, both pruned as an `AlgebraElement` is, and a
-    residual is the sup of the difference over the union of the two sides'
-    keys (`_gap`), so the values are those of `multiply`, `star_alg` and
-    `antipode`.  One memo of the products of two pool elements serves the
-    inner products of associativity and both pair axioms.  Each result
-    carries the number of keys, elements, tuples or key pairs checked and
-    the basis keys of the first worst one, if above the tolerance times
-    1e-3.
+    off the junction arrays (`_key_pair_residuals`), on every pair of basis
+    keys (n1, a, b), (n2, c, d) whose endpoints meet, r(a) = s(c) and
+    r(b) = s(d), in the order (n1, n2, a, b, c, d); on the other pairs both
+    bilinear sides vanish.  Counit positivity: eps(x x*) =
+    sum z_k conj(z_k') G[k, k'] for x = sum z_k k, with G[k, (n2, c', d')] =
+    sum_{c,d} eps(k (n2, c, d)) S[c, c'] S[d, d'] off the same counits, so
+    it holds on every element exactly when G is symmetric and positive
+    semidefinite.  G is 0 off the keys (n, a, b) with s(a) = s(b) and is
+    formed on those alone; the residual is the largest of 0, -lambda_min of
+    (G + G^T) / 2 and max |G - G^T|.  A key reads the larger of -lambda_min
+    times its squared weight in lambda_min's eigenvector, scaled to a
+    largest weight of 1, and its row maximum of |G - G^T|.  The sampled
+    axioms evaluate each tuple on the pool's coefficient dicts, {key: 1.0}
+    or a random element's coefficients: products go through `_product`,
+    stars and antipodes through `_starred`, pruned as an `AlgebraElement`
+    is, and a residual is the sup of the difference over the union of the
+    two sides' keys (`_gap`), so the values are those of `multiply`,
+    `star_alg` and `antipode`; one memo of the products of two pool
+    elements serves all three.  Each result carries the number of keys,
+    tuples or key pairs checked and the basis keys of the first worst one,
+    if above the tolerance times 1e-3.
     `weight_fn` overrides the antipode's endpoint factor, which is how a
     deliberately corrupted antipode can be shown to fail.  Failures are
     reported as residuals, never raised.  An empty check (no samples, or a
@@ -732,7 +731,6 @@ def verify_axioms(
     size = len(keys) + samples  # the pool: every basis key, then the random elements
     pairs = rng.integers(size, size=(samples, 2)).tolist()
     triples = rng.integers(size, size=(samples, 3)).tolist()
-    singles = [(i,) for i in range(size)]
     weight = weight_fn or partial(_pf_weight, space)
 
     def element(i):  # as a coefficient dict
@@ -748,29 +746,31 @@ def verify_axioms(
     def anti(x):
         return _starred(space, x, weight)
 
-    def positivity(values):
-        values = np.asarray(values)
-        return np.maximum(0.0, np.maximum(-values.real, np.abs(values.imag)))
-
-    swept: dict = {"counit positivity": []}  # axiom -> residuals per length or pair of lengths
+    swept: dict = {}  # axiom -> residuals per length or pair of lengths
     for n in range(max_length + 1):
         for name, R in _unary_residuals(space, n, weight_fn).items():
             swept.setdefault(name, []).append(R.ravel())
-    key_pairs = []  # rows (n1, a, b, n2, c, d)
+    # the keys (n, a, b) with s(a) = s(b): G[k, k'] = eps(k k'*) is 0 off them
+    sources = [[s for s, _ in essential_basis(space, n).endpoints] for n in range(max_length + 1)]
+    same = [np.equal.outer(s, s) for s in sources]
+    key_pairs, gram = [], []  # rows (n1, a, b, n2, c, d); rows of blocks of G on those keys
     for n1 in range(max_length + 1):
+        gram.append([])
         for n2 in range(max_length + 1):
             meet, *residuals, eps = _key_pair_residuals(space, n1, n2)
             a, b, c, d = np.nonzero(meet)
             key_pairs.append(np.column_stack([np.full_like(a, n1), a, b, np.full_like(a, n2), c, d]))
             for name, R in zip(("coproduct multiplicative", "counit of product"), residuals):
                 swept.setdefault(name, []).append(R[meet])
-            if n1 == n2:
-                S = _star_matrix(space, n1)
-                swept["counit positivity"].append(positivity(np.einsum("abcd,ca,db->ab", eps, S, S)).ravel())
+            S = _star_matrix(space, n2)
+            gram[-1].append((S.T @ eps[same[n1]] @ S)[:, same[n2]])  # [k, (c', d')]
             del eps  # the (n1, n2) counit array, not held while the next pair of lengths is built
-    swept["counit positivity"].append(positivity([
-        counit(AlgebraElement._adopt(space, _product(space, x.coeffs, star(x.coeffs)))) for x in randoms
-    ]))
+    G = np.block(gram)
+    values, vectors = np.linalg.eigh((G + G.T) / 2)
+    v, positivity = vectors[:, 0] / np.abs(vectors[:, 0]).max(), np.zeros(len(keys))
+    positivity[np.concatenate(same, axis=None)] = np.maximum(-values[0] * v**2, np.abs(G - G.T).max(1))
+    swept["counit positivity"] = [np.maximum(positivity, 0.0)]
+    del gram, G, vectors  # not held while the sampled axioms run
     key_pairs, key_rows = np.concatenate(key_pairs), np.array(keys)
 
     # None: an axiom swept over the keys, read off `swept`
@@ -788,7 +788,7 @@ def verify_axioms(
         ("counit left inverse", key_rows, None),
         ("counit right inverse", key_rows, None),
         ("counit of product", key_pairs, None),
-        ("counit positivity", singles, None),
+        ("counit positivity", key_rows, None),
         ("antipode product rule", pairs,
          lambda i, j: _gap(anti(product(i, j)), _product(space, anti(element(j)), anti(element(i))))),
         ("antipode star double", key_rows, None),
