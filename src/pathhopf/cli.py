@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="check all weak-Hopf axioms numerically")
     p.add_argument("--max-length", type=int, required=True, dest="max_length")
-    p.add_argument("--samples", type=int, default=100, help="random elements for the three tuple axioms")
+    p.add_argument("--samples", type=int, default=100, help="random elements and triples for associativity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9, help="report tolerance")
 

@@ -2,49 +2,13 @@
 
 Elements live in the direct sum over n of E_n (x) E_n, stored sparsely
 against the orthonormal essential bases under keys (n, a, b) for
-xi_a (x) xi_b.  The product concatenates slotwise and projects back onto
-essentials.  On basis keys it has the closed junction form
-(n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d):
-J_l holds the E_m coordinates, m = n1 + n2 - 2l, of xi_a . xi_c after the
-l annihilations at the junction, and lambda_l is a ratio of q-binomials in
-beta, 0 where it is singular on a finite graph (there J_l vanishes).
-The J_l of each pair of lengths are dense arrays, cached on the space and
-built with no walk from the bases' Bratteli coordinates, up to
-`PathSpace.top_length` (`_junction_arrays`).  A term is nonzero only when
-r(a) = s(c) and r(b) = s(d), so `multiply` multiplies only the pairs whose
-endpoints meet, through the arrays' nonzero entries (`_junction_rows`);
-`multiply_tensor_square` multiplies slot by slot through the same product.
-`projector_P` projects arbitrary path pairs: per level it pairs the
-essential coordinates of the two factors' creation word images through the
-inverse word-Gram matrix, U^T G^-1 V, by `essential_decomp.pair_levels`.
-
-The star and the antipode are one sum over the nonzero entries of the
-star matrix S of each length, built from the one below
-(`_star_matrix`, `_starred`): (n, a, b) goes to
-S[a', a] S[b', b] (n, a', b'), and the antipode swaps the slots and scales
-by its endpoint factor (`_pf_weight`).  The coproduct splits each key over
-the full basis of its length, and the counit is the diagonal sum.
-
-`verify_axioms` checks the nine linear unary axioms per length, on the
-blocks X[a, b] of the keys (n, a, b) (`_unary_residuals`): the maps
-written on the structure constants (S, the endpoint weights, the junction
-arrays and lambda), not the public maps above, "antipode star double"
-evaluated on the stack of every basis key and eight read per key in
-closed form.  Two of those eight, the unit element and the star
-involution, are maps Z -> Q Z Q^T whose residual on a unit block is read
-off Q (`_conjugation_residuals`); the two counit laws read the public
-`counit` of each key, and coassociativity is an identity of the
-verifier's form Delta(X) = X (x) I, so it reads 0.  Each is linear or
-antilinear, so the keys bound every element's residual and no sampled
-element adds a check.  From the junction arrays come, in closed form,
-coproduct multiplicativity and the counit of a product on every pair of
-basis keys whose endpoints meet (`_key_pair_residuals`); both are
-bilinear, so the key pairs cover every pair of elements.  Counit
-positivity holds on every element exactly when the Gram matrix
-G[k, k'] = eps(k k'*), contracted from the same counits, is symmetric and
-positive semidefinite: one eigenvalue solve.  The other three axioms, in
-two or three arguments, are evaluated on sampled coefficient dicts through
-`_product` and `_starred`, the cores of the maps above.
+xi_a (x) xi_b.  On basis keys the product has the closed junction form
+(n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d), zero
+unless r(a) = s(c) and r(b) = s(d) (`_junction_arrays`).  The star and the
+antipode act through the star matrix of each length (`_star_matrix`), the
+coproduct splits a key over the basis of its length, and the counit is the
+diagonal sum.  `verify_axioms` checks the axioms on these structure
+constants; README describes each check.
 """
 
 from __future__ import annotations
@@ -352,6 +316,13 @@ def _pf_weight(space, s_left, r_left, s_right, r_right) -> float:
     return math.sqrt((mu[s_right] * mu[r_left]) / (mu[r_right] * mu[s_left]))
 
 
+def _endpoint_weights(space, weight_fn=None) -> np.ndarray:
+    """W[s, r, s', r']: the antipode's endpoint factor, `weight_fn` or
+    `_pf_weight`, called once on every four vertices."""
+    weight, nv = weight_fn or partial(_pf_weight, space), space.graph.num_vertices
+    return np.array([weight(*v) for v in np.ndindex((nv,) * 4)]).reshape((nv,) * 4)
+
+
 def _starred(space, coeffs: dict, weight=None) -> dict:
     """sum z F S[a', a] S[b', b] over the keys (n, a, b) of `coeffs` and the
     nonzero entries of the star matrix's columns a and b, which are kept per
@@ -477,7 +448,7 @@ class VerificationReport:
 
 def _random_element(space, pool, rng) -> AlgebraElement:
     # support 3..8 keeps elements sparse but makes endpoint matches (hence
-    # nonvanishing products) likely in the pairwise and triple sweeps
+    # nonvanishing products) likely in the triple sweep
     count = int(rng.integers(3, 9))
     picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
     return AlgebraElement(space, dict(zip((pool[p] for p in picks), rng.standard_normal(len(picks)))))
@@ -492,45 +463,72 @@ def _sup(x):
     return np.maximum(x.max(axis=axes, initial=0.0), np.abs(x.min(axis=axes, initial=0.0)))
 
 
-def _key_pair_residuals(space, n1, n2) -> tuple:
-    """The key pairs (n1, a, b), (n2, c, d) whose endpoints meet, r(a) = s(c)
-    and r(b) = s(d), the residuals of "coproduct multiplicative" and
-    "counit of product" on every pair, and eps((n1, a, b) (n2, c, d)) on
-    every pair, as arrays [a, b, c, d].
+def _key_pair_residuals(space, n1, n2, weights) -> tuple:
+    """The four pair axioms on the meeting rows i = (a, c) of lengths n1 and
+    n2, r(a) = s(c): the rows' a and c, name -> R[i, j], the residual of the
+    key pair (n1, a_i, a_j), (n2, c_i, c_j), and eps[i, j], the counit of
+    that pair's product.  Those pairs are exactly the key pairs whose
+    endpoints meet; on the others every side vanishes.
+    `weights[s, r, s', r']` is the antipode's endpoint factor.
 
     On one pair the (l, l') tensor-square block of Delta(xy) -
     Delta(x) Delta(y) is -lambda_l J_l(a, c) (x) J_l'(b, d) (x) D_ll', with
     D_ll' = lambda_l' K - delta_ll' 1 and K[f, f'] = sum_{c1, c2}
-    J_l(c1, c2)[f] J_l'(c1, c2)[f']: Delta(x) Delta(y) joins the split
-    indices c1 of x and c2 of y at both levels, Delta(xy) splits the product
-    at one.  Distinct (l, l') fill distinct blocks, so the sup is the largest
-    |lambda_l| u_l[a, c] u_l'[b, d] sup |D_ll'|, u_l = max_e |J_l|.  The
-    counit eps(xy) = sum_l lambda_l <J_l(a, c), J_l(b, d)>; its split
-    sum eps(x 1_(1)) eps(1_(2) y) over Delta(1) = sum (0, s, u) (x) (0, u, t)
-    is 1 where a = b, c = d and r(a) = s(c), and 0 elsewhere, by the unit
-    law that "unit element" checks.
+    J_l(c1, c2)[f] J_l'(c1, c2)[f']; distinct (l, l') fill distinct blocks,
+    so the sup is the largest |lambda_l| u_l[i] u_l'[j] sup |D_ll'|,
+    u_l = max_e |J_l|.  eps(xy) = sum_l lambda_l <J_l(i), J_l(j)>, against
+    its split over Delta(1), which is 1 where i = j by the unit law.  At
+    level l, star(xy) is lambda_l P[i] (x) P[j] with P = J_l S_m^T and
+    star(y) star(x) is lambda_l Q[i] (x) Q[j] with Q[a, c] = sum S_n2[c', c]
+    S_n1[a', a] J_l^(n2,n1)[c', a']; the antipode weights them by
+    F(s(a), r(c), s(b), r(d)) and W(a, b) W(c, d).  Each level fills its own
+    length, and the sup over (e, f) is taken over the entries where P or Q
+    is nonzero.
     """
-    Js = _junction_arrays(space, n1, n2)
-    d1, d2 = Js[0].shape[:2]
-    Ms = [J.reshape(d1 * d2, J.shape[2]) for J in Js]  # rows a * d2 + c
+    left, right = essential_basis(space, n1), essential_basis(space, n2)
+    d1, d2 = len(left), len(right)
+    rows = np.flatnonzero(np.equal.outer([r for _, r in left.endpoints], [s for s, _ in right.endpoints]))
+    a, c = np.divmod(rows, d2)
+    # the endpoints of each row: s(a), r(a) = s(c) and r(c)
+    (sa, t), (_, rc) = (np.array(b.endpoints, dtype=np.intp).reshape(-1, 2)[i].T for b, i in ((left, a), (right, c)))
     scalars = _junction_scalars(space.beta, n1, n2)
-    u = [np.abs(J).max(2, initial=0.0) for J in Js]
-    delta_sup, eps = np.zeros((d1, d1, d2, d2)), np.zeros((d1 * d2, d1 * d2))
-    for l, A in enumerate(Ms):
-        eps += scalars[l] * A @ A.T
-        right = 0.0  # max over l' of sup |D_ll'| u_l'
-        for l2, B in enumerate(Ms):
-            D = scalars[l2] * (A.T @ B) - (l == l2) * np.eye(A.shape[1], B.shape[1])
-            right = np.maximum(right, np.abs(D).max(initial=0.0) * u[l2])
-        delta_sup = np.maximum(delta_sup, abs(scalars[l]) * u[l][:, None, :, None] * right[None, :, None, :])
-    ranges = [r for _, r in essential_basis(space, n1).endpoints]
-    sources = [s for s, _ in essential_basis(space, n2).endpoints]
-    ends = np.equal.outer(ranges, sources)
-    meet = ends[:, None, :, None] & ends[None, :, None, :]
-    split = np.eye(d1, dtype=bool)[:, :, None, None] & np.eye(d2, dtype=bool) & meet
-    eps = eps.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
-    residual = eps - split
-    return meet, delta_sup, np.abs(residual, out=residual), eps
+    Ms = [J.reshape(d1 * d2, J.shape[2])[rows] for J in _junction_arrays(space, n1, n2)]
+    # every level side by side, as columns f of M, with lambda_l per column
+    M, width = np.hstack(Ms), [m.shape[1] for m in Ms]
+    lam, at = np.repeat(scalars, width), np.cumsum(width) - width
+    live = at[np.flatnonzero(width)]  # the first column of each level whose length has a basis
+    eps = (M * lam) @ M.T
+    D = np.abs(M.T @ M * lam - np.eye(len(lam)))  # [f, f'], block (l, l') is |D_ll'|
+    D = np.maximum.reduceat(np.maximum.reduceat(D, live, 0), live, 1)  # sup |D_ll'|
+    u = np.maximum.reduceat(np.abs(M), live, 1).T  # u[l, i]
+    right_sup = (D[:, :, None] * u).max(1, initial=0.0)  # [l, j]: max over l' of sup |D_ll'| u_l'[j]
+    delta = (np.abs(lam[live])[:, None, None] * u[:, :, None] * right_sup[:, None]).max(0, initial=0.0)
+    star, anti = np.zeros_like(eps), np.zeros_like(eps)
+    F = weights[sa[:, None], rc[:, None], sa, rc]
+    WW = weights[sa[:, None], t[:, None], sa, t] * weights[t[:, None], rc[:, None], t, rc]
+    S1, S2 = _star_matrix(space, n1), _star_matrix(space, n2)
+    for l, (z, A, B) in enumerate(zip(scalars, Ms, _junction_arrays(space, n2, n1))):
+        if not (z and A.size):
+            continue
+        P = A @ _star_matrix(space, n1 + n2 - 2 * l).T
+        Q = (S2.T @ (S1.T @ B.transpose(1, 0, 2).reshape(d1, -1)).reshape(d1, d2, -1)).reshape(d1 * d2, -1)[rows]
+        # each row's entries where P or Q is nonzero, packed to the front: pq[:, k, i]
+        nonzero = (P != 0) | (Q != 0)
+        i, e = np.nonzero(nonzero)
+        k = np.cumsum(nonzero, 1)[i, e] - 1
+        pq = np.zeros((2, k.max(initial=-1) + 1, len(rows)), np.result_type(P, Q))
+        pq[:, k, i] = math.sqrt(abs(z)) * np.array([P[i, e], Q[i, e]])
+        for p, q in zip(*pq):  # one entry k of each row i, against every entry k' of each row j
+            PP, QQ = p[:, None] * pq[0][:, None], q[:, None] * pq[1][:, None]  # [k', i, j]
+            np.maximum(star, np.abs(PP - QQ).max(0), out=star)
+            np.maximum(anti, np.abs(F * PP - WW * QQ).max(0), out=anti)
+    residuals = {
+        "star antihomomorphism": star,
+        "coproduct multiplicative": delta,
+        "counit of product": np.abs(eps - np.eye(len(eps))),
+        "antipode product rule": anti,
+    }
+    return (a, c), residuals, eps
 
 
 def _conjugation_residuals(Q) -> np.ndarray:
@@ -545,14 +543,14 @@ def _conjugation_residuals(Q) -> np.ndarray:
     return np.maximum(diagonal, np.maximum(np.outer(off, col), np.outer(col, off)))
 
 
-def _unary_residuals(space, n, weight_fn=None) -> dict:
+def _unary_residuals(space, n, weights) -> dict:
     """The nine linear unary axioms at length n: name -> R, with R[a, b] the
     residual of the basis key (n, a, b).
 
     A block X[a, b] holds the coefficients of the keys (n, a, b).  On blocks
     the star is S conj(X) S^T (star matrix S), the antipode
-    (S (W o X) S^T)^T (endpoint weights W, one call of the weight per pair
-    of blocks) and Delta(X)[a, c, c', b] = X[a, b] delta[c, c'].  A residual
+    (S (W o X) S^T)^T (W[a, b] = weights[s(a), r(a), s(b), r(b)], the
+    endpoint factor) and Delta(X)[a, c, c', b] = X[a, b] delta[c, c'].  A residual
     is the sup of the difference of the axiom's two sides.  Each axiom is
     linear or antilinear, so an element's residual is at most
     sum |z_k| R[k] over its keys k, and 0 exactly when every R[k] is: the
@@ -572,9 +570,8 @@ def _unary_residuals(space, n, weight_fn=None) -> dict:
     "unit element" checks), whose sup depends on a alone.
     """
     basis = essential_basis(space, n)
-    d, k, f = len(basis), len(basis.blocks), weight_fn or partial(_pf_weight, space)
-    at = np.repeat(np.arange(k), [len(v) for v in basis.blocks.values()])  # the block of each index
-    W = np.array([[f(*p, *q) for q in basis.blocks] for p in basis.blocks]).reshape(k, k)[np.ix_(at, at)]
+    d, (s, r) = len(basis), np.array(basis.endpoints, dtype=np.intp).reshape(-1, 2).T
+    W = weights[s[:, None], r[:, None], s, r]
     S, one = _star_matrix(space, n), np.eye(d)
     units = np.eye(d * d).reshape(d * d, d, d)
     left = _junction_arrays(space, 0, n)[0].sum(0)  # 1 X = left^T X left
@@ -671,45 +668,20 @@ def verify_axioms(
 ) -> VerificationReport:
     """Numerically check every weak-bialgebra and antipode axiom.
 
-    The pool is every algebra basis key with length up to `max_length`
-    plus `samples` seeded sparse random elements; product associativity,
-    the star antihomomorphism and the antipode product rule run on
-    `samples` seeded random tuples drawn from that pool, every other axiom
-    on the keys or key pairs.  Nine unary axioms are linear or antilinear
-    and keep lengths apart, so the keys' residuals, weighted by
-    |coefficient|, bound every element's.  `_unary_residuals` evaluates
-    them per length on the structure constants, not through `star_alg`,
-    `antipode` or `coproduct`, which the tests hold to those forms; the two
-    counit laws read the public `counit` of every key.
-    Coproduct multiplicativity and the counit of a product read the sup of
-    Delta(xy) - Delta(x) Delta(y) and eps(xy) less its split over Delta(1)
-    off the junction arrays (`_key_pair_residuals`), on every pair of basis
-    keys (n1, a, b), (n2, c, d) whose endpoints meet, r(a) = s(c) and
-    r(b) = s(d), in the order (n1, n2, a, b, c, d); on the other pairs both
-    bilinear sides vanish.  Counit positivity: eps(x x*) =
-    sum z_k conj(z_k') G[k, k'] for x = sum z_k k, with G[k, (n2, c', d')] =
-    sum_{c,d} eps(k (n2, c, d)) S[c, c'] S[d, d'] off the same counits, so
-    it holds on every element exactly when G is symmetric and positive
-    semidefinite.  G is 0 off the keys (n, a, b) with s(a) = s(b) and is
-    formed on those alone; the residual is the largest of 0, -lambda_min of
-    (G + G^T) / 2 and max |G - G^T|.  A key reads the larger of -lambda_min
-    times its squared weight in lambda_min's eigenvector, scaled to a
-    largest weight of 1, and its row maximum of |G - G^T|.  The sampled
-    axioms evaluate each tuple on the pool's coefficient dicts, {key: 1.0}
-    or a random element's coefficients: products go through `_product`,
-    stars and antipodes through `_starred`, pruned as an `AlgebraElement`
-    is, and a residual is the sup of the difference over the union of the
-    two sides' keys (`_gap`), so the values are those of `multiply`,
-    `star_alg` and `antipode`; one memo of the products of two pool
-    elements serves all three.  Each result carries the number of keys,
-    tuples or key pairs checked and the basis keys of the first worst one,
-    if above the tolerance times 1e-3.
-    `weight_fn` overrides the antipode's endpoint factor, which is how a
-    deliberately corrupted antipode can be shown to fail.  Failures are
-    reported as residuals, never raised.  An empty check (no samples, or a
-    negative `max_length`), a negative `seed` and a tolerance that is not
-    finite and positive raise `PathHopfError`, and a `max_length` whose
-    (x y) z would pass the cutoff raises `CutoffError`, before any work.
+    Product associativity runs on `samples` seeded triples drawn from a pool
+    of every basis key of length up to `max_length` and `samples` seeded
+    sparse random elements.  Every other axiom is read exhaustively: on
+    every key (`_unary_residuals`), on every element at once through the
+    Gram matrix G[k, k'] = eps(k k'*) (counit positivity), or on every pair
+    of keys (n1, a, b), (n2, c, d) whose endpoints meet, in the order
+    (n1, n2, a, b, c, d) (`_key_pair_residuals`).  Each result carries the
+    number checked and the basis keys of the first worst one above the
+    tolerance times 1e-3.  `weight_fn` overrides the antipode's endpoint
+    factor.  Failures are residuals, never raised; an empty check (no
+    samples, or a negative `max_length`), a negative `seed` and a tolerance
+    that is not finite and positive raise `PathHopfError`, and a
+    `max_length` whose (x y) z would pass the cutoff raises `CutoffError`,
+    before any work.
     """
     if samples < 1:
         raise PathHopfError(f"samples must be at least 1, got {samples}")
@@ -729,26 +701,16 @@ def verify_axioms(
     rng = np.random.default_rng(seed)
     randoms = [_random_element(space, keys, rng) for _ in range(samples)]
     size = len(keys) + samples  # the pool: every basis key, then the random elements
-    pairs = rng.integers(size, size=(samples, 2)).tolist()
+    rng.integers(size, size=(samples, 2))  # drawn and unused, so each seed keeps its triples
     triples = rng.integers(size, size=(samples, 3)).tolist()
-    weight = weight_fn or partial(_pf_weight, space)
+    weights = _endpoint_weights(space, weight_fn)
 
     def element(i):  # as a coefficient dict
         return {keys[i]: 1.0} if i < len(keys) else randoms[i - len(keys)].coeffs
 
-    @lru_cache(maxsize=None)
-    def product(i, j):  # the inner products of associativity and both pair axioms
-        return _product(space, element(i), element(j))
-
-    def star(x):
-        return _starred(space, _conjugate(x))
-
-    def anti(x):
-        return _starred(space, x, weight)
-
     swept: dict = {}  # axiom -> residuals per length or pair of lengths
     for n in range(max_length + 1):
-        for name, R in _unary_residuals(space, n, weight_fn).items():
+        for name, R in _unary_residuals(space, n, weights).items():
             swept.setdefault(name, []).append(R.ravel())
     # the keys (n, a, b) with s(a) = s(b): G[k, k'] = eps(k k'*) is 0 off them
     sources = [[s for s, _ in essential_basis(space, n).endpoints] for n in range(max_length + 1)]
@@ -756,50 +718,53 @@ def verify_axioms(
     key_pairs, gram = [], []  # rows (n1, a, b, n2, c, d); rows of blocks of G on those keys
     for n1 in range(max_length + 1):
         gram.append([])
+        gram_row = np.full(same[n1].shape, -1)  # the row of G of each key (n1, a, b), -1 off it
+        gram_row[same[n1]] = np.arange(np.count_nonzero(same[n1]))
         for n2 in range(max_length + 1):
-            meet, *residuals, eps = _key_pair_residuals(space, n1, n2)
-            a, b, c, d = np.nonzero(meet)
-            key_pairs.append(np.column_stack([np.full_like(a, n1), a, b, np.full_like(a, n2), c, d]))
-            for name, R in zip(("coproduct multiplicative", "counit of product"), residuals):
-                swept.setdefault(name, []).append(R[meet])
+            (a, c), residuals, eps = _key_pair_residuals(space, n1, n2, weights)
+            # the pairs (i, j) of meeting rows in the order (a_i, a_j, c_i, c_j)
+            order = np.argsort(np.add.outer(a * len(sources[n1]), a), axis=None, kind="stable")
+            i, j = np.divmod(order, len(a))
+            key_pairs.append(np.column_stack([np.full_like(i, n1), a[i], a[j], np.full_like(i, n2), c[i], c[j]]))
+            for name, R in residuals.items():
+                swept.setdefault(name, []).append(R.ravel()[order])
+            # eps[k, c, d] on the same-source keys k = (n1, a, b), then contracted with S
+            k = gram_row[np.ix_(a, a)]
+            i, j = np.nonzero(k >= 0)
+            blocks = np.zeros((np.count_nonzero(same[n1]), len(sources[n2]), len(sources[n2])))
+            blocks[k[i, j], c[i], c[j]] = eps[i, j]
             S = _star_matrix(space, n2)
-            gram[-1].append((S.T @ eps[same[n1]] @ S)[:, same[n2]])  # [k, (c', d')]
-            del eps  # the (n1, n2) counit array, not held while the next pair of lengths is built
+            gram[-1].append((S.T @ blocks @ S)[:, same[n2]])  # [k, (c', d')]
     G = np.block(gram)
     values, vectors = np.linalg.eigh((G + G.T) / 2)
     v, positivity = vectors[:, 0] / np.abs(vectors[:, 0]).max(), np.zeros(len(keys))
     positivity[np.concatenate(same, axis=None)] = np.maximum(-values[0] * v**2, np.abs(G - G.T).max(1))
     swept["counit positivity"] = [np.maximum(positivity, 0.0)]
-    del gram, G, vectors  # not held while the sampled axioms run
+    del gram, G, vectors  # not held while associativity runs
+    swept["product associativity"] = [np.fromiter(
+        (_gap(_product(space, _product(space, element(i), element(j)), element(k)),
+              _product(space, element(i), _product(space, element(j), element(k)))) for i, j, k in triples),
+        float, len(triples))]
     key_pairs, key_rows = np.concatenate(key_pairs), np.array(keys)
-
-    # None: an axiom swept over the keys, read off `swept`
     checks = (
-        ("product associativity", triples,
-         lambda i, j, k: _gap(_product(space, product(i, j), element(k)),
-                              _product(space, element(i), product(j, k)))),
-        ("unit element", key_rows, None),
-        ("star involution", key_rows, None),
-        ("star antihomomorphism", pairs,
-         lambda i, j: _gap(star(product(i, j)), _product(space, star(element(j)), star(element(i))))),
-        ("coproduct multiplicative", key_pairs, None),
-        ("coproduct star-compatible", key_rows, None),
-        ("coassociativity", key_rows, None),
-        ("counit left inverse", key_rows, None),
-        ("counit right inverse", key_rows, None),
-        ("counit of product", key_pairs, None),
-        ("counit positivity", key_rows, None),
-        ("antipode product rule", pairs,
-         lambda i, j: _gap(anti(product(i, j)), _product(space, anti(element(j)), anti(element(i))))),
-        ("antipode star double", key_rows, None),
-        ("antipode coproduct rule", key_rows, None),
-        ("antipode cancellation", key_rows, None),
+        ("product associativity", triples),
+        ("unit element", key_rows),
+        ("star involution", key_rows),
+        ("star antihomomorphism", key_pairs),
+        ("coproduct multiplicative", key_pairs),
+        ("coproduct star-compatible", key_rows),
+        ("coassociativity", key_rows),
+        ("counit left inverse", key_rows),
+        ("counit right inverse", key_rows),
+        ("counit of product", key_pairs),
+        ("counit positivity", key_rows),
+        ("antipode product rule", key_pairs),
+        ("antipode star double", key_rows),
+        ("antipode coproduct rule", key_rows),
+        ("antipode cancellation", key_rows),
     )
     results = tuple(
-        _worst(name, pool, np.concatenate(swept[name]) if fn is None
-               else np.fromiter((fn(*args) for args in pool), float, len(pool)),
-               element, tolerance * 1e-3)
-        for name, pool, fn in checks
+        _worst(name, pool, np.concatenate(swept[name]), element, tolerance * 1e-3) for name, pool in checks
     )
     return VerificationReport(
         graph=space.graph.name,

@@ -184,11 +184,10 @@ def test_verify_json(capture):
     assert doc["all_passed"] is True
     assert any(r["name"] == "antipode cancellation" for r in doc["axioms"])
     # pool: 3^2 + 4^2 basis keys plus 5 samples; the nine linear unary
-    # axioms and counit positivity see the 25 keys, the sampled pair and
-    # triple axioms 5, and the two pair axioms checked on keys the 77 key
-    # pairs whose endpoints meet
+    # axioms and counit positivity see the 25 keys, the sampled triple axiom
+    # 5, and the four pair axioms the 77 key pairs whose endpoints meet
     counts = {"coproduct multiplicative": 77, "counit of product": 77,
-              "product associativity": 5, "star antihomomorphism": 5, "antipode product rule": 5}
+              "product associativity": 5, "star antihomomorphism": 77, "antipode product rule": 77}
     for r in doc["axioms"]:
         assert r["checked"] == counts.get(r["name"], 25), r["name"]
         # a witness exactly when the residual is above the floor, the tolerance times 1e-3

@@ -40,6 +40,7 @@ from pathhopf import (
 from pathhopf.essential_decomp import EssentialBasis
 from pathhopf.weak_hopf import (
     TensorSquare,
+    _endpoint_weights,
     _junction_arrays,
     _junction_scalars,
     _key_pair_residuals,
@@ -313,15 +314,17 @@ def test_counit_gram_matrix_vanishes_off_the_endpoint_classes(space_name, reques
 @pytest.mark.parametrize("name, max_length", [("E6", 2), ("D5", 3), ("D_aff_4", 3)])
 def test_counit_gram_matrix_vanishes_off_the_same_source_keys(name, max_length):
     # the verifier builds G[k, k'] = eps(k k'*) only on the keys (n, a, b)
-    # with s(a) = s(b): read off its eps arrays [a, b, c, d], contracted with
-    # the star matrix of the second factor, every entry with s(a) != s(b) or
-    # s(c') != s(d') is exactly 0
+    # with s(a) = s(b): read off its eps arrays over the meeting rows, spread
+    # to [a, b, c, d] and contracted with the star matrix of the second
+    # factor, every entry with s(a) != s(b) or s(c') != s(d') is exactly 0
     space = junction_space(name)
     sources = [[s for s, _ in essential_basis(space, n).endpoints] for n in range(max_length + 1)]
     same_source = [np.equal.outer(s, s) for s in sources]
-    inside = outside = 0
+    weights, inside, outside = _endpoint_weights(space), 0, 0
     for n1, n2 in itertools.product(range(max_length + 1), repeat=2):
-        *_, eps = _key_pair_residuals(space, n1, n2)
+        (a, c), _, rows_eps = _key_pair_residuals(space, n1, n2, weights)
+        eps = np.zeros((len(sources[n1]),) * 2 + (len(sources[n2]),) * 2)
+        eps[a[:, None], a, c[:, None], c] = rows_eps
         S = _star_matrix(space, n2)
         G = np.einsum("abcd,ce,df->abef", eps, S, S)
         same = same_source[n1][:, :, None, None] & same_source[n2]
@@ -1038,7 +1041,7 @@ def test_cancellation_per_key_matches_the_sweedler_sum(space_name, request):
     # levels past the top length 4
     space = request.getfixturevalue(space_name)
     for n in range(4):
-        R = _unary_residuals(space, n, BENT)["antipode cancellation"]
+        R = _unary_residuals(space, n, _endpoint_weights(space, BENT))["antipode cancellation"]
         d = len(essential_basis(space, n))
         assert R.shape == (d, d)
         for a, b in itertools.product(range(d), repeat=2):
@@ -1146,39 +1149,60 @@ def test_verify_axioms_matches_direct_evaluation(space_name, max_length, samples
             assert r.witness == witness, r.name
     failing = {r.name for r in report.results if r.residual > 1e-6}
     if weight_fn is BENT:
-        assert failing >= {"antipode star double", "antipode coproduct rule", "antipode cancellation"}
+        assert failing >= {"antipode star double", "antipode coproduct rule", "antipode cancellation",
+                           "antipode product rule"}
 
 
 JUNCTION_AXIOMS = ("coproduct multiplicative", "counit of product", "counit positivity")
+MILD_BENT = lambda s_l, r_l, s_r, r_r: 1 + 0.1 * (s_l + 2 * r_r)
 
 
 @pytest.mark.parametrize(
-    "mutation, max_length, samples, failing",
+    "space_name, mutation, max_length, samples, failing",
     [
         # the pinned residuals are the oracle's, `direct_axiom_residuals`
-        ("lambda_1 x 1.01", 2, 10,
+        ("tri", "lambda_1 x 1.01", 2, 10,
          {"coproduct multiplicative": 6.73e-3, "counit of product": 6.67e-3, "counit positivity": 5.0e-3}),
-        ("lambda_1 negated", 2, 10,
+        ("tri", "lambda_1 negated", 2, 10,
          {"coproduct multiplicative": 1.333, "counit of product": 1.333, "counit positivity": 2.333}),
-        ("one J_0 entry x 2", 1, 20,
+        ("tri", (5, 3, 8), 1, 20,
          {"coproduct multiplicative": 3.0, "counit of product": 1.5, "counit positivity": 0.5,
           "product associativity": 2.93e-2}),
+        # seeded sampled pairs read 0.0 on these two; every meeting key pair does not
+        ("d4", (0, 3, 0), 2, 10,
+         {"star antihomomorphism": 1.0997, "antipode product rule": 1.0997, "coproduct multiplicative": 1.759,
+          "counit of product": 1.0997, "counit positivity": 1.0997, "antipode cancellation": 0.6667}),
+        ("d4", "bent weight", 3, 10,
+         {"antipode product rule": 1.71, "antipode star double": 2.61, "antipode coproduct rule": 1.71,
+          "antipode cancellation": 0.9}),
     ],
-    ids=["lambda-scaled", "lambda-negated", "J0-entry"],
+    ids=["lambda-scaled", "lambda-negated", "J0-entry", "d4-J0-entry", "d4-bent"],
 )
-def test_junction_axioms_follow_a_mutated_product(tri, monkeypatch, mutation, max_length, samples, failing):
-    # the verifier reads these three axioms off the junction arrays and
-    # closed forms, the oracle off `multiply` and `multiply_tensor_square`;
-    # both see the mutation, through `_junction_scalars` or the space's
-    # cached junction arrays.  Where associativity fails, it is held to the
-    # oracle too, which draws the triples one scalar at a time and
-    # multiplies elements, so the verifier samples and evaluates the same
-    # triples
+def test_junction_axioms_follow_a_mutated_product(
+    space_name, mutation, max_length, samples, failing, monkeypatch, request
+):
+    # the verifier reads the pair axioms off the junction arrays and closed
+    # forms, the oracle off `multiply`, `multiply_tensor_square`, `star_alg`
+    # and `antipode`; both see the mutation, through `_junction_scalars`, the
+    # space's cached junction arrays or the antipode's weight.  Where
+    # associativity fails, it is held to the oracle too, which draws the
+    # triples one scalar at a time and multiplies elements, so the verifier
+    # samples and evaluates the same triples
     from pathhopf import weak_hopf
 
-    space = PathSpace(tri.graph, tri.spectrum)
+    space = request.getfixturevalue(space_name)
+    space, weight_fn = PathSpace(space.graph, space.spectrum), None
     true_scalars = weak_hopf._junction_scalars
-    if mutation.startswith("lambda_1"):
+    if isinstance(mutation, tuple):
+        # J_0 of two meeting length-1 keys at one E_2 index, doubled in the
+        # cache before anything reads it or builds a longer array from it;
+        # the unit's junctions (lengths (0, n) and (n, 0)) are untouched
+        J = _junction_arrays(space, 1, 1)[0]
+        assert abs(J[mutation]) > 0.1
+        J[mutation] *= 2
+    elif mutation == "bent weight":
+        weight_fn = MILD_BENT
+    else:
         factor = 1.01 if mutation.endswith("1.01") else -1.0
 
         def scalars(beta, n1, n2):
@@ -1188,15 +1212,8 @@ def test_junction_axioms_follow_a_mutated_product(tri, monkeypatch, mutation, ma
             return tuple(out)
 
         monkeypatch.setattr(weak_hopf, "_junction_scalars", scalars)
-    else:
-        # J_0 of the length-1 keys 5 and 3, which meet, at the E_2 index 8,
-        # doubled in the cache before anything reads it; the unit's
-        # junctions (lengths (0, n) and (n, 0)) are untouched
-        J = _junction_arrays(space, 1, 1)[0]
-        assert abs(J[5, 3, 8]) > 0.1
-        J[5, 3, 8] *= 2
-    report = {r.name: r for r in verify_axioms(space, max_length, samples=samples, seed=0).results}
-    direct = direct_axiom_residuals(space, max_length, samples, 0)
+    report = {r.name: r for r in verify_axioms(space, max_length, samples, 0, weight_fn=weight_fn).results}
+    direct = direct_axiom_residuals(space, max_length, samples, 0, weight_fn)
     for name in {*JUNCTION_AXIOMS, *failing}:
         r, (residual, checked, witness) = report[name], direct[name]
         assert abs(r.residual - residual) < 1e-12 and r.checked == checked, name
@@ -1204,8 +1221,7 @@ def test_junction_axioms_follow_a_mutated_product(tri, monkeypatch, mutation, ma
             assert r.witness == witness, name
     for name, value in failing.items():
         assert report[name].residual > 1e-3, name
-        if value is not None:
-            assert report[name].residual == pytest.approx(value, rel=0.02), name
+        assert report[name].residual == pytest.approx(value, rel=0.02), name
     assert report["unit element"].residual < 1e-12
 
 
@@ -1240,7 +1256,7 @@ def test_pair_axioms_check_every_meeting_key_pair(space_name, max_length, count,
     report = verify_axioms(space, max_length, samples=5, seed=0)
     assert report.all_passed and all(r.checked > 0 for r in report.results)
     assert len(meeting_key_pairs(space, max_length)) == count
-    for name in ("coproduct multiplicative", "counit of product"):
+    for name in ("coproduct multiplicative", "counit of product", "star antihomomorphism", "antipode product rule"):
         (result,) = [r for r in report.results if r.name == name]
         assert result.checked == count, name
 
@@ -1249,24 +1265,29 @@ def test_pair_axioms_check_every_meeting_key_pair(space_name, max_length, count,
 def test_coproduct_residual_matches_the_tensor_square_product_per_pair(tri, level, e, factor):
     # one junction entry of the length-1 keys 5 and 3 is changed, so the
     # levels l != l' of a product no longer join orthogonally (K_ll' != 0);
-    # the closed forms of both pair axioms are compared with the dict
-    # evaluation through the public maps on every meeting pair of keys of
-    # length <= 1, in the verifier's order
+    # the four pair axioms' residuals on the meeting rows are compared with
+    # the dict evaluation through the public maps on every meeting pair of
+    # keys of length <= 1
     space = PathSpace(tri.graph, tri.spectrum)
     J = _junction_arrays(space, 1, 1)[level]  # the cached array, which every product reads
     assert abs(J[5, 3, e]) > 0.1
     J[5, 3, e] *= factor
-    pairs, got = [], {"coproduct multiplicative": [], "counit of product": []}
+    got = {}  # name -> key pair -> residual
     for n1, n2 in itertools.product(range(2), repeat=2):
-        meet, *residuals, _ = _key_pair_residuals(space, n1, n2)
-        pairs += [((n1, a2, b2), (n2, c2, d2)) for a2, b2, c2, d2 in np.argwhere(meet).tolist()]
-        for values, R in zip(got.values(), residuals):
-            values += R[meet].tolist()
-    assert pairs == meeting_key_pairs(space, 1)
+        (a, c), residuals, _ = _key_pair_residuals(space, n1, n2, _endpoint_weights(space))
+        for name, R in residuals.items():
+            for (i, j), r in np.ndenumerate(R):
+                got.setdefault(name, {})[(n1, a[i], a[j]), (n2, c[i], c[j])] = r
+    pairs = meeting_key_pairs(space, 1)
     want = direct_pair_residuals(space, pairs)
-    for name in got:
-        assert got[name] == pytest.approx(want[name], abs=1e-12), name
+    assert set(got) == set(want)
+    for name, values in got.items():
+        assert len(values) == len(pairs)
+        assert [values[p] for p in pairs] == pytest.approx(want[name], abs=1e-12), name
     assert max(want["coproduct multiplicative"]) > 0.1 and max(want["counit of product"]) > 0.1
+    # the star swaps the keys 5 and 3 and fixes the E_2 index, so the entry
+    # is its own star image and both sides of the star rules change alike
+    assert max(want["star antihomomorphism"]) == max(want["antipode product rule"]) == 0.0
 
 
 def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
@@ -1289,7 +1310,7 @@ def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
     x = AlgebraElement(space, {(1, 0, 1): 1.0, (1, 1, 2): 1j, (1, 2, 3): 0.3 - 0.8j, (2, 1, 1): -0.5j})
     y = AlgebraElement(space, {(1, 0, 1): 0.4 - 1.2j})  # one key: |z| residual(k)
     direct = direct_unary_axioms(space, BENT)
-    tables = [_unary_residuals(space, n, BENT) for n in range(3)]
+    tables = [_unary_residuals(space, n, _endpoint_weights(space, BENT)) for n in range(3)]
     assert set(tables[0]) == set(direct)
     for name, fn in direct.items():
         on_keys = {k: fn(AlgebraElement.basis_element(space, *k)) for k in x.coeffs}
@@ -1314,9 +1335,9 @@ def test_each_length_is_tabulated_once_per_call(tri, monkeypatch):
     true_residuals = weak_hopf._unary_residuals
     built = []
 
-    def counted(space, n, weight_fn=None, **shared):
+    def counted(space, n, weights):
         built.append(n)
-        return true_residuals(space, n, weight_fn, **shared)
+        return true_residuals(space, n, weights)
 
     monkeypatch.setattr(weak_hopf, "_unary_residuals", counted)
     assert verify_axioms(tri, 3, samples=40, seed=3).all_passed
