@@ -1,9 +1,9 @@
 """Essential paths and the orthogonal decomposition of path space.
 
 A path vector is essential when every annihilation operator kills it.
-`essential_basis` builds each E_n in Bratteli coordinates, as one kernel
+`essential_basis` builds each E_n in Bratteli coordinates, as one signed
 matrix over the vectors xi . (r -> t) of E_{n-1}, with one stacked SVD
-per block shape, and signs each vector on its kernel row; walks appear
+per block shape and the sign rule applied in the build; walks appear
 only on expansion (`EssentialBasis.vectors`, `.block`).  The
 degree-n slice splits as the orthogonal direct sum, over l, of the spans of
 c†_w xi for creation words w of length l and essential xi of length
@@ -54,66 +54,44 @@ class EssentialBasis:
     vector has well-defined endpoints.  `endpoints` gives each vector's
     block and `blocks` each block's flat positions, in lexicographic block
     order.  At length 0 each block holds its vertex.  Above it, the
-    d_n x d_{n-1} matrix `kernel` holds the unsigned vectors: row a, in
-    block (s, t), over the vectors xi_b . (r(b) -> t) of `below` (the basis
-    at length - 1), zero outside the b with s(b) = s and r(b) in
-    `neighbors[t]`.  `signs` fixes each vector's sign from its kernel row.
-    No walk is formed until `block` or `vectors` is read.
+    d_n x d_{n-1} matrix `append` holds the vectors, signed in the build:
+    A[a, b] with xi_a = sum_b A[a, b] xi_b . (r(b) -> r(a)) over the vectors
+    xi_b of `below` (the basis at length - 1), zero outside the b with
+    s(b) = s(a) and r(b) in `neighbors[r(a)]`.  No walk is formed until
+    `block` or `vectors` is read.
     """
 
-    def __init__(self, length, endpoints, kernel=None, below=None, neighbors=None):
-        self.length, self.endpoints, self.kernel = length, endpoints, kernel
+    def __init__(self, length, endpoints, append=None, below=None, neighbors=None):
+        self.length, self.endpoints, self.append = length, endpoints, append
         self.below, self.neighbors = below, neighbors
         self.blocks = {key: tuple(at) for key, at in groupby(range(len(endpoints)), endpoints.__getitem__)}
-        self._unsigned: dict = {}
+        self._walks: dict = {}
 
     def __len__(self):
         return len(self.endpoints)
 
-    def _walk_coordinates(self, s, t):
+    def block(self, s, t):
         """(walks, rows): the walks of block (s, t) that its vectors reach,
         lexicographic, as rows of an integer array, and the vectors over
-        them before the sign rule (cached)."""
+        them (cached)."""
         key = (s, t)
-        if key not in self._unsigned:
+        if key not in self._walks:
             if self.below is None:
                 walks, rows = np.array([[s]]), np.ones((1, 1))
             else:
                 walks, rows, at = [], [], self.blocks[key]
                 for r in self.neighbors[t]:
                     if (s, r) in self.below.blocks:
-                        w, v = self.below._walk_coordinates(s, r)
+                        w, v = self.below.block(s, r)
                         b = self.below.blocks[s, r]
                         walks.append(np.column_stack((w, np.full(len(w), t))))
-                        rows.append(self.kernel[at[0] : at[-1] + 1, b[0] : b[-1] + 1] @ v)
+                        rows.append(self.append[at[0] : at[-1] + 1, b[0] : b[-1] + 1] @ v)
                 walks, rows = np.vstack(walks), np.hstack(rows)
                 order = np.lexsort(walks.T[::-1])
                 # the smallest integer type that holds every vertex
                 walks, rows = walks[order].astype(np.min_scalar_type(walks.max())), rows[:, order]
-            self._unsigned[key] = walks, rows
-        return self._unsigned[key]
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """The sign rule: +-1 per vector, so that the first entry above 1e-9
-        of its row of `append`, the `kernel` row times `below.signs` in
-        candidate order, is positive.  +1 at length 0."""
-        if self.kernel is None or not len(self):
-            return np.ones(len(self))
-        rows = self.kernel * self.below.signs
-        return np.sign(rows[np.arange(len(rows)), np.argmax(np.abs(rows) > 1e-9, axis=1)])
-
-    def block(self, s, t):
-        """Block (s, t) in walk coordinates, as `_walk_coordinates`, signed by `signs`."""
-        walks, rows = self._walk_coordinates(s, t)
-        at = self.blocks[s, t]
-        return walks, rows * self.signs[at[0] : at[-1] + 1, None]
-
-    @cached_property
-    def append(self) -> np.ndarray:
-        """A[a, b] with xi_a = sum_b A[a, b] xi_b . (r(b) -> r(a)) over the
-        signed vectors xi_b of `below`: `kernel`, signed."""
-        return self.signs[:, None] * self.kernel * self.below.signs
+            self._walks[key] = walks, rows
+        return self._walks[key]
 
     @cached_property
     def prepend(self) -> np.ndarray:
@@ -146,16 +124,18 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     part in E_{n-1}, so E_n is the kernel of the last annihilation c_{n-2}
     on the orthonormal candidates xi_b . (r(b) -> t).  Per (source, range)
     block, that kernel is read off the SVD of the matrix of c_{n-2} from
-    the candidate coordinates to those of E_{n-2}, which the `kernel` of
+    the candidate coordinates to those of E_{n-2}, which the `append` of
     E_{n-1} gives.  The matrices of one shape are gathered from it in one
     indexing step and go through one stacked `np.linalg.svd`, so each
     length makes one call per shape, not per block; their V^T go into
-    one row per candidate in one assignment, and `kernel` keeps the rows
-    past each block's rank.  Neither building nor signing the basis forms a
-    walk: only `EssentialBasis.vectors` and `EssentialBasis.block` do.
-    The result is deterministic; within each block the orthonormal vectors
-    are the SVD's, each signed so that the first entry above 1e-9 of its
-    row of `EssentialBasis.append`, in candidate order, is positive.
+    one row per candidate in one assignment, and `append` keeps the rows
+    past each block's rank, each signed so that its first entry above
+    1e-9, in candidate order, is positive.  Neither building nor signing
+    the basis forms a walk: only `EssentialBasis.vectors` and
+    `EssentialBasis.block` do.  The result is deterministic; within a block
+    of dimension two or more the vectors are the SVD's rotation, which no
+    rule fixes and which can move with the signs of the matrix one length
+    down (on a_aff_2 it does, from length 5 on).
     Raises `CutoffError` for n beyond the space's cutoff and
     `PathHopfError` for a negative n.
     """
@@ -192,14 +172,19 @@ def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
         # c_{n-2} sends xi_b . (r(b) -> t) to sqrt(mu[r(b)] / mu[t]) times
         # the part of xi_b on the vectors xi_f . (t -> r(b))
         scale = root[target[cols]] / root[t[at]]
-        stack = scale[:, None] * below.kernel[cols[:, None], rows] if m else np.zeros((len(group), 0, c))
+        stack = scale[:, None] * below.append[cols[:, None], rows] if m else np.zeros((len(group), 0, c))
         # the full V^T spans the candidates, and its rows past each block's
         # rank span that block's kernel
         _, sing, vt = np.linalg.svd(stack)
         kernel[at[:, :, None], cols[:, None]] = vt
         keep[at] = np.arange(c) >= (sing > KERNEL_TOL).sum(axis=1)[:, None]
+    append = kernel[keep]
+    if len(append):  # an empty basis has no row to sign
+        # the sign rule: the first entry above 1e-9 of each row, in
+        # candidate order, is positive
+        append *= np.sign(append[np.arange(len(append)), np.argmax(np.abs(append) > 1e-9, axis=1)])[:, None]
     endpoints = tuple(zip(s[keep].tolist(), t[keep].tolist()))
-    return EssentialBasis(n, endpoints, kernel[keep], below, space.graph.neighbors)
+    return EssentialBasis(n, endpoints, append, below, space.graph.neighbors)
 
 
 def is_essential(space: PathSpace, x: PathVector) -> bool:

@@ -184,20 +184,22 @@ def per_block_kernel(space, below, s, t, sizes) -> np.ndarray:
 
     c_{n-2} sends xi_a . (r -> t) to sqrt(mu[r] / mu[t]) times the part of
     xi_a on the vectors xi_b . (t -> r), xi_b in block (s, t) of E_{n-2}:
-    its matrix in E_{n-2} coordinates is a block of `below.kernel`.  At
+    its matrix in E_{n-2} coordinates is a block of `below.append`.  At
     n = 1, and wherever block (s, t) of E_{n-2} is empty, that part is
-    empty, so every candidate is kept."""
+    empty, so every candidate is kept.  Each row is signed so that its
+    first entry above 1e-9, in candidate order, is positive."""
     two = below.below.blocks.get((s, t), ()) if below.length else ()
     m = np.zeros((len(two), sum(sizes.values())))
     j = 0
     for r, size in sizes.items():
         if two:
-            part = below.kernel[np.ix_(below.blocks[s, r], two)]
+            part = below.append[np.ix_(below.blocks[s, r], two)]
             m[:, j : j + size] = space.sqrt_mu[r] / space.sqrt_mu[t] * part.T
         j += size
     # the full V^T spans the candidates; rows past the rank span the kernel
     _, sing, vt = np.linalg.svd(m)
-    return vt[int((sing > KERNEL_TOL).sum()) :]
+    kernel = vt[int((sing > KERNEL_TOL).sum()) :]
+    return kernel * np.array([np.sign(row[np.abs(row) > 1e-9][0]) for row in kernel])[:, None]
 
 
 def block_projector(vectors, paths):

@@ -135,22 +135,23 @@ def test_basis_deterministic(tri):
         assert sup_diff(x, y) == 0.0
 
 
-@pytest.mark.parametrize("name", ["a3", "d4", "tri", "E6", "D5"])
+@pytest.mark.parametrize("name", ["a3", "d4", "tri", "E6", "D5", "D_aff_4", "E8"])
 def test_basis_vectors_lead_with_a_positive_coefficient(name, request):
     # the sign rule: the first entry above 1e-9 of each row of `append`, in
     # candidate order, is positive; in walk coordinates each vector is its
-    # unsigned row of `_walk_coordinates`, up to sign
+    # row of `block`, less the entries `PathVector` prunes
     space = PathSpace(edge_graph(name)) if name in FUSION_GRAPHS else request.getfixturevalue(name)
     for n in range(1, 7):
         basis = essential_basis(space, n)
         for a, row in enumerate(basis.append):
             assert row[np.abs(row) > 1e-9][0] > 0, (name, n, a)
         for (s, t), at in basis.blocks.items():
-            walks, rows = basis._walk_coordinates(s, t)
+            walks, rows = basis.block(s, t)
             paths = list(map(tuple, walks.tolist()))
             for a, row in zip(at, rows):
+                assert basis.vectors[a].coeffs.keys() <= set(paths), (name, n, a)
                 got = np.array([basis.vectors[a].coeffs.get(p, 0.0) for p in paths])
-                assert min(np.abs(got - row).max(), np.abs(got + row).max()) <= PRUNE_TOL, (name, n, a)
+                assert np.array_equal(got, np.where(np.abs(row) > PRUNE_TOL, row, 0.0)), (name, n, a)
 
 
 def assert_stable_under_rounding_in_mu(space, top, eps):
@@ -481,7 +482,7 @@ def test_e8_bases_to_the_top_length_form_no_walk(monkeypatch):
         raise AssertionError("expanded a basis into walks")
 
     monkeypatch.setattr(PathSpace, "enumerate_paths", short_walks_only)
-    monkeypatch.setattr(EssentialBasis, "_walk_coordinates", no_walks)
+    monkeypatch.setattr(EssentialBasis, "block", no_walks)
     monkeypatch.setattr(PathVector, "__init__", no_walks)
     dims = [len(essential_basis(space, n)) for n in range(30)]
     monkeypatch.undo()
@@ -521,7 +522,7 @@ def test_stacked_kernels_equal_the_per_block_oracle_bitwise(name, top):
     nv = space.graph.num_vertices
     for n in range(1, top + 1):
         below, basis, built = essential_basis(space, n - 1), essential_basis(space, n), []
-        assert basis.kernel.shape == (len(basis), len(below)), n
+        assert basis.append.shape == (len(basis), len(below)), n
         for s, t in itertools.product(range(nv), repeat=2):
             sizes = candidate_sizes(space, below, s, t)
             kernel = per_block_kernel(space, below, s, t, sizes) if sizes else ()
@@ -530,12 +531,12 @@ def test_stacked_kernels_equal_the_per_block_oracle_bitwise(name, top):
                 # the block's rows: the oracle on its candidates, 0 elsewhere
                 rows = np.zeros((len(kernel), len(below)))
                 rows[:, [b for r in sizes for b in below.blocks[s, r]]] = kernel
-                assert np.array_equal(basis.kernel[list(basis.blocks[s, t])], rows), (n, s, t)
+                assert np.array_equal(basis.append[list(basis.blocks[s, t])], rows), (n, s, t)
         assert list(basis.blocks) == built, n
         if n == 1:
             # c_{-1} has no rows: every edge is its own block and is kept
             assert len(built) == space.graph.adjacency.sum()
-            assert np.array_equal(basis.kernel, np.equal.outer([s for s, _ in basis.endpoints], range(nv)))
+            assert np.array_equal(basis.append, np.equal.outer([s for s, _ in basis.endpoints], range(nv)))
 
 
 @pytest.mark.parametrize("name, top", [("E6", 10), ("A_aff_2", 8)])

@@ -362,7 +362,7 @@ def test_block_units_multiply_by_the_fusion_rules(name):
 def test_the_algebra_expands_no_basis_into_walk_dicts(tri, d4, monkeypatch):
     # products, stars, antipodes and the verifier read the bases' Bratteli
     # coordinates and the junction arrays, never `EssentialBasis.vectors`,
-    # and the sign rule reads the kernel rows, so no walk is formed at all
+    # and the build signs the rows of `append`, so no walk is formed at all
     expected = {
         space.graph.name: [(r.name, r.residual, r.checked) for r in verify_axioms(space, 3).results]
         for space in (tri, d4)
@@ -375,7 +375,7 @@ def test_the_algebra_expands_no_basis_into_walk_dicts(tri, d4, monkeypatch):
         raise AssertionError("formed the walks of a block")
 
     monkeypatch.setattr(EssentialBasis, "vectors", property(no_vectors))
-    monkeypatch.setattr(EssentialBasis, "_walk_coordinates", no_walks)
+    monkeypatch.setattr(EssentialBasis, "block", no_walks)
     for fixture in (tri, d4):
         space = PathSpace(fixture.graph, fixture.spectrum)
         report = verify_axioms(space, 3)
