@@ -1,12 +1,13 @@
-"""Fail when a module-level private name in src/pathhopf is never read.
+"""Fail when a module-level private name in a directory is never read.
 
-A private name (one leading underscore, not a dunder) that a module of the
-package defines at its top level, by `def`, `class` or assignment, must be
-loaded somewhere in the package, as a bare name or as an attribute.  One
-that is never loaded is dead code left behind by a change.
+A private name (one leading underscore, not a dunder) that a module of a
+directory defines at its top level, by `def`, `class` or assignment, must
+be loaded somewhere in that directory, as a bare name or as an attribute.
+One that is never loaded is dead code left behind by a change.
 
-Run it from the root of the repository.  It exits 1 and lists each unread
-name with its file and line.
+Run it from the root of the repository, with the directories to check as
+arguments (src/pathhopf when none is given); each directory is checked on
+its own.  It exits 1 and lists each unread name with its file and line.
 """
 
 import ast
@@ -49,4 +50,4 @@ def main(package):
 
 
 if __name__ == "__main__":
-    sys.exit(main("src/pathhopf"))
+    sys.exit(max(main(package) for package in sys.argv[1:] or ["src/pathhopf"]))

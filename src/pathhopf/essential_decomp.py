@@ -15,12 +15,15 @@ the c_w of one level stack into one partial map per (length, block,
 level): `level_images` forms the right-hand sides, the essential
 coordinates of all the level's word images, in one scatter, and the lift
 back is one scatter too.  `pair_levels` pairs the same images for
-`weak_hopf.projector_P`.  These tables (walks, the c_k and the stacked
-c_w as index arrays, dense basis blocks, inverted Gram matrices) are built
-lazily and cached on the space.  On a finite ADE graph with Coxeter number
-h, the words keep only creations c†_k with k >= L - h + 1, L the length
-they make (the Jones-Wenzl truncation).  `project_component` reads off the
-orthogonal projections.
+`weak_hopf.projector_P`.  Each table they read is one function, built
+lazily and cached in `space.cache` under its own key: `_walks` and
+`_positions` (each block's walks and their positions), `_annihilator`
+and `_level_maps` (the c_k and the stacked c_w as index arrays),
+`_basis_block` (dense basis blocks), `creation_words` and
+`_operator_words`, and `word_gram` and `_gram_inverse`.  On a finite ADE
+graph with Coxeter number h, the words keep only creations c†_k with
+k >= L - h + 1, L the length they make (the Jones-Wenzl truncation).
+`project_component` reads off the orthogonal projections.
 """
 
 from __future__ import annotations
@@ -277,27 +280,25 @@ def decompose(space: PathSpace, x: PathVector) -> Decomposition:
 
     Per (source, range) block and per level l >= 1, with m = n - 2l, the
     essential parts eta_w of the level-l words are the rows of
-    G^-1 U B_m^T, where U = `level_images(...)` holds the rows B_m^T c_w x,
-    G = `word_gram(space, n, l)` and B_m is the block of the E_m basis;
-    the essential part of x is x - sum_{|w| >= 1} c†_w eta_w, one scatter
-    per level through the stacked map of that level's words.  The words
-    are `creation_words(space, n)`: strictly increasing, every index
-    <= n - 2, and on a finite ADE graph truncated so that the c†_w xi stay
-    independent.  recompose returns the input.  The terms are adopted
-    (`PathVector._adopt`) from rows pruned in numpy (`_gather`).
+    G^-1 U B_m^T, where `level_images(...)` gives the rows U = B_m^T c_w x
+    with the basis block B_m and the level's stacked map, and G =
+    `word_gram(space, n, l)`; the essential part of x is
+    x - sum_{|w| >= 1} c†_w eta_w, one scatter per level through that
+    stacked map.  The words are `creation_words(space, n)`: strictly
+    increasing, every index <= n - 2, and on a finite ADE graph truncated
+    so that the c†_w xi stay independent.  recompose returns the input.
+    The terms are adopted (`PathVector._adopt`) from rows pruned in numpy
+    (`_gather`).
     """
     n = x.length
-    tables = _tables(space)
-    words, parts = tables.words(n), {}
-    for (s, r), y in _blocks(space, tables, x):
-        for l, (_, rows) in level_images(space, tables, n, s, r, y).items():
-            _, flat, src, weight = tables.level_maps(space, n, s, r)[l]
-            basis = tables.basis(space, n - 2 * l, s, r)[0]
-            eta = tables.gram_inverse(space, n, l) @ rows @ basis.T
+    words, parts = creation_words(space, n), {}
+    for (s, r), y in _blocks(space, x):
+        for l, (_, rows, basis, (_, flat, src, weight)) in level_images(space, n, s, r, y).items():
+            eta = _gram_inverse(space, n, l) @ rows @ basis.T
             y = y - _spread(src, weight, eta.ravel()[flat], len(y))
-            _gather(parts, words[l], eta, tables.block(space, n - 2 * l, s, r))
-        _gather(parts, [()], y[None], tables.block(space, n, s, r))
-    ops = tables.operators[n]
+            _gather(parts, words[l], eta, _walks(space, n - 2 * l, s, r))
+        _gather(parts, [()], y[None], _walks(space, n, s, r))
+    ops = _operator_words(space, n)
     terms = ((ops[w], PathVector._adopt(n - 2 * len(w), parts[w])) for w in ops if w in parts)
     return Decomposition(length=n, terms=tuple(terms))
 
@@ -314,16 +315,41 @@ def _gather(parts, words, rows, paths) -> None:
 
 def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
     """The creation words `decompose` uses at length n: entry l lists the
-    level-l words in lexicographic order.
+    level-l words in lexicographic order (cached).
 
     A word (i_1, ..., i_l) is strictly increasing, and c†_{i_j} makes the
     length L = n - 2(l - j) with i_j <= L - 2.  On a finite ADE graph with
     Coxeter number h also i_j >= L - h + 1 (the Jones-Wenzl truncation):
     the Jones-Wenzl projection on h - 1 strands vanishes on paths, so the
     dropped words would make the c†_w xi linearly dependent.  Every suffix
-    of a word is a word.
+    of a word is a word.  Raises `PathHopfError` for a negative n.
     """
-    return _tables(space).words(n)
+    if n < 0:
+        raise PathHopfError("path length must be nonnegative")
+    cache = space.cache.setdefault("creation_words", {})
+    if n not in cache:
+        levels: list = [[] for _ in range(n // 2 + 1)]
+        top = space.top_length  # `grow` is a cycle: it must not hold the space
+
+        def grow(suffix, length):
+            levels[len(suffix)].append(suffix)
+            low = max(0, length - top - 1)
+            high = length - 2 if not suffix else min(length - 2, suffix[0] - 1)
+            for i in range(low, high + 1):
+                grow((i,) + suffix, length - 2)
+
+        grow((), n)
+        cache[n] = [sorted(words) for words in levels]
+    return cache[n]
+
+
+def _operator_words(space: PathSpace, n: int) -> dict:
+    """{indices: OperatorWord}, one per word of `creation_words(space, n)`,
+    level by level (cached): the words of `decompose`'s terms."""
+    cache = space.cache.setdefault("operator_words", {})
+    if n not in cache:
+        cache[n] = {w: OperatorWord(w) for words in creation_words(space, n) for w in words}
+    return cache[n]
 
 
 def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
@@ -333,14 +359,41 @@ def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
 
     For essential xi and xi', <c†_w xi, c†_w' xi'> = G[w, w'] <xi, xi'>,
     so G depends on beta and the words only, and G[w, w'] is the
-    contraction scalar C(w'; w) (`coefficient_C`).  It is built once from
-    the first basis vector of E_m and cached; the returned array is
-    read-only.  Raises `BasisError` when E_m is empty.
+    contraction scalar C(w'; w) (`coefficient_C`).  It is read off the
+    stacked map of the block of the first basis vector of E_m (no (row,
+    src) pair repeats, as c_w is a partial map) and cached; the returned
+    array is read-only.  Raises `PathHopfError` for l outside
+    1 <= l <= n // 2 and `BasisError` when E_m is empty.
     """
-    return _tables(space).gram(space, n, l)
+    if not 1 <= l <= n // 2:
+        raise PathHopfError(f"word level {l} is not in 1..{n // 2} at length {n}")
+    cache = space.cache.setdefault("word_gram", {})
+    if (n, l) not in cache:
+        m = n - 2 * l
+        basis = essential_basis(space, m)
+        if not len(basis):
+            raise BasisError(f"no essential paths of length {m}")
+        s, r = basis.endpoints[0]
+        count, flat, src, weight = _level_maps(space, n, s, r)[l]
+        xi = _basis_block(space, m, s, r)[0][:, 0]
+        row, dst = np.divmod(flat, len(xi))
+        stacked = np.zeros((count, len(_walks(space, n, s, r))))
+        stacked[row, src] = weight * xi[dst]
+        gram = stacked @ stacked.T
+        gram.setflags(write=False)
+        cache[n, l] = gram
+    return cache[n, l]
 
 
-def _blocks(space: PathSpace, tables, x: PathVector) -> list:
+def _gram_inverse(space: PathSpace, n: int, l: int) -> np.ndarray:
+    """The inverse of `word_gram(space, n, l)` (cached)."""
+    cache = space.cache.setdefault("word_gram_inverse", {})
+    if (n, l) not in cache:
+        cache[n, l] = np.linalg.inv(word_gram(space, n, l))
+    return cache[n, l]
+
+
+def _blocks(space: PathSpace, x: PathVector) -> list:
     """`x` split by (source, range) into dense arrays over the block's walks,
     real when every coefficient is."""
     n = x.length
@@ -356,40 +409,43 @@ def _blocks(space: PathSpace, tables, x: PathVector) -> list:
         values = np.array(list(part.values()))
         if not values.imag.any():
             values = values.real
-        y = np.zeros(len(tables.block(space, n, s, r)), dtype=values.dtype)
-        y[tables.positions(space, n, s, r, part)] = values
+        y = np.zeros(len(_walks(space, n, s, r)), dtype=values.dtype)
+        y[_positions(space, n, s, r, part)] = values
         out.append(((s, r), y))
     return out
 
 
-def level_images(space, tables, n, s, r, y) -> dict:
-    """Level l -> (offsets, U_l) for the block (s, r) part y of a length-n
-    vector, for each level l >= 1 whose block of E_m, m = n - 2l, is not
-    empty and on whose walks some c_w is not 0: row j of U_l is
-    B_m^T c_w y for the j-th word w of `creation_words(space, n)[l]`, and
-    `offsets` index the block's vectors in `essential_basis(space, m)`.
+def level_images(space, n, s, r, y) -> dict:
+    """Level l -> (offsets, U_l, B_m, level) for the block (s, r) part y of
+    a length-n vector, for each level l >= 1 whose block of E_m,
+    m = n - 2l, is not empty and on whose walks some c_w is not 0: row j
+    of U_l is B_m^T c_w y for the j-th word w of
+    `creation_words(space, n)[l]`, B_m and `offsets` are the block of E_m
+    and its vectors' indices in `essential_basis(space, m)`
+    (`_basis_block`), and `level` is the level's stacked map
+    (`_level_maps`).
 
-    All the images c_w y of one level are one scatter through the level's
-    stacked map (`_DecompositionTables.level_maps`), so each level costs
-    one `_spread` and one product with the basis block.
+    All the images c_w y of one level are one scatter through that map,
+    so each level costs one `_spread` and one product with the basis block.
     """
     out = {}
-    for l, level in enumerate(tables.level_maps(space, n, s, r)):
+    for l, level in enumerate(_level_maps(space, n, s, r)):
         if level is not None:
             count, flat, src, weight = level
-            basis, offsets = tables.basis(space, n - 2 * l, s, r)
+            basis, offsets = _basis_block(space, n - 2 * l, s, r)
             images = _spread(flat, weight, y[src], count * len(basis))
-            out[l] = (offsets, images.reshape(count, len(basis)) @ basis)
+            out[l] = (offsets, images.reshape(count, len(basis)) @ basis, basis, level)
     return out
 
 
-def _factor_images(space, tables, x) -> list:
+def _factor_images(space, x) -> list:
     """`level_images` of each (source, range) block of `x`, with level 0
-    added as the single row B_n^T y of the block's essential coordinates."""
+    added as (offsets, B_n^T y), the block's essential coordinates as a
+    single row."""
     out = []
-    for (s, r), y in _blocks(space, tables, x):
-        levels = level_images(space, tables, x.length, s, r, y)
-        basis, offsets = tables.basis(space, x.length, s, r)
+    for (s, r), y in _blocks(space, x):
+        levels = level_images(space, x.length, s, r, y)
+        basis, offsets = _basis_block(space, x.length, s, r)
         if offsets:
             levels[0] = (offsets, (y @ basis)[None])
         out.append(levels)
@@ -404,14 +460,13 @@ def pair_levels(space: PathSpace, left: PathVector, right: PathVector) -> dict:
     `word_gram(space, n, l)`, and at l = 0 the rows are the blocks'
     essential coordinates and G^-1 is left out."""
     n = left.length
-    tables = _tables(space)
-    rights = _factor_images(space, tables, right)
+    rights = _factor_images(space, right)
     out = {}
-    for u in _factor_images(space, tables, left):
+    for u in _factor_images(space, left):
         for v in rights:
             for l in u.keys() & v.keys():
-                (rows, ul), (cols, vl) = u[l], v[l]
-                block = ul.T @ (tables.gram_inverse(space, n, l) @ vl if l else vl)
+                (rows, ul, *_), (cols, vl, *_) = u[l], v[l]
+                block = ul.T @ (_gram_inverse(space, n, l) @ vl if l else vl)
                 out.update(
                     ((n - 2 * l, a, b), z)
                     for a, zs in zip(rows, block.tolist())
@@ -429,175 +484,109 @@ def _spread(index, weight, values, size: int) -> np.ndarray:
     return np.bincount(index, weights=weight * values, minlength=size)
 
 
-def _tables(space: PathSpace) -> "_DecompositionTables":
-    tables = space.cache.get("decompose_tables")
-    if tables is None:
-        tables = space.cache["decompose_tables"] = _DecompositionTables(space)
-    return tables
+# -- the decomposition's tables, each cached in `space.cache` ----------------
 
 
-class _DecompositionTables:
-    """What `decompose` and `pair_levels` read, filled on first use.
+def _walks(space: PathSpace, length: int, s: int, r: int) -> list:
+    """Walks of `length` from s to r in lexicographic order (cached, with
+    every other range of s)."""
+    cache = space.cache.setdefault("walks", {})
+    if (length, s, r) not in cache:
+        groups: dict = {t: [] for t in range(space.graph.num_vertices)}
+        for p in space.enumerate_paths(length, source=s):
+            groups[p[-1]].append(p)
+        for t, paths in groups.items():
+            cache[length, s, t] = paths
+    return cache[length, s, r]
 
-    Per (length, source, range) block: the walks in lexicographic order and
-    a {walk: position} dict, every c_k to length - 2 (`annihilator`), the
-    stacked c_w of each level's words (`level_maps`), and the block of the
-    essential basis as a dense real matrix.  Per length: the creation words
-    of each level and one `OperatorWord` each.  Per (length, level): their
-    Gram matrix and its inverse.  No dense map on all paths of a length is
-    kept.  Holds no reference to the space, so the space's cache does not
-    point back at it.
-    """
 
-    def __init__(self, space: PathSpace):
-        self.top_length = space.top_length
-        self.sqrt_mu = np.asarray(space.sqrt_mu)
-        self.walks: dict = {}
-        self.indices: dict = {}
-        self.annihilators: dict = {}
-        self.maps: dict = {}
-        self.bases: dict = {}
-        self.levels: dict = {}
-        self.operators: dict = {}
-        self.grams: dict = {}
-        self.inverses: dict = {}
+def _positions(space: PathSpace, length: int, s: int, r: int, paths) -> np.ndarray:
+    """Positions of `paths` in `_walks(space, length, s, r)`, through a
+    {walk: position} dict cached per block; raises `GraphError` for one
+    that is not in it."""
+    cache = space.cache.setdefault("walk_positions", {})
+    if (length, s, r) not in cache:
+        cache[length, s, r] = {p: j for j, p in enumerate(_walks(space, length, s, r))}
+    try:
+        return np.fromiter(map(cache[length, s, r].__getitem__, paths), np.intp, len(paths))
+    except KeyError as e:
+        raise GraphError(f"{format_path(e.args[0])} is not a walk of length {length}") from None
 
-    def block(self, space, length, s, r):
-        """Walks of `length` from s to r in lexicographic order."""
-        key = (length, s, r)
-        if key not in self.walks:
-            groups: dict = {t: [] for t in range(space.graph.num_vertices)}
-            for p in space.enumerate_paths(length, source=s):
-                groups[p[-1]].append(p)
-            for t, paths in groups.items():
-                self.walks[(length, s, t)] = paths
-        return self.walks[key]
 
-    def positions(self, space, length, s, r, paths):
-        """Positions of `paths` in `block(space, length, s, r)`; raises
-        `GraphError` for one that is not in it."""
-        key = (length, s, r)
-        if key not in self.indices:
-            self.indices[key] = {p: j for j, p in enumerate(self.block(space, length, s, r))}
-        try:
-            return np.fromiter(map(self.indices[key].__getitem__, paths), np.intp, len(paths))
-        except KeyError as e:
-            raise GraphError(f"{format_path(e.args[0])} is not a walk of length {length}") from None
+def _annihilator(space: PathSpace, length: int, s: int, r: int) -> tuple:
+    """Every c_k from `length` on block (s, r) as arrays (target, weight)
+    of shape (length - 1, walks): c_k sends walk j to weight[k, j] times
+    walk target[k, j] of length - 2, or to 0 where target[k, j] = -1
+    (cached)."""
+    cache = space.cache.setdefault("annihilators", {})
+    if (length, s, r) not in cache:
+        paths = _walks(space, length, s, r)
+        walks = np.array(paths, dtype=np.intp).reshape(len(paths), length + 1)
+        root = np.asarray(space.sqrt_mu)
+        target = np.full((max(length - 1, 0), len(paths)), -1, dtype=np.int32)
+        weight = np.zeros(target.shape)
+        for i in range(length - 1):
+            src = np.flatnonzero(walks[:, i] == walks[:, i + 2])
+            kept = np.delete(walks[src], (i + 1, i + 2), axis=1).tolist()
+            target[i, src] = _positions(space, length - 2, s, r, list(map(tuple, kept)))
+            weight[i, src] = root[walks[src, i + 1]] / root[walks[src, i]]
+        cache[length, s, r] = target, weight
+    return cache[length, s, r]
 
-    def annihilator(self, space, length, s, r):
-        """Every c_k from `length` on block (s, r) as arrays (target, weight)
-        of shape (length - 1, walks): c_k sends walk j to weight[k, j] times
-        walk target[k, j] of length - 2, or to 0 where target[k, j] = -1."""
-        key = (length, s, r)
-        if key not in self.annihilators:
-            paths = self.block(space, length, s, r)
-            walks = np.array(paths, dtype=np.intp).reshape(len(paths), length + 1)
-            target = np.full((max(length - 1, 0), len(paths)), -1, dtype=np.int32)
-            weight = np.zeros(target.shape)
-            for i in range(length - 1):
-                src = np.flatnonzero(walks[:, i] == walks[:, i + 2])
-                kept = np.delete(walks[src], (i + 1, i + 2), axis=1).tolist()
-                target[i, src] = self.positions(space, length - 2, s, r, list(map(tuple, kept)))
-                weight[i, src] = self.sqrt_mu[walks[src, i + 1]] / self.sqrt_mu[walks[src, i]]
-            self.annihilators[key] = target, weight
-        return self.annihilators[key]
 
-    def level_maps(self, space, n, s, r):
-        """Per level l, the c_w of the level-l words at length n on block
-        (s, r), stacked as (count, flat, src, weight): count words, and
-        (c_w y)[dst] = weight * y[src] at flat = (row of w) * N_m + dst, N_m
-        the block's walks of length m = n - 2l.  None at l = 0, and where
-        the block of E_m is empty or every c_w is 0.  Built level by level
-        along suffixes, c_{(k,) + v} = c_k c_v, one `annihilator` lookup
-        per entry of the level above."""
-        key = (n, s, r)
-        if key not in self.maps:
-            levels = self.words(n)
-            walks = len(self.block(space, n, s, r))
-            row, src = np.zeros(walks, np.intp), np.arange(walks)
-            dst, weight = src, np.ones(walks)
-            maps = [None] * len(levels)
-            for l in range(1, len(levels)):
-                m = n - 2 * l
-                suffix = {w: j for j, w in enumerate(levels[l - 1])}
-                below = np.array([suffix[w[1:]] for w in levels[l]], dtype=np.intp)
-                # the entries of each word's suffix, in word order
-                bounds = np.searchsorted(row, np.arange(len(suffix) + 1))
-                lo, sizes = bounds[below], bounds[below + 1] - bounds[below]
-                row = np.repeat(np.arange(len(below)), sizes)
-                take = np.arange(len(row)) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
-                target, factor = self.annihilator(space, m + 2, s, r)
-                k, prev = np.array([w[0] for w in levels[l]])[row], dst[take]
-                hit = target[k, prev]
-                kept = hit >= 0
-                weight = (weight[take] * factor[k, prev])[kept]
-                row, src, dst = row[kept], src[take][kept], hit[kept]
-                if not len(row):
-                    break
-                if self.basis(space, m, s, r)[1]:
-                    flat = (row * len(self.block(space, m, s, r)) + dst).astype(np.int32)
-                    maps[l] = (len(levels[l]), flat, src.astype(np.int32), weight)
-            self.maps[key] = maps
-        return self.maps[key]
-
-    def basis(self, space, m, s, r):
-        """Block (s, r) of E_m, one column per basis vector, and the indices
-        of those vectors in `essential_basis(space, m)`."""
-        key = (m, s, r)
-        if key not in self.bases:
-            basis = essential_basis(space, m)
-            offsets = basis.blocks.get((s, r), ())
-            dense = np.zeros((len(self.block(space, m, s, r)), len(offsets)))
-            if offsets:
-                walks, vectors = basis.block(s, r)
-                dense[self.positions(space, m, s, r, list(map(tuple, walks.tolist())))] = vectors.T
-            self.bases[key] = (dense, offsets)
-        return self.bases[key]
-
-    def words(self, n):
-        """See `creation_words`; also fills `operators[n]`, one `OperatorWord`
-        per word, {indices: word} level by level."""
-        if n not in self.levels:
-            levels: list = [[] for _ in range(n // 2 + 1)]
-
-            def grow(suffix, length):
-                levels[len(suffix)].append(suffix)
-                low = max(0, length - self.top_length - 1)
-                high = length - 2 if not suffix else min(length - 2, suffix[0] - 1)
-                for i in range(low, high + 1):
-                    grow((i,) + suffix, length - 2)
-
-            grow((), n)
-            self.levels[n] = [sorted(words) for words in levels]
-            self.operators[n] = {w: OperatorWord(w) for words in self.levels[n] for w in words}
-        return self.levels[n]
-
-    def gram(self, space, n, l):
-        """`word_gram(space, n, l)`, cached and read-only: the Gram matrix
-        of the rows c†_w xi, xi the first basis vector of E_m, read off the
-        stacked map (no (row, src) pair repeats, as c_w is a partial map)."""
-        key = (n, l)
-        if key not in self.grams:
+def _level_maps(space: PathSpace, n: int, s: int, r: int) -> list:
+    """Per level l, the c_w of the level-l words at length n on block
+    (s, r), stacked as (count, flat, src, weight): count words, and
+    (c_w y)[dst] = weight * y[src] at flat = (row of w) * N_m + dst, N_m
+    the block's walks of length m = n - 2l.  None at l = 0, and where the
+    block of E_m is empty or every c_w is 0.  Built level by level along
+    suffixes, c_{(k,) + v} = c_k c_v, one `_annihilator` lookup per entry
+    of the level above (cached)."""
+    cache = space.cache.setdefault("level_maps", {})
+    if (n, s, r) not in cache:
+        levels = creation_words(space, n)
+        walks = len(_walks(space, n, s, r))
+        row, src = np.zeros(walks, np.intp), np.arange(walks)
+        dst, weight = src, np.ones(walks)
+        maps = [None] * len(levels)
+        for l in range(1, len(levels)):
             m = n - 2 * l
-            basis = essential_basis(space, m)
-            if not len(basis):
-                raise BasisError(f"no essential paths of length {m}")
-            s, r = basis.endpoints[0]
-            count, flat, src, weight = self.level_maps(space, n, s, r)[l]
-            xi = self.basis(space, m, s, r)[0][:, 0]
-            row, dst = np.divmod(flat, len(xi))
-            stacked = np.zeros((count, len(self.block(space, n, s, r))))
-            stacked[row, src] = weight * xi[dst]
-            gram = stacked @ stacked.T
-            gram.setflags(write=False)
-            self.grams[key] = gram
-        return self.grams[key]
+            suffix = {w: j for j, w in enumerate(levels[l - 1])}
+            below = np.array([suffix[w[1:]] for w in levels[l]], dtype=np.intp)
+            # the entries of each word's suffix, in word order
+            bounds = np.searchsorted(row, np.arange(len(suffix) + 1))
+            lo, sizes = bounds[below], bounds[below + 1] - bounds[below]
+            row = np.repeat(np.arange(len(below)), sizes)
+            take = np.arange(len(row)) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
+            target, factor = _annihilator(space, m + 2, s, r)
+            k, prev = np.array([w[0] for w in levels[l]])[row], dst[take]
+            hit = target[k, prev]
+            kept = hit >= 0
+            weight = (weight[take] * factor[k, prev])[kept]
+            row, src, dst = row[kept], src[take][kept], hit[kept]
+            if not len(row):
+                break
+            if _basis_block(space, m, s, r)[1]:
+                flat = (row * len(_walks(space, m, s, r)) + dst).astype(np.int32)
+                maps[l] = (len(levels[l]), flat, src.astype(np.int32), weight)
+        cache[n, s, r] = maps
+    return cache[n, s, r]
 
-    def gram_inverse(self, space, n, l):
-        key = (n, l)
-        if key not in self.inverses:
-            self.inverses[key] = np.linalg.inv(self.gram(space, n, l))
-        return self.inverses[key]
+
+def _basis_block(space: PathSpace, m: int, s: int, r: int) -> tuple:
+    """Block (s, r) of E_m as a dense real matrix over the block's walks,
+    one column per basis vector, and the indices of those vectors in
+    `essential_basis(space, m)` (cached)."""
+    cache = space.cache.setdefault("basis_blocks", {})
+    if (m, s, r) not in cache:
+        basis = essential_basis(space, m)
+        offsets = basis.blocks.get((s, r), ())
+        dense = np.zeros((len(_walks(space, m, s, r)), len(offsets)))
+        if offsets:
+            walks, vectors = basis.block(s, r)
+            dense[_positions(space, m, s, r, list(map(tuple, walks.tolist())))] = vectors.T
+        cache[m, s, r] = (dense, offsets)
+    return cache[m, s, r]
 
 
 def recompose(space: PathSpace, d: Decomposition) -> PathVector:

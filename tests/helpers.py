@@ -28,7 +28,18 @@ from pathhopf import (
     tridiagonal_solve,
     zero_vector,
 )
-from pathhopf.essential_decomp import KERNEL_TOL, _blocks, _factor_images, _spread, _tables, word_gram
+from pathhopf.essential_decomp import (
+    KERNEL_TOL,
+    _annihilator,
+    _basis_block,
+    _blocks,
+    _factor_images,
+    _gram_inverse,
+    _spread,
+    _walks,
+    creation_words,
+    word_gram,
+)
 from pathhopf.graph_core import coxeter_info
 from pathhopf.weak_hopf import _product, _random_element, element_in_path_coordinates
 
@@ -312,17 +323,16 @@ def per_word_decompose(space, x):
     blocks and inverse word-Gram matrices are the library's tables.
     """
     n = x.length
-    tables = _tables(space)
     parts = {}
-    for (s, r), y in _blocks(space, tables, x):
+    for (s, r), y in _blocks(space, x):
         vectors = {}
-        for l, rows in _per_word_images(space, tables, n, s, r, y).items():
-            basis = tables.basis(space, n - 2 * l, s, r)[0]
-            eta = tables.gram_inverse(space, n, l) @ rows @ basis.T
-            vectors.update(zip(tables.words(n)[l], eta))
-        vectors[()] = y - _horner_lift(space, tables, n, s, r, vectors)
+        for l, rows in _per_word_images(space, n, s, r, y).items():
+            basis = _basis_block(space, n - 2 * l, s, r)[0]
+            eta = _gram_inverse(space, n, l) @ rows @ basis.T
+            vectors.update(zip(creation_words(space, n)[l], eta))
+        vectors[()] = y - _horner_lift(space, n, s, r, vectors)
         for w, v in vectors.items():
-            paths = tables.block(space, n - 2 * len(w), s, r)
+            paths = _walks(space, n - 2 * len(w), s, r)
             parts.setdefault(w, {}).update(zip(paths, v.tolist()))
     terms = [(OperatorWord(w), PathVector(n - 2 * len(w), c)) for w, c in parts.items()]
     terms = [t for t in terms if not t[1].is_zero()]
@@ -333,16 +343,16 @@ def per_word_decompose(space, x):
 _WORD_STEPS = weakref.WeakKeyDictionary()
 
 
-def _word_step(space, tables, length, s, r, k, z, create=False):
+def _word_step(space, length, s, r, k, z, create=False):
     """c_k z from `length` on block (s, r), or c†_k z to `length`, through
-    the sparse form of `tables.annihilator`, memoised per tables."""
-    steps = _WORD_STEPS.setdefault(tables, {})
+    the sparse form of `_annihilator`, memoised per space."""
+    steps = _WORD_STEPS.setdefault(space, {})
     if (length, s, r, k) not in steps:
-        target, weight = tables.annihilator(space, length, s, r)
+        target, weight = _annihilator(space, length, s, r)
         src = np.flatnonzero(target[k] >= 0)
         steps[length, s, r, k] = (
             src, target[k, src], weight[k, src],
-            len(tables.block(space, length, s, r)), len(tables.block(space, length - 2, s, r)),
+            len(_walks(space, length, s, r)), len(_walks(space, length - 2, s, r)),
         )
     src, dst, weight, size, below = steps[length, s, r, k]
     if create:
@@ -350,23 +360,23 @@ def _word_step(space, tables, length, s, r, k, z, create=False):
     return _spread(dst, weight, z[src], below)
 
 
-def _per_word_images(space, tables, n, s, r, y):
+def _per_word_images(space, n, s, r, y):
     """Level l -> B_m^T c_w y, one row per level-l word, for the levels
     whose block of E_m is not empty."""
     out = {}
     images = {(): y}
-    for l, words in enumerate(tables.words(n)[1:], start=1):
+    for l, words in enumerate(creation_words(space, n)[1:], start=1):
         m = n - 2 * l
         images = {
             w: z
             for w in words
             if w[1:] in images
-            for z in (_word_step(space, tables, m + 2, s, r, w[0], images[w[1:]]),)
+            for z in (_word_step(space, m + 2, s, r, w[0], images[w[1:]]),)
             if z.any()
         }
         if not images:
             break
-        basis, offsets = tables.basis(space, m, s, r)
+        basis, offsets = _basis_block(space, m, s, r)
         if offsets:
             rows = np.zeros((len(words), len(offsets)), dtype=y.dtype)
             for j, w in enumerate(words):
@@ -376,16 +386,16 @@ def _per_word_images(space, tables, n, s, r, y):
     return out
 
 
-def _horner_lift(space, tables, n, s, r, vectors):
+def _horner_lift(space, n, s, r, vectors):
     """The sum of c†_w vectors[w] over the words w != () at length n:
     deepest level first, each word passes c†_{w[0]} of its vector, plus
     what its extensions passed to it, up to its suffix w[1:]."""
     passed = {}
     for l in range(n // 2, 0, -1):
-        for w in tables.words(n)[l]:
+        for w in creation_words(space, n)[l]:
             parts = [v for v in (vectors.get(w), passed.pop(w, None)) if v is not None]
             if parts:
-                v = _word_step(space, tables, n - 2 * l + 2, s, r, w[0], sum(parts), create=True)
+                v = _word_step(space, n - 2 * l + 2, s, r, w[0], sum(parts), create=True)
                 passed[w[1:]] = passed[w[1:]] + v if w[1:] in passed else v
     return passed.get((), 0.0)
 
@@ -531,10 +541,10 @@ def word_pair_basis_product(space, n1, a, b, n2, c, d, memo=None):
         if (n1, p, n2, q) not in memo:
             x = concat(essential_basis(space, n1).vectors[p], essential_basis(space, n2).vectors[q])
             # a concatenation of basis vectors lies in one block or is zero
-            levels = next(iter(_factor_images(space, _tables(space), x)), {})
+            levels = next(iter(_factor_images(space, x)), {})
             memo[n1, p, n2, q] = {
                 l: (offsets, u, np.linalg.solve(word_gram(space, n, l), u) if l else u)
-                for l, (offsets, u) in levels.items()
+                for l, (offsets, u, *_) in levels.items()
             }
         return memo[n1, p, n2, q]
 

@@ -33,7 +33,7 @@ from pathhopf.errors import GraphError, PathHopfError, SingularSystemError
 from pathhopf.graph_core import Spectrum
 from pathhopf.path_space import PRUNE_TOL
 from pathhopf import essential_decomp
-from pathhopf.essential_decomp import _DecompositionTables, _tables, creation_words, word_gram
+from pathhopf.essential_decomp import _level_maps, _positions, creation_words, word_gram
 from pathhopf.weak_hopf import coefficient_C, projector_P
 import frozen_cases
 from helpers import (
@@ -164,9 +164,12 @@ def assert_stable_under_rounding_in_mu(space, top, eps):
 
 @pytest.mark.parametrize("eps", [1e-13, -1e-13, 3e-13])
 def test_d4_basis_is_stable_under_rounding_in_mu(d4, eps):
-    # without the sign rule, the SVD's sign of a length-4 vector flips
-    # under these nudges; the one two-dimensional block (length 2) does not
-    # rotate
+    # these nudges of mu move no basis vector up to length 6 by more than
+    # 1e-9: neither a vector's sign nor, in the one two-dimensional block
+    # (length 2), its rotation.  The cases pass with the sign rule removed
+    # too; the tests that guard that rule are
+    # test_basis_vectors_lead_with_a_positive_coefficient and
+    # test_stacked_kernels_equal_the_per_block_oracle_bitwise
     assert_stable_under_rounding_in_mu(d4, 6, eps)
 
 
@@ -665,13 +668,13 @@ def test_stacked_maps_match_per_word_decompose_on_unit_paths(name):
 
 def test_per_word_oracle_catches_a_scaled_level_map_weight():
     space, walk = PathSpace(edge_graph("A_aff_2")), (0, 1, 0, 2, 1, 2, 0)
-    x, tables = unit(walk), _tables(space)
+    x = unit(walk)
     assert_matches_per_word(space, x)
-    maps = tables.level_maps(space, 6, 0, 0)
+    maps = _level_maps(space, 6, 0, 0)
     count, flat, src, weight = maps[1]
     scaled = weight.copy()
     # the first level-1 word whose c_w does not kill x
-    scaled[np.flatnonzero(src == tables.positions(space, 6, 0, 0, [walk])[0])[0]] *= 1.001
+    scaled[np.flatnonzero(src == _positions(space, 6, 0, 0, [walk])[0])[0]] *= 1.001
     maps[1] = (count, flat, src, scaled)
     with pytest.raises(AssertionError):
         assert_matches_per_word(space, x)
@@ -680,20 +683,19 @@ def test_per_word_oracle_catches_a_scaled_level_map_weight():
 def test_stacked_maps_are_built_once_per_block(monkeypatch):
     space = PathSpace(edge_graph("A_aff_2"))
     builds = Counter()
-    level_maps = _DecompositionTables.level_maps
 
-    def counted(self, space, n, s, r):
-        builds[n, s, r] += (n, s, r) not in self.maps
-        return level_maps(self, space, n, s, r)
+    def counted(space, n, s, r):
+        builds[n, s, r] += (n, s, r) not in space.cache.get("level_maps", {})
+        return _level_maps(space, n, s, r)
 
-    monkeypatch.setattr(_DecompositionTables, "level_maps", counted)
+    monkeypatch.setattr(essential_decomp, "_level_maps", counted)
     x, y = unit((0, 1, 2, 0, 1, 0, 2)), unit((0, 2, 1, 0, 2, 1, 2))
     first = decompose(space, x)
     projector_P(space, x, y)
     projector_P(space, y, x)
     again = decompose(space, x)
     decompose(space, y)
-    assert (6, 0, 2) in builds and set(builds) == set(_tables(space).maps)
+    assert (6, 0, 2) in builds and set(builds) == set(space.cache["level_maps"])
     assert all(count == 1 for count in builds.values())
     # output terms reuse the tables' frozen words
     assert len(first.terms) > 1
@@ -701,6 +703,37 @@ def test_stacked_maps_are_built_once_per_block(monkeypatch):
     with pytest.raises(FrozenInstanceError):
         first.terms[1][0].indices = (0,)
     assert decompose(space, zero_vector(6)).terms == ()
+
+
+def test_repeated_decompose_and_projector_reuse_every_table():
+    # a second identical round adds no entry to any table in space.cache
+    # and reads back the same objects, so every memo key is found again
+    space = PathSpace(edge_graph("D_aff_4"))
+    x, y = unit((1, 0, 2, 0, 3, 0, 1)), unit((1, 0, 1, 0, 4, 0, 1))
+    decompose(space, x)
+    projector_P(space, x, y)
+    tables = {
+        "walks", "walk_positions", "annihilators", "level_maps", "basis_blocks",
+        "creation_words", "operator_words", "word_gram", "word_gram_inverse",
+    }
+    assert tables <= set(space.cache) and all(space.cache[name] for name in tables)
+    first = {name: dict(table) for name, table in space.cache.items()}
+    decompose(space, x)
+    projector_P(space, x, y)
+    assert set(space.cache) == set(first)
+    for name, table in space.cache.items():
+        assert table.keys() == first[name].keys(), name
+        assert all(table[key] is value for key, value in first[name].items()), name
+
+
+def test_word_tables_refuse_lengths_and_levels_out_of_range(tri):
+    for l in (-1, 0, 3):
+        with pytest.raises(PathHopfError, match="word level"):
+            word_gram(tri, 4, l)
+    with pytest.raises(PathHopfError, match="nonnegative"):
+        creation_words(tri, -1)
+    assert (4, -1) not in tri.cache.get("word_gram", {})
+    assert np.allclose(word_gram(tri, 4, 2), [[4.0, 2.0], [2.0, 4.0]])
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "D5", "A_aff_2", "E6"])

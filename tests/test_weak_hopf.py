@@ -24,6 +24,7 @@ from pathhopf import (
     coproduct,
     counit,
     coxeter_info,
+    decompose,
     element_in_path_coordinates,
     essential_basis,
     identity,
@@ -419,8 +420,7 @@ def test_product_path_needs_no_word_tables(a3, monkeypatch):
         (weak_hopf, "projector_P"),
         (essential_decomp, "level_images"),
         (essential_decomp, "word_gram"),
-        (essential_decomp._DecompositionTables, "gram"),
-        (essential_decomp._DecompositionTables, "gram_inverse"),
+        (essential_decomp, "_gram_inverse"),
     ):
         monkeypatch.setattr(owner, name, forbidden)
     space = PathSpace(a3.graph, a3.spectrum)
@@ -718,13 +718,17 @@ def test_affine_products_past_the_cutoff_raise(tri):
 
 def test_space_is_freed_without_the_cycle_collector(a3):
     # the memo tables hold plain values (the junction arrays, their nonzero
-    # entries and the bases' cached matrices), so dropping the last
-    # reference frees a space even while the cycle collector is off
+    # entries, the bases' cached matrices and the decomposition's tables),
+    # so dropping the last reference frees a space even while the cycle
+    # collector is off
     space = PathSpace(a3.graph, a3.spectrum)
     x = AlgebraElement.basis_element(space, 1, 0, 0)
     one = identity(space)
     assert not multiply(one, x).is_zero() and not star_alg(x).is_zero()
     assert space.cache["junctions"] and space.cache["junction_rows"] and space.cache["star_columns"]
+    walk = PathVector.unit((0, 1, 2, 1, 2))
+    assert decompose(space, walk).terms and not projector_P(space, walk, walk).is_zero()
+    assert space.cache["level_maps"] and space.cache["word_gram_inverse"]
     ref = weakref.ref(space)
     gc.disable()
     try:
