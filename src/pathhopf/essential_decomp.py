@@ -55,8 +55,9 @@ class EssentialBasis:
     Vectors are grouped by (source, range) block; annihilation preserves
     endpoints, so the essential subspace splits over blocks and every basis
     vector has well-defined endpoints.  `endpoints` gives each vector's
-    block and `blocks` each block's flat positions, in lexicographic block
-    order.  At length 0 each block holds its vertex.  Above it, the
+    block as a (source, range) pair, `source` and `range` as integer
+    arrays, and `blocks` each block's flat positions, in lexicographic
+    block order.  At length 0 each block holds its vertex.  Above it, the
     d_n x d_{n-1} matrix `append` holds the vectors, signed in the build:
     A[a, b] with xi_a = sum_b A[a, b] xi_b . (r(b) -> r(a)) over the vectors
     xi_b of `below` (the basis at length - 1), zero outside the b with
@@ -64,9 +65,10 @@ class EssentialBasis:
     `block` or `vectors` is read.
     """
 
-    def __init__(self, length, endpoints, append=None, below=None, neighbors=None):
-        self.length, self.endpoints, self.append = length, endpoints, append
+    def __init__(self, length, source, range_, append=None, below=None, neighbors=None):
+        self.length, self.source, self.range, self.append = length, source, range_, append
         self.below, self.neighbors = below, neighbors
+        endpoints = self.endpoints = tuple(zip(source.tolist(), range_.tolist()))
         self.blocks = {key: tuple(at) for key, at in groupby(range(len(endpoints)), endpoints.__getitem__)}
         self._walks: dict = {}
 
@@ -102,7 +104,7 @@ class EssentialBasis:
         vectors xi_f of `below` (an essential vector less its first edge is
         essential): [r(c) = f] at length 1, and above
         [r(c) = r(f)] (A P' A'^T), A = `append`, A' and P' those of `below`."""
-        out = np.equal.outer(*([r for _, r in b.endpoints] for b in (self, self.below))).astype(float)
+        out = np.equal.outer(self.range, self.below.range).astype(float)
         if self.length > 1:
             out *= self.append @ self.below.prepend @ self.below.append.T
         return out
@@ -142,22 +144,27 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     Raises `CutoffError` for n beyond the space's cutoff and
     `PathHopfError` for a negative n.
     """
-    if n < 0:
-        raise PathHopfError("path length must be nonnegative")
-    if n > space.cutoff:
-        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
+    _check_length(space, n)
     cache = space.cache.setdefault("essential_basis", {})
     if n not in cache:
         cache[n] = _build_basis(space, n)
     return cache[n]
 
 
+def _check_length(space: PathSpace, n: int) -> None:
+    """Refuse a negative length and one past the space's cutoff."""
+    if n < 0:
+        raise PathHopfError("path length must be nonnegative")
+    if n > space.cutoff:
+        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
+
+
 def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
     nv = space.graph.num_vertices
     if n == 0:
-        return EssentialBasis(0, tuple((s, s) for s in range(nv)))
+        return EssentialBasis(0, np.arange(nv), np.arange(nv))
     below = essential_basis(space, n - 1)
-    source, target = np.array(below.endpoints, dtype=np.intp).reshape(-1, 2).T
+    source, target = below.source, below.range
     # the candidates b of each block (s, t): s(b) = s and r(b) ~ t, ascending
     s, t, b = np.nonzero((source == np.arange(nv)[:, None, None]) & (space.graph.adjacency[:, target] > 0))
     keys, first, width = np.unique(s * nv + t, return_index=True, return_counts=True)
@@ -186,8 +193,7 @@ def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
         # the sign rule: the first entry above 1e-9 of each row, in
         # candidate order, is positive
         append *= np.sign(append[np.arange(len(append)), np.argmax(np.abs(append) > 1e-9, axis=1)])[:, None]
-    endpoints = tuple(zip(s[keep].tolist(), t[keep].tolist()))
-    return EssentialBasis(n, endpoints, append, below, space.graph.neighbors)
+    return EssentialBasis(n, s[keep], t[keep], append, below, space.graph.neighbors)
 
 
 def is_essential(space: PathSpace, x: PathVector) -> bool:
@@ -322,10 +328,10 @@ def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
     Coxeter number h also i_j >= L - h + 1 (the Jones-Wenzl truncation):
     the Jones-Wenzl projection on h - 1 strands vanishes on paths, so the
     dropped words would make the c†_w xi linearly dependent.  Every suffix
-    of a word is a word.  Raises `PathHopfError` for a negative n.
+    of a word is a word.  Raises `PathHopfError` for a negative n and
+    `CutoffError` for n beyond the space's cutoff.
     """
-    if n < 0:
-        raise PathHopfError("path length must be nonnegative")
+    _check_length(space, n)
     cache = space.cache.setdefault("creation_words", {})
     if n not in cache:
         levels: list = [[] for _ in range(n // 2 + 1)]
@@ -362,9 +368,11 @@ def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
     contraction scalar C(w'; w) (`coefficient_C`).  It is read off the
     stacked map of the block of the first basis vector of E_m (no (row,
     src) pair repeats, as c_w is a partial map) and cached; the returned
-    array is read-only.  Raises `PathHopfError` for l outside
-    1 <= l <= n // 2 and `BasisError` when E_m is empty.
+    array is read-only.  Raises `CutoffError` for n beyond the space's
+    cutoff, `PathHopfError` for l outside 1 <= l <= n // 2 and `BasisError`
+    when E_m is empty.
     """
+    _check_length(space, n)
     if not 1 <= l <= n // 2:
         raise PathHopfError(f"word level {l} is not in 1..{n // 2} at length {n}")
     cache = space.cache.setdefault("word_gram", {})
@@ -397,8 +405,7 @@ def _blocks(space: PathSpace, x: PathVector) -> list:
     """`x` split by (source, range) into dense arrays over the block's walks,
     real when every coefficient is."""
     n = x.length
-    if n > space.cutoff:
-        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
+    _check_length(space, n)
     parts: dict = {}
     for p, c in x.coeffs.items():
         parts.setdefault((p[0], p[-1]), {})[p] = c

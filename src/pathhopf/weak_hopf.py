@@ -13,6 +13,7 @@ constants; README describes each check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -175,7 +176,7 @@ def _junction_arrays(space, n1, n2) -> list:
     cache = space.cache.setdefault("junctions", {})
     if (n1, n2) not in cache:
         left, right = essential_basis(space, n1), essential_basis(space, n2)
-        ranges, sources = [r for _, r in left.endpoints], [s for s, _ in right.endpoints]
+        ranges, sources = left.range, right.source
         out = []
         for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2)):
             m = n1 + n2 - 2 * l
@@ -183,14 +184,13 @@ def _junction_arrays(space, n1, n2) -> list:
                 J = np.zeros((len(left), len(right), 0))
             elif l:
                 root = np.asarray(space.sqrt_mu)
-                below = [r for _, r in essential_basis(space, n1 - 1).endpoints]
-                step = left.append * root[ranges][:, None] / root[below]  # sqrt(mu[r(a)] / mu[r(b)]) A[a, b]
+                step = left.append * root[ranges][:, None] / root[left.below.range]  # sqrt(mu[r(a)] / mu[r(b)]) A[a, b]
                 J = right.prepend @ np.tensordot(step, _junction_arrays(space, n1 - 1, n2 - 1)[l - 1], 1)
                 J *= np.equal.outer(ranges, sources)[:, :, None]
             elif n2:
                 target = essential_basis(space, m)
                 J = right.append @ (_junction_arrays(space, n1, n2 - 1)[0] @ target.append.T)
-                J *= np.equal.outer([r for _, r in right.endpoints], [r for _, r in target.endpoints])
+                J *= np.equal.outer(right.range, target.range)
             else:
                 J = np.eye(len(left))[:, None, :] * np.equal.outer(ranges, range(len(right)))[:, :, None]
             J[np.abs(J) <= 1e-14] = 0.0
@@ -227,15 +227,15 @@ def _meeting_pairs(space, left: dict, right: dict):
     not."""
     if left and right:
         _check_cutoff(space, max(left)[0], max(right)[0])  # the largest key (n, a, b) has the largest n
-    endpoints: dict = {}  # n -> the endpoints of E_n
+    bases = space.cache.setdefault("essential_basis", {})  # read directly once built
     partners: dict = {}
     for kr, zr in right.items():
         n, c, d = kr
-        ends = endpoints.get(n) or endpoints.setdefault(n, essential_basis(space, n).endpoints)
+        ends = (bases[n] if n in bases else essential_basis(space, n)).endpoints
         partners.setdefault((ends[c][0], ends[d][0]), []).append((kr, zr))
     for kl, zl in left.items():
         n, a, b = kl
-        ends = endpoints.get(n) or endpoints.setdefault(n, essential_basis(space, n).endpoints)
+        ends = (bases[n] if n in bases else essential_basis(space, n)).endpoints
         for kr, zr in partners.get((ends[a][1], ends[b][1]), ()):
             yield kl, zl, kr, zr
 
@@ -302,11 +302,12 @@ def _star_matrix(space, n):
     while n not in cache:
         k = len(cache)
         basis = essential_basis(space, k)
-        S = np.eye(len(basis))
         if k:
             S = basis.prepend @ cache[k - 1] @ basis.append.T
-            S *= np.equal.outer([s for s, _ in basis.endpoints], [r for _, r in basis.endpoints])
+            S *= np.equal.outer(basis.source, basis.range)
             S[np.abs(S) <= 1e-14] = 0.0
+        else:
+            S = np.eye(len(basis))
         cache[k] = S
     return cache[n]
 
@@ -320,7 +321,7 @@ def _endpoint_weights(space, weight_fn=None) -> np.ndarray:
     """W[s, r, s', r']: the antipode's endpoint factor, `weight_fn` or
     `_pf_weight`, called once on every four vertices."""
     weight, nv = weight_fn or partial(_pf_weight, space), space.graph.num_vertices
-    return np.array([weight(*v) for v in np.ndindex((nv,) * 4)]).reshape((nv,) * 4)
+    return np.array(list(itertools.starmap(weight, itertools.product(range(nv), repeat=4)))).reshape((nv,) * 4)
 
 
 def _starred(space, coeffs: dict, weight=None) -> dict:
@@ -332,14 +333,12 @@ def _starred(space, coeffs: dict, weight=None) -> dict:
     is."""
     cache = space.cache.setdefault("star_nonzero", {})
     out: dict = {}
-    endpoints: dict = {}  # n -> the endpoints of E_n, for the weight
+    bases = space.cache.setdefault("essential_basis", {})  # `_star_matrix` builds each length
     for (n, a, b), z in coeffs.items():
         if n not in cache:
             cache[n] = [[(i, s) for i, s in enumerate(c) if s] for c in _star_matrix(space, n).T.tolist()]
-        columns, f = cache[n], 1.0
-        if weight:
-            ends = endpoints.get(n) or endpoints.setdefault(n, essential_basis(space, n).endpoints)
-            f = weight(*ends[a], *ends[b])
+        columns, ends = cache[n], bases[n].endpoints
+        f = weight(*ends[a], *ends[b]) if weight else 1.0
         for a2, sa in columns[a]:
             for b2, sb in columns[b]:
                 k = (n, b2, a2) if weight else (n, a2, b2)
@@ -487,10 +486,10 @@ def _key_pair_residuals(space, n1, n2, weights) -> tuple:
     """
     left, right = essential_basis(space, n1), essential_basis(space, n2)
     d1, d2 = len(left), len(right)
-    rows = np.flatnonzero(np.equal.outer([r for _, r in left.endpoints], [s for s, _ in right.endpoints]))
+    rows = np.flatnonzero(np.equal.outer(left.range, right.source))
     a, c = np.divmod(rows, d2)
     # the endpoints of each row: s(a), r(a) = s(c) and r(c)
-    (sa, t), (_, rc) = (np.array(b.endpoints, dtype=np.intp).reshape(-1, 2)[i].T for b, i in ((left, a), (right, c)))
+    sa, t, rc = left.source[a], left.range[a], right.range[c]
     scalars = _junction_scalars(space.beta, n1, n2)
     Ms = [J.reshape(d1 * d2, J.shape[2])[rows] for J in _junction_arrays(space, n1, n2)]
     # every level side by side, as columns f of M, with lambda_l per column
@@ -543,6 +542,18 @@ def _conjugation_residuals(Q) -> np.ndarray:
     return np.maximum(diagonal, np.maximum(np.outer(off, col), np.outer(col, off)))
 
 
+def _star_double_residuals(Q, W) -> np.ndarray:
+    """R[a, b] = sup |T_ab - e_ab|, T_ab = star(S(star(S(e_ab)))) for the
+    star Z -> S conj(Z) S^T and the antipode Z -> (S (W o Z) S^T)^T: with
+    Q = S conj(S), T_ab = W[a, b] Q diag(conj(Q[:, a])) W^H diag(conj(Q[:, b]))
+    Q^T, two tensordots over L[a, i, p] = Q[i, p] conj(Q[p, a])."""
+    L = Q[None] * Q.T.conj()[:, None]
+    T = np.tensordot(np.tensordot(L, W.conj().T, 1), L, (2, 2)) * W[:, None, :, None]  # [a, i, b, j]
+    at = np.arange(len(Q))
+    T[at[:, None], at[:, None], at, at] -= 1
+    return np.abs(T).max((1, 3), initial=0.0)
+
+
 def _unary_residuals(space, n, weights) -> dict:
     """The nine linear unary axioms at length n: name -> R, with R[a, b] the
     residual of the basis key (n, a, b).
@@ -554,40 +565,33 @@ def _unary_residuals(space, n, weights) -> dict:
     is the sup of the difference of the axiom's two sides.  Each axiom is
     linear or antilinear, so an element's residual is at most
     sum |z_k| R[k] over its keys k, and 0 exactly when every R[k] is: the
-    keys are the whole check.  "antipode star double" is one evaluation
-    on the stack of all d^2 unit blocks; a user's weight need not be rank
-    one, so it has no closed form.  The other eight are read per key in
-    closed form: "unit element" (1 X = left^T X left and X 1 = right^T X
-    right) and "star involution" (S conj(S conj(X) S^T) S^T, Q = S conj(S))
-    are X -> Q X Q^T, read by `_conjugation_residuals`; the star
-    compatibility of Delta and "antipode coproduct rule" on e_ab are
-    S[:, a] S[:, b]^T times a split-point factor, whose sup is the product
-    of the factors' sups; the counit laws pair Delta(e_ab) with
-    E[a, c] = `counit`(e_ac), the public map; coassociativity is an identity
-    of the Delta form, 0; and "antipode cancellation" on e_ab is
+    keys are the whole check.  All nine are read per key in closed form:
+    "unit element" (1 X = left^T X left and X 1 = right^T X right) and
+    "star involution" (S conj(S conj(X) S^T) S^T, Q = S conj(S)) are
+    X -> Q X Q^T, read by `_conjugation_residuals`; "antipode star double"
+    on e_ab is W[a, b] Q diag(conj(Q[:, a])) W^H diag(conj(Q[:, b])) Q^T
+    (`_star_double_residuals`); the star compatibility of Delta and
+    "antipode coproduct rule" on e_ab are S[:, a] S[:, b]^T times a
+    split-point factor, whose sup is the product of the factors' sups; the
+    counit laws pair Delta(e_ab) with E[a, c] = `counit`(e_ac), the public
+    map; coassociativity is an identity of the Delta form, 0; and
+    "antipode cancellation" on e_ab is
     sum_c' R[a, c'] (x) e_c'b, with R[a, c'] = m (S (x) id) Delta(e_ac')
     less the unit's part (x 1_(2) keeps b by the right unit law, which
     "unit element" checks), whose sup depends on a alone.
     """
     basis = essential_basis(space, n)
-    d, (s, r) = len(basis), np.array(basis.endpoints, dtype=np.intp).reshape(-1, 2).T
+    d, s, r = len(basis), basis.source, basis.range
     W = weights[s[:, None], r[:, None], s, r]
     S, one = _star_matrix(space, n), np.eye(d)
-    units = np.eye(d * d).reshape(d * d, d, d)
+    Q = S @ S.conj()
     left = _junction_arrays(space, 0, n)[0].sum(0)  # 1 X = left^T X left
     ends = _junction_arrays(space, n, 0)[0]  # [a, t, e]: (n, a, .) (0, t, .) = (n, e, .)
     right = ends.sum(1)  # X 1 = right^T X right
-
-    def star(Z):
-        return S @ Z.conj() @ S.T
-
-    def anti(Z):
-        return np.swapaxes(S @ (W * Z) @ S.T, -1, -2)
-
     out = {
         "unit element": np.maximum(_conjugation_residuals(left.T), _conjugation_residuals(right.T)),
-        "star involution": _conjugation_residuals(S @ S.conj()),
-        "antipode star double": _sup(star(anti(star(anti(units)))) - units).reshape(d, d),
+        "star involution": _conjugation_residuals(Q),
+        "antipode star double": _star_double_residuals(Q, W),
     }
 
     # both sides of star-compatibility are x* on the outer indices, times I
@@ -639,23 +643,23 @@ def _gap(x: dict, y: dict) -> float:
     return worst if worst > AlgebraElement.prune else 0.0
 
 
-def _worst(name, pool, residuals, element, floor) -> AxiomResult:
-    """The largest of `residuals`, with the sorted keys of each argument of
-    the first tuple in pool order that reached it to a relative 1e-9, so
-    that rounding does not choose among tuples tied in exact arithmetic; at
-    or below `floor` rounding would choose, so there is no witness.  A NaN
-    counts as the largest.  A pool of keys or of key pairs is an array of
-    rows (n, a, b) or (n1, a, b, n2, c, d), any other one tuples of
-    indices of the coefficient dicts `element(i)`."""
-    worst = float(np.max(residuals))
+def _worst(name, residuals, witness, floor) -> AxiomResult:
+    """The largest of `residuals`, one array per block of the axiom's pool,
+    in pool order, and `witness(block, *index)` of the first entry in pool
+    order that reached it to a relative 1e-9, given the index arrays of the
+    block's entries that did, so that rounding does not choose among tuples
+    tied in exact arithmetic; at or below `floor` rounding would choose, so
+    there is no witness.  A NaN counts as the largest."""
+    flat = np.concatenate([R.ravel() for R in residuals])
+    worst = float(flat.max())
     if worst <= floor:
-        return AxiomResult(name, worst, len(pool))
-    at = int(np.argmax(residuals if math.isnan(worst) else residuals >= worst * (1 - 1e-9)))
-    if isinstance(pool, np.ndarray):
-        witness = tuple((key,) for key in map(tuple, pool[at].reshape(-1, 3).tolist()))
-    else:
-        witness = tuple(tuple(sorted(element(i))) for i in pool[at])
-    return AxiomResult(name, worst, len(pool), witness)
+        return AxiomResult(name, worst, len(flat))
+    hits = np.flatnonzero(np.isnan(flat) if math.isnan(worst) else flat >= worst * (1 - 1e-9))
+    ends = np.cumsum([R.size for R in residuals])
+    block = int(np.searchsorted(ends, hits[0], "right"))  # the first block with a hit
+    R = residuals[block]
+    at = np.unravel_index(hits[hits < ends[block]] - (ends[block] - R.size), R.shape)
+    return AxiomResult(name, worst, len(flat), witness(block, *at))
 
 
 def verify_axioms(
@@ -692,12 +696,8 @@ def verify_axioms(
     if seed < 0:
         raise PathHopfError(f"seed must be nonnegative, got {seed}")
     _check_cutoff(space, 2 * max_length, max_length)  # (x y) z
-    keys = [
-        (n, a, b)
-        for n in range(max_length + 1)
-        for a in range(len(essential_basis(space, n)))
-        for b in range(len(essential_basis(space, n)))
-    ]
+    bases = [essential_basis(space, n) for n in range(max_length + 1)]
+    keys = [(n, a, b) for n, basis in enumerate(bases) for a in range(len(basis)) for b in range(len(basis))]
     rng = np.random.default_rng(seed)
     randoms = [_random_element(space, keys, rng) for _ in range(samples)]
     size = len(keys) + samples  # the pool: every basis key, then the random elements
@@ -708,30 +708,26 @@ def verify_axioms(
     def element(i):  # as a coefficient dict
         return {keys[i]: 1.0} if i < len(keys) else randoms[i - len(keys)].coeffs
 
-    swept: dict = {}  # axiom -> residuals per length or pair of lengths
+    swept: dict = {}  # axiom -> residuals per length or pair of lengths, or of the sampled triples
     for n in range(max_length + 1):
         for name, R in _unary_residuals(space, n, weights).items():
             swept.setdefault(name, []).append(R.ravel())
     # the keys (n, a, b) with s(a) = s(b): G[k, k'] = eps(k k'*) is 0 off them
-    sources = [[s for s, _ in essential_basis(space, n).endpoints] for n in range(max_length + 1)]
-    same = [np.equal.outer(s, s) for s in sources]
-    key_pairs, gram = [], []  # rows (n1, a, b, n2, c, d); rows of blocks of G on those keys
+    same = [np.equal.outer(basis.source, basis.source) for basis in bases]
+    rows, gram = [], []  # the meeting rows (n1, n2, a, c) of each pair of lengths; rows of blocks of G
     for n1 in range(max_length + 1):
         gram.append([])
         gram_row = np.full(same[n1].shape, -1)  # the row of G of each key (n1, a, b), -1 off it
         gram_row[same[n1]] = np.arange(np.count_nonzero(same[n1]))
         for n2 in range(max_length + 1):
             (a, c), residuals, eps = _key_pair_residuals(space, n1, n2, weights)
-            # the pairs (i, j) of meeting rows in the order (a_i, a_j, c_i, c_j)
-            order = np.argsort(np.add.outer(a * len(sources[n1]), a), axis=None, kind="stable")
-            i, j = np.divmod(order, len(a))
-            key_pairs.append(np.column_stack([np.full_like(i, n1), a[i], a[j], np.full_like(i, n2), c[i], c[j]]))
+            rows.append((n1, n2, a, c))
             for name, R in residuals.items():
-                swept.setdefault(name, []).append(R.ravel()[order])
+                swept.setdefault(name, []).append(R)
             # eps[k, c, d] on the same-source keys k = (n1, a, b), then contracted with S
             k = gram_row[np.ix_(a, a)]
             i, j = np.nonzero(k >= 0)
-            blocks = np.zeros((np.count_nonzero(same[n1]), len(sources[n2]), len(sources[n2])))
+            blocks = np.zeros((np.count_nonzero(same[n1]), len(bases[n2]), len(bases[n2])))
             blocks[k[i, j], c[i], c[j]] = eps[i, j]
             S = _star_matrix(space, n2)
             gram[-1].append((S.T @ blocks @ S)[:, same[n2]])  # [k, (c', d')]
@@ -739,33 +735,30 @@ def verify_axioms(
     values, vectors = np.linalg.eigh((G + G.T) / 2)
     v, positivity = vectors[:, 0] / np.abs(vectors[:, 0]).max(), np.zeros(len(keys))
     positivity[np.concatenate(same, axis=None)] = np.maximum(-values[0] * v**2, np.abs(G - G.T).max(1))
-    swept["counit positivity"] = [np.maximum(positivity, 0.0)]
+    swept["counit positivity"] = np.split(np.maximum(positivity, 0.0), np.cumsum([m.size for m in same])[:-1])
     del gram, G, vectors  # not held while associativity runs
     swept["product associativity"] = [np.fromiter(
         (_gap(_product(space, _product(space, element(i), element(j)), element(k)),
               _product(space, element(i), _product(space, element(j), element(k)))) for i, j, k in triples),
         float, len(triples))]
-    key_pairs, key_rows = np.concatenate(key_pairs), np.array(keys)
-    checks = (
-        ("product associativity", triples),
-        ("unit element", key_rows),
-        ("star involution", key_rows),
-        ("star antihomomorphism", key_pairs),
-        ("coproduct multiplicative", key_pairs),
-        ("coproduct star-compatible", key_rows),
-        ("coassociativity", key_rows),
-        ("counit left inverse", key_rows),
-        ("counit right inverse", key_rows),
-        ("counit of product", key_pairs),
-        ("counit positivity", key_rows),
-        ("antipode product rule", key_pairs),
-        ("antipode star double", key_rows),
-        ("antipode coproduct rule", key_rows),
-        ("antipode cancellation", key_rows),
-    )
-    results = tuple(
-        _worst(name, pool, np.concatenate(swept[name]), element, tolerance * 1e-3) for name, pool in checks
-    )
+
+    def on_triple(_, at):
+        return tuple(tuple(sorted(element(i))) for i in triples[at[0]])
+
+    def on_key(n, at):  # the keys (n, a, b) of one length
+        return (((n, *divmod(int(at[0]), len(bases[n]))),),)
+
+    def on_key_pair(block, i, j):  # pool order within a block: (a_i, a_j, c_i, c_j)
+        n1, n2, a, c = rows[block]
+        at = np.lexsort((c[j], c[i], a[j], a[i]))[0]
+        return ((n1, int(a[i[at]]), int(a[j[at]])),), ((n2, int(c[i[at]]), int(c[j[at]])),)
+
+    witness = dict.fromkeys(residuals, on_key_pair) | {"product associativity": on_triple}  # the pair axioms' names
+    names = ("product associativity", "unit element", "star involution", "star antihomomorphism",
+             "coproduct multiplicative", "coproduct star-compatible", "coassociativity", "counit left inverse",
+             "counit right inverse", "counit of product", "counit positivity", "antipode product rule",
+             "antipode star double", "antipode coproduct rule", "antipode cancellation")
+    results = tuple(_worst(name, swept[name], witness.get(name, on_key), tolerance * 1e-3) for name in names)
     return VerificationReport(
         graph=space.graph.name,
         max_length=max_length,

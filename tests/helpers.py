@@ -640,6 +640,23 @@ def direct_unary_axioms(space, weight_fn=None):
     }
 
 
+def stacked_star_double(S, W):
+    """The reference of `weak_hopf._star_double_residuals`: R[a, b] =
+    sup |star(anti(star(anti(e_ab)))) - e_ab|, evaluated as matrix products
+    on the stack of all d^2 unit blocks e_ab, with the star
+    Z -> S conj(Z) S^T and the antipode Z -> (S (W o Z) S^T)^T."""
+    d = len(S)
+    units = np.eye(d * d).reshape(d * d, d, d)
+
+    def star(Z):
+        return S @ Z.conj() @ S.T
+
+    def anti(Z):
+        return np.swapaxes(S @ (W * Z) @ S.T, -1, -2)
+
+    return np.abs(star(anti(star(anti(units)))) - units).max((1, 2), initial=0.0).reshape(d, d)
+
+
 def meeting_key_pairs(space, max_length):
     """Every pair of basis keys (n1, a, b), (n2, c, d) with n1, n2 <=
     max_length whose endpoints meet, r(a) = s(c) and r(b) = s(d), in the

@@ -736,6 +736,20 @@ def test_word_tables_refuse_lengths_and_levels_out_of_range(tri):
     assert np.allclose(word_gram(tri, 4, 2), [[4.0, 2.0], [2.0, 4.0]])
 
 
+def test_word_tables_refuse_lengths_past_the_cutoff(tri):
+    # both refuse before any enumeration: no table holds an entry of the
+    # refused length (at n = 20 there are 184,756 words, and word_gram at 16
+    # would enumerate 65,536 walks before the basis at m = 14 refused)
+    space = PathSpace(tri.graph, tri.spectrum, cutoff=12)
+    with pytest.raises(CutoffError, match="length 20 exceeds the cutoff 12"):
+        creation_words(space, 20)
+    with pytest.raises(CutoffError, match="length 16 exceeds the cutoff 12"):
+        word_gram(space, 16, 3)
+    for name, table in space.cache.items():
+        assert not [k for k in table if (k[0] if isinstance(k, tuple) else k) in (16, 20)], name
+    assert len(creation_words(space, 12)[6]) == 132  # the cutoff length itself is built: Catalan C_6 words
+
+
 @pytest.mark.parametrize("name", ["A3", "D4", "D5", "A_aff_2", "E6"])
 def test_decompose_terms_hold_the_adopt_contract(name):
     # decompose hands its dicts to PathVector._adopt, which skips the

@@ -62,6 +62,7 @@ from helpers import (
     random_vector,
     reference_basis_product,
     reference_projector,
+    stacked_star_double,
     sup_diff,
     sweedler_cancellation,
     unit,
@@ -1328,6 +1329,29 @@ def test_linear_residuals_on_a_complex_element(a3, monkeypatch):
     star_compatible = direct["coproduct star-compatible"]
     conj = AlgebraElement(space, {k: z.conjugate() for k, z in x.coeffs.items()})
     assert star_compatible(x) > 0.1 and abs(star_compatible(conj) - star_compatible(x)) > 0.1
+
+
+COMPLEX_WEIGHT = lambda s_l, r_l, s_r, r_r: complex(math.cos(s_l - 2 * r_r), math.sin(s_l - 2 * r_r)) * (1 + 0.1 * r_l)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "A_aff_2", "E6"])
+@pytest.mark.parametrize("weight_fn", [None, lambda *ends: 1.0, BENT, COMPLEX_WEIGHT],
+                         ids=["perron-frobenius", "flat", "bent", "complex"])
+def test_star_double_closed_form_matches_the_stacked_products(name, weight_fn):
+    # the closed form W[a, b] Q diag(conj(Q[:, a])) W^H diag(conj(Q[:, b])) Q^T
+    # against the four maps applied to all d^2 unit blocks at once; the
+    # complex weight fails the axiom, so a conjugate taken at the wrong
+    # place shows in residuals of order 1
+    space = junction_space(name)
+    weights = _endpoint_weights(space, weight_fn)
+    for n in range(3):
+        basis = essential_basis(space, n)
+        s, r = basis.source, basis.range
+        want = stacked_star_double(_star_matrix(space, n), weights[s[:, None], r[:, None], s, r])
+        got = _unary_residuals(space, n, weights)["antipode star double"]
+        assert got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=1e-12), (name, n)
+        if weight_fn in (BENT, COMPLEX_WEIGHT) and n:
+            assert want.max() > 0.1, (name, n)
 
 
 def test_each_length_is_tabulated_once_per_call(tri, monkeypatch):
