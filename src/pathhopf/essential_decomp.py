@@ -15,12 +15,13 @@ the c_w of one level stack into one partial map per (length, block,
 level): `level_images` forms the right-hand sides, the essential
 coordinates of all the level's word images, in one scatter, and the lift
 back is one scatter too.  `pair_levels` pairs the same images for
-`weak_hopf.projector_P`.  Each table they read is one function, built
-lazily and cached in `space.cache` under its own key: `_walks` and
-`_positions` (each block's walks and their positions), `_annihilator`
-and `_level_maps` (the c_k and the stacked c_w as index arrays),
-`_basis_block` (dense basis blocks), `creation_words` and
-`_operator_words`, and `word_gram` and `_gram_inverse`.  On a finite ADE
+`weak_hopf.projector_P`.  Each table they read, as `essential_basis`,
+is one function memoized in `space.cache` by `space_cached`, which stores
+nothing for a call that raises: `_walks` and `_walk_positions` (each
+block's walks and their positions), `_annihilator` and `_level_maps` (the
+c_k and the stacked c_w as index arrays), `_basis_block` (dense basis
+blocks), `creation_words` and `_operator_words`, and `word_gram` and
+`_gram_inverse`.  On a finite ADE
 graph with Coxeter number h, the words keep only creations c†_k with
 k >= L - h + 1, L the length they make (the Jones-Wenzl truncation).
 `project_component` reads off the orthogonal projections.
@@ -41,6 +42,7 @@ from .path_space import (
     PathSpace,
     PathVector,
     format_path,
+    space_cached,
     zero_vector,
 )
 
@@ -120,6 +122,7 @@ class EssentialBasis:
         return tuple(out)
 
 
+@space_cached("essential_basis")
 def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     """Orthonormal basis of the length-n essential subspace (cached).
 
@@ -145,21 +148,6 @@ def essential_basis(space: PathSpace, n: int) -> EssentialBasis:
     `PathHopfError` for a negative n.
     """
     _check_length(space, n)
-    cache = space.cache.setdefault("essential_basis", {})
-    if n not in cache:
-        cache[n] = _build_basis(space, n)
-    return cache[n]
-
-
-def _check_length(space: PathSpace, n: int) -> None:
-    """Refuse a negative length and one past the space's cutoff."""
-    if n < 0:
-        raise PathHopfError("path length must be nonnegative")
-    if n > space.cutoff:
-        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
-
-
-def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
     nv = space.graph.num_vertices
     if n == 0:
         return EssentialBasis(0, np.arange(nv), np.arange(nv))
@@ -194,6 +182,14 @@ def _build_basis(space: PathSpace, n: int) -> EssentialBasis:
         # candidate order, is positive
         append *= np.sign(append[np.arange(len(append)), np.argmax(np.abs(append) > 1e-9, axis=1)])[:, None]
     return EssentialBasis(n, s[keep], t[keep], append, below, space.graph.neighbors)
+
+
+def _check_length(space: PathSpace, n: int) -> None:
+    """Refuse a negative length and one past the space's cutoff."""
+    if n < 0:
+        raise PathHopfError("path length must be nonnegative")
+    if n > space.cutoff:
+        raise CutoffError(f"path length {n} exceeds the cutoff {space.cutoff}")
 
 
 def is_essential(space: PathSpace, x: PathVector) -> bool:
@@ -319,6 +315,7 @@ def _gather(parts, words, rows, paths) -> None:
             parts.setdefault(w, {}).update(islice(pairs, count))
 
 
+@space_cached("creation_words")
 def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
     """The creation words `decompose` uses at length n: entry l lists the
     level-l words in lexicographic order (cached).
@@ -332,32 +329,28 @@ def creation_words(space: PathSpace, n: int) -> list[list[tuple[int, ...]]]:
     `CutoffError` for n beyond the space's cutoff.
     """
     _check_length(space, n)
-    cache = space.cache.setdefault("creation_words", {})
-    if n not in cache:
-        levels: list = [[] for _ in range(n // 2 + 1)]
-        top = space.top_length  # `grow` is a cycle: it must not hold the space
+    levels: list = [[] for _ in range(n // 2 + 1)]
+    top = space.top_length  # `grow` is a cycle: it must not hold the space
 
-        def grow(suffix, length):
-            levels[len(suffix)].append(suffix)
-            low = max(0, length - top - 1)
-            high = length - 2 if not suffix else min(length - 2, suffix[0] - 1)
-            for i in range(low, high + 1):
-                grow((i,) + suffix, length - 2)
+    def grow(suffix, length):
+        levels[len(suffix)].append(suffix)
+        low = max(0, length - top - 1)
+        high = length - 2 if not suffix else min(length - 2, suffix[0] - 1)
+        for i in range(low, high + 1):
+            grow((i,) + suffix, length - 2)
 
-        grow((), n)
-        cache[n] = [sorted(words) for words in levels]
-    return cache[n]
+    grow((), n)
+    return [sorted(words) for words in levels]
 
 
+@space_cached("operator_words")
 def _operator_words(space: PathSpace, n: int) -> dict:
     """{indices: OperatorWord}, one per word of `creation_words(space, n)`,
     level by level (cached): the words of `decompose`'s terms."""
-    cache = space.cache.setdefault("operator_words", {})
-    if n not in cache:
-        cache[n] = {w: OperatorWord(w) for words in creation_words(space, n) for w in words}
-    return cache[n]
+    return {w: OperatorWord(w) for words in creation_words(space, n) for w in words}
 
 
+@space_cached("word_gram")
 def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
     """Gram matrix G of the vectors c†_w xi over the level-l words at
     length n, rows in `creation_words(space, n)[l]` order, for a unit
@@ -375,30 +368,25 @@ def word_gram(space: PathSpace, n: int, l: int) -> np.ndarray:
     _check_length(space, n)
     if not 1 <= l <= n // 2:
         raise PathHopfError(f"word level {l} is not in 1..{n // 2} at length {n}")
-    cache = space.cache.setdefault("word_gram", {})
-    if (n, l) not in cache:
-        m = n - 2 * l
-        basis = essential_basis(space, m)
-        if not len(basis):
-            raise BasisError(f"no essential paths of length {m}")
-        s, r = basis.endpoints[0]
-        count, flat, src, weight = _level_maps(space, n, s, r)[l]
-        xi = _basis_block(space, m, s, r)[0][:, 0]
-        row, dst = np.divmod(flat, len(xi))
-        stacked = np.zeros((count, len(_walks(space, n, s, r))))
-        stacked[row, src] = weight * xi[dst]
-        gram = stacked @ stacked.T
-        gram.setflags(write=False)
-        cache[n, l] = gram
-    return cache[n, l]
+    m = n - 2 * l
+    basis = essential_basis(space, m)
+    if not len(basis):
+        raise BasisError(f"no essential paths of length {m}")
+    s, r = basis.endpoints[0]
+    count, flat, src, weight = _level_maps(space, n, s, r)[l]
+    xi = _basis_block(space, m, s, r)[0][:, 0]
+    row, dst = np.divmod(flat, len(xi))
+    stacked = np.zeros((count, len(_walks(space, n, s, r))))
+    stacked[row, src] = weight * xi[dst]
+    gram = stacked @ stacked.T
+    gram.setflags(write=False)
+    return gram
 
 
+@space_cached("word_gram_inverse")
 def _gram_inverse(space: PathSpace, n: int, l: int) -> np.ndarray:
     """The inverse of `word_gram(space, n, l)` (cached)."""
-    cache = space.cache.setdefault("word_gram_inverse", {})
-    if (n, l) not in cache:
-        cache[n, l] = np.linalg.inv(word_gram(space, n, l))
-    return cache[n, l]
+    return np.linalg.inv(word_gram(space, n, l))
 
 
 def _blocks(space: PathSpace, x: PathVector) -> list:
@@ -491,56 +479,49 @@ def _spread(index, weight, values, size: int) -> np.ndarray:
     return np.bincount(index, weights=weight * values, minlength=size)
 
 
-# -- the decomposition's tables, each cached in `space.cache` ----------------
+# -- the decomposition's tables, each memoized by `space_cached` ---------------
 
 
+@space_cached("walks")
 def _walks(space: PathSpace, length: int, s: int, r: int) -> list:
-    """Walks of `length` from s to r in lexicographic order (cached, with
-    every other range of s)."""
-    cache = space.cache.setdefault("walks", {})
-    if (length, s, r) not in cache:
-        groups: dict = {t: [] for t in range(space.graph.num_vertices)}
-        for p in space.enumerate_paths(length, source=s):
-            groups[p[-1]].append(p)
-        for t, paths in groups.items():
-            cache[length, s, t] = paths
-    return cache[length, s, r]
+    """Walks of `length` from s to r in lexicographic order (cached)."""
+    return [p for p in space.enumerate_paths(length, source=s) if p[-1] == r]
+
+
+@space_cached("walk_positions")
+def _walk_positions(space: PathSpace, length: int, s: int, r: int) -> dict:
+    """{walk: position} over `_walks(space, length, s, r)` (cached)."""
+    return {p: j for j, p in enumerate(_walks(space, length, s, r))}
 
 
 def _positions(space: PathSpace, length: int, s: int, r: int, paths) -> np.ndarray:
-    """Positions of `paths` in `_walks(space, length, s, r)`, through a
-    {walk: position} dict cached per block; raises `GraphError` for one
-    that is not in it."""
-    cache = space.cache.setdefault("walk_positions", {})
-    if (length, s, r) not in cache:
-        cache[length, s, r] = {p: j for j, p in enumerate(_walks(space, length, s, r))}
+    """Positions of `paths` in `_walks(space, length, s, r)`; `GraphError` for one not in it."""
     try:
-        return np.fromiter(map(cache[length, s, r].__getitem__, paths), np.intp, len(paths))
+        return np.fromiter(map(_walk_positions(space, length, s, r).__getitem__, paths), np.intp, len(paths))
     except KeyError as e:
         raise GraphError(f"{format_path(e.args[0])} is not a walk of length {length}") from None
 
 
+@space_cached("annihilators")
 def _annihilator(space: PathSpace, length: int, s: int, r: int) -> tuple:
     """Every c_k from `length` on block (s, r) as arrays (target, weight)
     of shape (length - 1, walks): c_k sends walk j to weight[k, j] times
     walk target[k, j] of length - 2, or to 0 where target[k, j] = -1
     (cached)."""
-    cache = space.cache.setdefault("annihilators", {})
-    if (length, s, r) not in cache:
-        paths = _walks(space, length, s, r)
-        walks = np.array(paths, dtype=np.intp).reshape(len(paths), length + 1)
-        root = np.asarray(space.sqrt_mu)
-        target = np.full((max(length - 1, 0), len(paths)), -1, dtype=np.int32)
-        weight = np.zeros(target.shape)
-        for i in range(length - 1):
-            src = np.flatnonzero(walks[:, i] == walks[:, i + 2])
-            kept = np.delete(walks[src], (i + 1, i + 2), axis=1).tolist()
-            target[i, src] = _positions(space, length - 2, s, r, list(map(tuple, kept)))
-            weight[i, src] = root[walks[src, i + 1]] / root[walks[src, i]]
-        cache[length, s, r] = target, weight
-    return cache[length, s, r]
+    paths = _walks(space, length, s, r)
+    walks = np.array(paths, dtype=np.intp).reshape(len(paths), length + 1)
+    root = np.asarray(space.sqrt_mu)
+    target = np.full((max(length - 1, 0), len(paths)), -1, dtype=np.int32)
+    weight = np.zeros(target.shape)
+    for i in range(length - 1):
+        src = np.flatnonzero(walks[:, i] == walks[:, i + 2])
+        kept = np.delete(walks[src], (i + 1, i + 2), axis=1).tolist()
+        target[i, src] = _positions(space, length - 2, s, r, list(map(tuple, kept)))
+        weight[i, src] = root[walks[src, i + 1]] / root[walks[src, i]]
+    return target, weight
 
 
+@space_cached("level_maps")
 def _level_maps(space: PathSpace, n: int, s: int, r: int) -> list:
     """Per level l, the c_w of the level-l words at length n on block
     (s, r), stacked as (count, flat, src, weight): count words, and
@@ -549,51 +530,46 @@ def _level_maps(space: PathSpace, n: int, s: int, r: int) -> list:
     block of E_m is empty or every c_w is 0.  Built level by level along
     suffixes, c_{(k,) + v} = c_k c_v, one `_annihilator` lookup per entry
     of the level above (cached)."""
-    cache = space.cache.setdefault("level_maps", {})
-    if (n, s, r) not in cache:
-        levels = creation_words(space, n)
-        walks = len(_walks(space, n, s, r))
-        row, src = np.zeros(walks, np.intp), np.arange(walks)
-        dst, weight = src, np.ones(walks)
-        maps = [None] * len(levels)
-        for l in range(1, len(levels)):
-            m = n - 2 * l
-            suffix = {w: j for j, w in enumerate(levels[l - 1])}
-            below = np.array([suffix[w[1:]] for w in levels[l]], dtype=np.intp)
-            # the entries of each word's suffix, in word order
-            bounds = np.searchsorted(row, np.arange(len(suffix) + 1))
-            lo, sizes = bounds[below], bounds[below + 1] - bounds[below]
-            row = np.repeat(np.arange(len(below)), sizes)
-            take = np.arange(len(row)) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
-            target, factor = _annihilator(space, m + 2, s, r)
-            k, prev = np.array([w[0] for w in levels[l]])[row], dst[take]
-            hit = target[k, prev]
-            kept = hit >= 0
-            weight = (weight[take] * factor[k, prev])[kept]
-            row, src, dst = row[kept], src[take][kept], hit[kept]
-            if not len(row):
-                break
-            if _basis_block(space, m, s, r)[1]:
-                flat = (row * len(_walks(space, m, s, r)) + dst).astype(np.int32)
-                maps[l] = (len(levels[l]), flat, src.astype(np.int32), weight)
-        cache[n, s, r] = maps
-    return cache[n, s, r]
+    levels = creation_words(space, n)
+    walks = len(_walks(space, n, s, r))
+    row, src = np.zeros(walks, np.intp), np.arange(walks)
+    dst, weight = src, np.ones(walks)
+    maps = [None] * len(levels)
+    for l in range(1, len(levels)):
+        m = n - 2 * l
+        suffix = {w: j for j, w in enumerate(levels[l - 1])}
+        below = np.array([suffix[w[1:]] for w in levels[l]], dtype=np.intp)
+        # the entries of each word's suffix, in word order
+        bounds = np.searchsorted(row, np.arange(len(suffix) + 1))
+        lo, sizes = bounds[below], bounds[below + 1] - bounds[below]
+        row = np.repeat(np.arange(len(below)), sizes)
+        take = np.arange(len(row)) + np.repeat(lo + sizes - np.cumsum(sizes), sizes)
+        target, factor = _annihilator(space, m + 2, s, r)
+        k, prev = np.array([w[0] for w in levels[l]])[row], dst[take]
+        hit = target[k, prev]
+        kept = hit >= 0
+        weight = (weight[take] * factor[k, prev])[kept]
+        row, src, dst = row[kept], src[take][kept], hit[kept]
+        if not len(row):
+            break
+        if _basis_block(space, m, s, r)[1]:
+            flat = (row * len(_walks(space, m, s, r)) + dst).astype(np.int32)
+            maps[l] = (len(levels[l]), flat, src.astype(np.int32), weight)
+    return maps
 
 
+@space_cached("basis_blocks")
 def _basis_block(space: PathSpace, m: int, s: int, r: int) -> tuple:
     """Block (s, r) of E_m as a dense real matrix over the block's walks,
     one column per basis vector, and the indices of those vectors in
     `essential_basis(space, m)` (cached)."""
-    cache = space.cache.setdefault("basis_blocks", {})
-    if (m, s, r) not in cache:
-        basis = essential_basis(space, m)
-        offsets = basis.blocks.get((s, r), ())
-        dense = np.zeros((len(_walks(space, m, s, r)), len(offsets)))
-        if offsets:
-            walks, vectors = basis.block(s, r)
-            dense[_positions(space, m, s, r, list(map(tuple, walks.tolist())))] = vectors.T
-        cache[m, s, r] = (dense, offsets)
-    return cache[m, s, r]
+    basis = essential_basis(space, m)
+    offsets = basis.blocks.get((s, r), ())
+    dense = np.zeros((len(_walks(space, m, s, r)), len(offsets)))
+    if offsets:
+        walks, vectors = basis.block(s, r)
+        dense[_positions(space, m, s, r, list(map(tuple, walks.tolist())))] = vectors.T
+    return dense, offsets
 
 
 def recompose(space: PathSpace, d: Decomposition) -> PathVector:

@@ -7,11 +7,12 @@ creation/annihilation operators c_i†/c_i, the induced Temperley-Lieb-Jones
 projections e_i = c_i† c_i / beta, and composite creation words.
 
 All operations are pure functions over immutable values; concurrent fills of
-the per-space memo dict recompute identical values and are benign.
+the per-space memo dict (`space_cached`) recompute identical values and are benign.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,7 +180,7 @@ class PathSpace:
     `cutoff` bounds the path lengths the space builds, `DEFAULT_CUTOFF`
     when not given.  The instance also owns `cache`, a memo dict shared by
     the higher modules (essential bases, decompositions, structure
-    constants); it is filled on first use and read-only afterwards.
+    constants); `space_cached` fills it on first use, then it is read-only.
     """
 
     def __init__(
@@ -262,6 +263,25 @@ class PathSpace:
         for i in word.indices:
             x = self.create(i, x)
         return x
+
+
+def space_cached(table: str):
+    """Memoize f(space, *key) in space.cache[table][key]: the body runs on
+    the first call with a key, and a call that raises stores nothing."""
+
+    def decorate(f):
+        @functools.wraps(f)
+        def cached(space, *key):
+            try:
+                return space.cache[table][key]
+            except KeyError:  # run the body outside the handler: its errors carry no KeyError context
+                pass
+            value = space.cache.setdefault(table, {})[key] = f(space, *key)
+            return value
+
+        return cached
+
+    return decorate
 
 
 # -- graph-independent operations ------------------------------------------

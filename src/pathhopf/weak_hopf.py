@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .path_space import (
     PathVector,
     SparseCoefficients,
     inner_product,
+    space_cached,
 )
 
 
@@ -75,13 +76,13 @@ def coefficient_C(space: PathSpace, i_indices, j_indices, base_length: int) -> c
     raises `BasisError`.  No product or projection calls it: the tests keep
     it as the reference for `word_gram` and `projector_P`.
     """
-    cache = space.cache.setdefault("coefficient_C", {})
-    i_indices, j_indices = tuple(map(int, i_indices)), tuple(map(int, j_indices))
-    cache_key = (i_indices, j_indices, base_length)
-    if cache_key in cache:
-        return cache[cache_key]
+    return _contraction(space, tuple(map(int, i_indices)), tuple(map(int, j_indices)), base_length)
+
+
+@space_cached("coefficient_C")
+def _contraction(space, i_indices, j_indices, base_length) -> complex:
+    """`coefficient_C` on index tuples (cached)."""
     if len(i_indices) != len(j_indices):
-        cache[cache_key] = 0j
         return 0j
     basis = essential_basis(space, base_length)
     if not basis.vectors:
@@ -95,10 +96,7 @@ def coefficient_C(space: PathSpace, i_indices, j_indices, base_length: int) -> c
             y = space.annihilate(i, y)
         values.append(inner_product(y, xi))
     if len(values) == 2 and abs(values[0] - values[1]) > 1e-9:
-        raise BasisError(
-            f"contraction C{cache_key} differs across basis vectors: {values}"
-        )
-    cache[cache_key] = values[0]
+        raise BasisError(f"contraction C{(i_indices, j_indices, base_length)} differs across basis vectors: {values}")
     return values[0]
 
 
@@ -159,6 +157,7 @@ def _check_cutoff(space, n1, n2) -> None:
         raise CutoffError(f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}")
 
 
+@space_cached("junctions")
 def _junction_arrays(space, n1, n2) -> list:
     """J_l(a, c) for l = 0..min(n1, n2) as dense arrays [a, c, e]: the E_m
     coordinates, m = n1 + n2 - 2l, of c_{n1-l} ... c_{n1-1} (xi_a . xi_c),
@@ -173,49 +172,44 @@ def _junction_arrays(space, n1, n2) -> list:
     of xi_a with the first of xi_c, so for l >= 1 J_l^(n1,n2)[a, c, e] =
     [r(a) = s(c)] sum_{b,f} A_n1[a, b] sqrt(mu[r(a)] / mu[r(b)]) P_n2[c, f]
     J_(l-1)^(n1-1,n2-1)[b, f, e]."""
-    cache = space.cache.setdefault("junctions", {})
-    if (n1, n2) not in cache:
-        left, right = essential_basis(space, n1), essential_basis(space, n2)
-        ranges, sources = left.range, right.source
-        out = []
-        for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2)):
-            m = n1 + n2 - 2 * l
-            if m > space.top_length:
-                J = np.zeros((len(left), len(right), 0))
-            elif l:
-                root = np.asarray(space.sqrt_mu)
-                step = left.append * root[ranges][:, None] / root[left.below.range]  # sqrt(mu[r(a)] / mu[r(b)]) A[a, b]
-                J = right.prepend @ np.tensordot(step, _junction_arrays(space, n1 - 1, n2 - 1)[l - 1], 1)
-                J *= np.equal.outer(ranges, sources)[:, :, None]
-            elif n2:
-                target = essential_basis(space, m)
-                J = right.append @ (_junction_arrays(space, n1, n2 - 1)[0] @ target.append.T)
-                J *= np.equal.outer(right.range, target.range)
-            else:
-                J = np.eye(len(left))[:, None, :] * np.equal.outer(ranges, range(len(right)))[:, :, None]
-            J[np.abs(J) <= 1e-14] = 0.0
-            if scalar == 0 and np.abs(J).max(initial=0.0) > 1e-9:
-                raise BasisError(f"junction {l} of lengths {n1} and {n2} is nonzero where lambda is singular")
-            out.append(J if scalar else 0.0 * J)
-        cache[n1, n2] = out
-    return cache[n1, n2]
+    left, right = essential_basis(space, n1), essential_basis(space, n2)
+    ranges, sources = left.range, right.source
+    out = []
+    for l, scalar in enumerate(_junction_scalars(space.beta, n1, n2)):
+        m = n1 + n2 - 2 * l
+        if m > space.top_length:
+            J = np.zeros((len(left), len(right), 0))
+        elif l:
+            root = np.asarray(space.sqrt_mu)
+            step = left.append * root[ranges][:, None] / root[left.below.range]  # sqrt(mu[r(a)] / mu[r(b)]) A[a, b]
+            J = right.prepend @ np.tensordot(step, _junction_arrays(space, n1 - 1, n2 - 1)[l - 1], 1)
+            J *= np.equal.outer(ranges, sources)[:, :, None]
+        elif n2:
+            target = essential_basis(space, m)
+            J = right.append @ (_junction_arrays(space, n1, n2 - 1)[0] @ target.append.T)
+            J *= np.equal.outer(right.range, target.range)
+        else:
+            J = np.eye(len(left))[:, None, :] * np.equal.outer(ranges, range(len(right)))[:, :, None]
+        J[np.abs(J) <= 1e-14] = 0.0
+        if scalar == 0 and np.abs(J).max(initial=0.0) > 1e-9:
+            raise BasisError(f"junction {l} of lengths {n1} and {n2} is nonzero where lambda is singular")
+        out.append(J if scalar else 0.0 * J)
+    return out
 
 
+@space_cached("junction_rows")
 def _junction_rows(space, n1, n2) -> dict:
     """The nonzero entries of `_junction_arrays(space, n1, n2)`, read in one
     pass for the dict product: (a, c) -> one list of (e, J_l[a, c, e]) per
     level, and no (a, c) whose junctions all vanish.  Cached."""
-    cache = space.cache.setdefault("junction_rows", {})
-    if (n1, n2) not in cache:
-        arrays, rows = _junction_arrays(space, n1, n2), {}
-        for l, J in enumerate(arrays):
-            index = np.nonzero(J)
-            for a, c, e, z in zip(*(i.tolist() for i in index), J[index].tolist()):
-                if (a, c) not in rows:
-                    rows[a, c] = [[] for _ in arrays]
-                rows[a, c][l].append((e, z))
-        cache[n1, n2] = rows
-    return cache[n1, n2]
+    arrays, rows = _junction_arrays(space, n1, n2), {}
+    for l, J in enumerate(arrays):
+        index = np.nonzero(J)
+        for a, c, e, z in zip(*(i.tolist() for i in index), J[index].tolist()):
+            if (a, c) not in rows:
+                rows[a, c] = [[] for _ in arrays]
+            rows[a, c][l].append((e, z))
+    return rows
 
 
 def _meeting_pairs(space, left: dict, right: dict):
@@ -227,16 +221,16 @@ def _meeting_pairs(space, left: dict, right: dict):
     not."""
     if left and right:
         _check_cutoff(space, max(left)[0], max(right)[0])  # the largest key (n, a, b) has the largest n
-    bases = space.cache.setdefault("essential_basis", {})  # read directly once built
+    ends: dict = {}  # each length's endpoints, from one `essential_basis` call
     partners: dict = {}
     for kr, zr in right.items():
         n, c, d = kr
-        ends = (bases[n] if n in bases else essential_basis(space, n)).endpoints
-        partners.setdefault((ends[c][0], ends[d][0]), []).append((kr, zr))
+        e = ends[n] if n in ends else ends.setdefault(n, essential_basis(space, n).endpoints)
+        partners.setdefault((e[c][0], e[d][0]), []).append((kr, zr))
     for kl, zl in left.items():
         n, a, b = kl
-        ends = (bases[n] if n in bases else essential_basis(space, n)).endpoints
-        for kr, zr in partners.get((ends[a][1], ends[b][1]), ()):
+        e = ends[n] if n in ends else ends.setdefault(n, essential_basis(space, n).endpoints)
+        for kr, zr in partners.get((e[a][1], e[b][1]), ()):
             yield kl, zl, kr, zr
 
 
@@ -292,56 +286,53 @@ def identity(space: PathSpace) -> AlgebraElement:
 # -- star, coproduct, counit, antipode ---------------------------------------------
 
 
+@space_cached("star_columns")
 def _star_matrix(space, n):
     """The length-n star matrix S, real: column a holds the coordinates of
     star(xi_a), entries at or below 1e-14 dropped.  As star(xi_b . (r(b) ->
     r(a))) = (r(a) -> r(b)) . star(xi_b), S_n = [s(a') = r(a)] P S_(n-1) A^T
-    with the basis's `prepend` P and `append` A, from S_0 = I; cached under
-    "star_columns", filled in order from 0."""
-    cache = space.cache.setdefault("star_columns", {})
-    while n not in cache:
-        k = len(cache)
+    with the basis's `prepend` P and `append` A, built up from S_0 = I (cached)."""
+    S = np.eye(len(essential_basis(space, 0)))
+    for k in range(1, n + 1):
         basis = essential_basis(space, k)
-        if k:
-            S = basis.prepend @ cache[k - 1] @ basis.append.T
-            S *= np.equal.outer(basis.source, basis.range)
-            S[np.abs(S) <= 1e-14] = 0.0
-        else:
-            S = np.eye(len(basis))
-        cache[k] = S
-    return cache[n]
+        S = basis.prepend @ S @ basis.append.T
+        S *= np.equal.outer(basis.source, basis.range)
+        S[np.abs(S) <= 1e-14] = 0.0
+    return S
 
 
-def _pf_weight(space, s_left, r_left, s_right, r_right) -> float:
-    mu = space.mu
-    return math.sqrt((mu[s_right] * mu[r_left]) / (mu[r_right] * mu[s_left]))
+@space_cached("star_nonzero")
+def _star_nonzero(space, n) -> list:
+    """Per column a of `_star_matrix(space, n)`, its nonzero entries (a', S[a', a]) (cached)."""
+    return [[(i, s) for i, s in enumerate(c) if s] for c in _star_matrix(space, n).T.tolist()]
 
 
 def _endpoint_weights(space, weight_fn=None) -> np.ndarray:
-    """W[s, r, s', r']: the antipode's endpoint factor, `weight_fn` or
-    `_pf_weight`, called once on every four vertices."""
-    weight, nv = weight_fn or partial(_pf_weight, space), space.graph.num_vertices
-    return np.array(list(itertools.starmap(weight, itertools.product(range(nv), repeat=4)))).reshape((nv,) * 4)
+    """W[s, r, s', r']: the antipode's endpoint factor, by default the
+    Perron-Frobenius ratio sqrt(mu[s'] mu[r] / (mu[r'] mu[s])) in one
+    broadcast, else `weight_fn` called once on every four vertices."""
+    if weight_fn is None:
+        s, r, s2, r2 = np.ix_(*[np.array(space.mu)] * 4)
+        return np.sqrt((s2 * r) / (r2 * s))
+    nv = space.graph.num_vertices
+    return np.array(list(itertools.starmap(weight_fn, itertools.product(range(nv), repeat=4)))).reshape((nv,) * 4)
 
 
-def _starred(space, coeffs: dict, weight=None) -> dict:
+def _starred(space, coeffs: dict, weights=None) -> dict:
     """sum z F S[a', a] S[b', b] over the keys (n, a, b) of `coeffs` and the
-    nonzero entries of the star matrix's columns a and b, which are kept per
-    length: the star of both slots under (n, a', b') with F = 1, or, given
-    `weight`, the slots swapped, under (n, b', a'), with F =
-    weight(s(a), r(a), s(b), r(b)) per key; pruned as an `AlgebraElement`
+    nonzero entries of the star matrix's columns a and b (`_star_nonzero`):
+    the star of both slots under (n, a', b') with F = 1, or, given the
+    endpoint table `weights`, the slots swapped, under (n, b', a'), with F =
+    weights[s(a), r(a), s(b), r(b)] per key; pruned as an `AlgebraElement`
     is."""
-    cache = space.cache.setdefault("star_nonzero", {})
     out: dict = {}
-    bases = space.cache.setdefault("essential_basis", {})  # `_star_matrix` builds each length
+    tables = {n: (_star_nonzero(space, n), essential_basis(space, n).endpoints) for n in {k[0] for k in coeffs}}
     for (n, a, b), z in coeffs.items():
-        if n not in cache:
-            cache[n] = [[(i, s) for i, s in enumerate(c) if s] for c in _star_matrix(space, n).T.tolist()]
-        columns, ends = cache[n], bases[n].endpoints
-        f = weight(*ends[a], *ends[b]) if weight else 1.0
+        columns, ends = tables[n]
+        f = 1.0 if weights is None else weights[(*ends[a], *ends[b])]
         for a2, sa in columns[a]:
             for b2, sb in columns[b]:
-                k = (n, b2, a2) if weight else (n, a2, b2)
+                k = (n, a2, b2) if weights is None else (n, b2, a2)
                 out[k] = out.get(k, 0.0) + z * (f * (sa * sb))
     return _pruned(out)
 
@@ -402,8 +393,7 @@ def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
     sqrt(mu[s(omega)] mu[r(xi)] / (mu[r(omega)] mu[s(xi)])); `weight_fn`
     replaces it (same four endpoint arguments) for perturbation studies.
     """
-    weight = weight_fn or partial(_pf_weight, x.space)
-    return AlgebraElement(x.space, _starred(x.space, x.coeffs, weight))
+    return AlgebraElement(x.space, _starred(x.space, x.coeffs, _endpoint_weights(x.space, weight_fn)))
 
 
 # -- axiom verification -----------------------------------------------------------

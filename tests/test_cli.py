@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pathhopf import (
@@ -217,7 +218,7 @@ def test_verify_names_a_witness_only_above_the_floor(capture):
 def test_verify_text_names_the_worst_element(capture, monkeypatch):
     import pathhopf.weak_hopf as wh
 
-    monkeypatch.setattr(wh, "_pf_weight", lambda *a: 1.0)
+    monkeypatch.setattr(wh, "_endpoint_weights", lambda space, _: np.ones((space.graph.num_vertices,) * 4))
     code, out, _ = capture("verify", A3, "--max-length", "2", "--samples", "5", "--seed", "2")
     line = next(l for l in out.splitlines() if l.startswith("antipode cancellation"))
     assert "FAIL" in line and "34 checked, worst at (1,1,0)" in line
@@ -437,7 +438,7 @@ def test_axiom_violation_exits_two(capture, monkeypatch):
     # exit with the dedicated code 2
     import pathhopf.weak_hopf as wh
 
-    monkeypatch.setattr(wh, "_pf_weight", lambda *a: 1.0)
+    monkeypatch.setattr(wh, "_endpoint_weights", lambda space, _: np.ones((space.graph.num_vertices,) * 4))
     code, out, _ = capture(
         "verify", A3, "--max-length", "2", "--samples", "5", "--seed", "2"
     )

@@ -16,9 +16,11 @@ from pathhopf import (
     Spectrum,
     concat,
     inner_product,
+    essential_basis,
     load_fixture,
     star,
 )
+from pathhopf.path_space import space_cached
 from helpers import graph_from_edges, operator_residual, pv, random_vector, sup_diff, unit
 
 ROOT2 = math.sqrt(2)
@@ -61,6 +63,43 @@ def test_top_length_comes_from_the_given_spectrum(a3):
     d4_beta = Spectrum(beta=2 * math.cos(math.pi / 6), mu=a3.spectrum.mu)
     assert PathSpace(a3.graph, d4_beta).top_length == 4
     assert PathSpace(a3.graph, Spectrum(beta=2.0, mu=a3.spectrum.mu)).top_length == math.inf
+
+
+def test_space_cached_runs_each_key_once_and_stores_nothing_for_a_raise(tri):
+    space, other = PathSpace(tri.graph, tri.spectrum, cutoff=3), PathSpace(tri.graph, tri.spectrum)
+    runs = []
+
+    @space_cached("first")
+    def first(space, n, m):
+        runs.append((n, m))
+        if n < 0:
+            raise ValueError(n)
+        return [n, m]
+
+    @space_cached("second")
+    def second(space, n, m):
+        return (n, m)
+
+    # a repeat call returns the same object and runs the body once; each
+    # space keeps its own tables
+    assert first(space, 1, 2) is first(space, 1, 2) and runs == [(1, 2)]
+    assert first(other, 1, 2) is not first(space, 1, 2) and runs == [(1, 2)] * 2
+    # two tables with equal keys do not collide
+    assert second(space, 1, 2) == (1, 2) and first(space, 1, 2) == [1, 2]
+    assert space.cache == {"first": {(1, 2): [1, 2]}, "second": {(1, 2): (1, 2)}}
+    # a call that raises stores nothing, so the next one runs the body again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            first(space, -1, 0)
+    assert runs == [(1, 2)] * 2 + [(-1, 0)] * 2 and list(space.cache["first"]) == [(1, 2)]
+    # the library's tables follow the same rule: a basis past the cutoff is
+    # refused and leaves no key, the lengths below it stay
+    with pytest.raises(CutoffError, match="length 4 exceeds the cutoff 3"):
+        essential_basis(space, 4)
+    essential_basis(space, 3)
+    with pytest.raises(CutoffError):
+        essential_basis(space, 4)
+    assert sorted(space.cache["essential_basis"]) == [(0,), (1,), (2,), (3,)]
 
 
 # -- enumeration --------------------------------------------------------------

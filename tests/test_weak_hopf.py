@@ -739,6 +739,30 @@ def test_space_is_freed_without_the_cycle_collector(a3):
         gc.enable()
 
 
+def test_repeated_algebra_calls_reuse_every_table():
+    # a second identical verify_axioms, multiply, antipode and star_alg adds
+    # no key to any table in space.cache and reads back the same objects
+    space = junction_space("D_aff_4")
+    keys = [k for n in range(3) for k in basis_keys(space, n)][::5]
+    x = AlgebraElement(space, {k: 1.0 + 0.25j * i for i, k in enumerate(keys)})
+    y = AlgebraElement(space, {k: 0.5 - 1j * i for i, k in enumerate(keys[::-3])})
+
+    def once():
+        assert verify_axioms(space, 2, samples=10, seed=0).all_passed
+        assert not multiply(x, y).is_zero() and not antipode(x).is_zero() and not star_alg(y).is_zero()
+        assert coefficient_C(space, [0], [0], 1) != 0
+
+    once()
+    tables = {"essential_basis", "junctions", "junction_rows", "star_columns", "star_nonzero", "coefficient_C"}
+    assert tables <= set(space.cache) and all(space.cache[name] for name in tables)
+    first = {name: dict(table) for name, table in space.cache.items()}
+    once()
+    assert set(space.cache) == set(first)
+    for name, table in space.cache.items():
+        assert table.keys() == first[name].keys(), name
+        assert all(table[key] is value for key, value in first[name].items()), name
+
+
 def test_chain_algebra_dimension(a3):
     # lengths 0..2 give 3, 4, 3 essentials: 9 + 16 + 9 = 34 matrix units
     total = sum(len(essential_basis(a3, n)) ** 2 for n in range(3))
@@ -893,6 +917,18 @@ def test_antipode_edge_pair(a3):
 def test_antipode_swaps_vertex_pairs(a3):
     element = embed(a3, unit((0,)), unit((2,)))
     assert_element_coords(antipode(element), {((2,), (0,)): 1.0})
+
+
+@pytest.mark.parametrize("name", ["E6", "A_aff_2", "D_aff_4"])
+def test_default_endpoint_weights_equal_the_scalar_ratio_bitwise(name):
+    # the default table is one numpy broadcast; each entry is the same
+    # correctly rounded sqrt((mu[s'] mu[r]) / (mu[r'] mu[s])) as math.sqrt's
+    space = junction_space(name)
+    mu, nv = space.mu, space.graph.num_vertices
+    quads = itertools.product(range(nv), repeat=4)
+    want = np.array([math.sqrt((mu[s2] * mu[r]) / (mu[r2] * mu[s])) for s, r, s2, r2 in quads])
+    got = _endpoint_weights(space)
+    assert got.shape == (nv,) * 4 and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_antipode_star_square_identity(tri):
