@@ -112,6 +112,19 @@ class EssentialBasis:
         return out
 
     @cached_property
+    def star(self) -> np.ndarray:
+        """S[a', a], real: column a holds the coordinates of star(xi_a),
+        entries at or below 1e-14 dropped.  As star(xi_b . (r(b) -> r(a))) =
+        (r(a) -> r(b)) . star(xi_b), S = [s(a') = r(a)] P S' A^T with
+        `prepend` P, `append` A and S' the star of `below`; I at length 0."""
+        if self.below is None:
+            return np.eye(len(self))
+        out = self.prepend @ self.below.star @ self.append.T
+        out *= np.equal.outer(self.source, self.range)
+        out[np.abs(out) <= 1e-14] = 0.0
+        return out
+
+    @cached_property
     def vectors(self) -> tuple[PathVector, ...]:
         """The basis vectors in walk coordinates, expanded on first access."""
         out = []

@@ -5,10 +5,10 @@ against the orthonormal essential bases under keys (n, a, b) for
 xi_a (x) xi_b.  On basis keys the product has the closed junction form
 (n1,a,b) . (n2,c,d) = sum_l lambda_l(n1, n2) J_l(a, c) (x) J_l(b, d), zero
 unless r(a) = s(c) and r(b) = s(d) (`_junction_arrays`).  The star and the
-antipode act through the star matrix of each length (`_star_matrix`), the
-coproduct splits a key over the basis of its length, and the counit is the
-diagonal sum.  `verify_axioms` checks the axioms on these structure
-constants; README describes each check.
+antipode act on each length's block of keys through its star matrix
+(`EssentialBasis.star`), the coproduct splits a key over the basis of its
+length, and the counit is the diagonal sum.  `verify_axioms` checks the
+axioms on these structure constants; README describes each check.
 """
 
 from __future__ import annotations
@@ -157,6 +157,25 @@ def _check_cutoff(space, n1, n2) -> None:
         raise CutoffError(f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}")
 
 
+#: The most floats that the junction arrays of one pair of lengths may hold (0.8 GB).
+JUNCTION_BUDGET = 10**8
+
+
+def _check_size(space, n1, n2) -> None:
+    """Refuse lengths whose junction arrays, d_n1 d_n2 sum_l d_(n1+n2-2l)
+    floats, would pass `JUNCTION_BUDGET`; d_n is the entry sum of N_n, from
+    N_0 = I by N_(n+1) = N_n A - N_(n-1) up to the first zero N_n."""
+    A, d = space.graph.adjacency, []
+    N, below = np.eye(len(A)), np.zeros(A.shape)  # float: no overflow
+    for _ in range(n1 + n2 + 1):
+        d.append(N.sum())
+        N, below = (N @ A - below if N.any() else N), N
+    size = d[n1] * d[n2] * sum(d[abs(n1 - n2) :: 2])  # m = n1 + n2 - 2l, l = 0..min(n1, n2)
+    if size > JUNCTION_BUDGET:
+        raise CutoffError(f"the junction arrays of lengths {n1} and {n2} would hold {size:.1e} floats, "
+                          f"more than {JUNCTION_BUDGET:.0e}")
+
+
 @space_cached("junctions")
 def _junction_arrays(space, n1, n2) -> list:
     """J_l(a, c) for l = 0..min(n1, n2) as dense arrays [a, c, e]: the E_m
@@ -171,7 +190,9 @@ def _junction_arrays(space, n1, n2) -> list:
     delta_ae [r(a) = t]; and the first contraction retraces the last edge
     of xi_a with the first of xi_c, so for l >= 1 J_l^(n1,n2)[a, c, e] =
     [r(a) = s(c)] sum_{b,f} A_n1[a, b] sqrt(mu[r(a)] / mu[r(b)]) P_n2[c, f]
-    J_(l-1)^(n1-1,n2-1)[b, f, e]."""
+    J_(l-1)^(n1-1,n2-1)[b, f, e].  Raises `CutoffError` past
+    `JUNCTION_BUDGET` (`_check_size`) before it builds anything."""
+    _check_size(space, n1, n2)
     left, right = essential_basis(space, n1), essential_basis(space, n2)
     ranges, sources = left.range, right.source
     out = []
@@ -286,25 +307,10 @@ def identity(space: PathSpace) -> AlgebraElement:
 # -- star, coproduct, counit, antipode ---------------------------------------------
 
 
-@space_cached("star_columns")
 def _star_matrix(space, n):
-    """The length-n star matrix S, real: column a holds the coordinates of
-    star(xi_a), entries at or below 1e-14 dropped.  As star(xi_b . (r(b) ->
-    r(a))) = (r(a) -> r(b)) . star(xi_b), S_n = [s(a') = r(a)] P S_(n-1) A^T
-    with the basis's `prepend` P and `append` A, built up from S_0 = I (cached)."""
-    S = np.eye(len(essential_basis(space, 0)))
-    for k in range(1, n + 1):
-        basis = essential_basis(space, k)
-        S = basis.prepend @ S @ basis.append.T
-        S *= np.equal.outer(basis.source, basis.range)
-        S[np.abs(S) <= 1e-14] = 0.0
-    return S
-
-
-@space_cached("star_nonzero")
-def _star_nonzero(space, n) -> list:
-    """Per column a of `_star_matrix(space, n)`, its nonzero entries (a', S[a', a]) (cached)."""
-    return [[(i, s) for i, s in enumerate(c) if s] for c in _star_matrix(space, n).T.tolist()]
+    """The length-n star matrix `EssentialBasis.star`, which the verifier
+    and the public maps read through this one name."""
+    return essential_basis(space, n).star
 
 
 def _endpoint_weights(space, weight_fn=None) -> np.ndarray:
@@ -319,26 +325,27 @@ def _endpoint_weights(space, weight_fn=None) -> np.ndarray:
 
 
 def _starred(space, coeffs: dict, weights=None) -> dict:
-    """sum z F S[a', a] S[b', b] over the keys (n, a, b) of `coeffs` and the
-    nonzero entries of the star matrix's columns a and b (`_star_nonzero`):
-    the star of both slots under (n, a', b') with F = 1, or, given the
-    endpoint table `weights`, the slots swapped, under (n, b', a'), with F =
-    weights[s(a), r(a), s(b), r(b)] per key; pruned as an `AlgebraElement`
-    is."""
-    out: dict = {}
-    tables = {n: (_star_nonzero(space, n), essential_basis(space, n).endpoints) for n in {k[0] for k in coeffs}}
+    """The star or, given the endpoint table `weights`, the antipode, per
+    length n in block form: with the coefficients of the keys (n, a, b) in
+    X[a, b] and S = `_star_matrix(space, n)`, S conj(X) S^T, or
+    (S (W o X) S^T)^T with W[a, b] = weights[s(a), r(a), s(b), r(b)]; its
+    entries above `AlgebraElement.prune`."""
+    blocks: dict = {}
     for (n, a, b), z in coeffs.items():
-        columns, ends = tables[n]
-        f = 1.0 if weights is None else weights[(*ends[a], *ends[b])]
-        for a2, sa in columns[a]:
-            for b2, sb in columns[b]:
-                k = (n, a2, b2) if weights is None else (n, b2, a2)
-                out[k] = out.get(k, 0.0) + z * (f * (sa * sb))
-    return _pruned(out)
-
-
-def _conjugate(coeffs: dict) -> dict:
-    return {k: z.conjugate() for k, z in coeffs.items()}
+        blocks.setdefault(n, {})[a, b] = z
+    out: dict = {}
+    for n, block in blocks.items():
+        basis = essential_basis(space, n)
+        S, s, r = _star_matrix(space, n), basis.source, basis.range
+        X = np.zeros((len(basis), len(basis)), complex)
+        X[tuple(zip(*block))] = list(block.values())
+        if weights is None:
+            Y = S @ X.conj() @ S.T
+        else:
+            Y = (S @ (weights[s[:, None], r[:, None], s, r] * X) @ S.T).T
+        i, j = np.nonzero(np.abs(Y) > AlgebraElement.prune)
+        out.update(zip(zip(itertools.repeat(n), i.tolist(), j.tolist()), Y[i, j].tolist()))
+    return out
 
 
 def star_alg(x: AlgebraElement) -> AlgebraElement:
@@ -346,7 +353,7 @@ def star_alg(x: AlgebraElement) -> AlgebraElement:
 
     Antilinear, involutive, and an antihomomorphism for `multiply`.
     """
-    return AlgebraElement(x.space, _starred(x.space, _conjugate(x.coeffs)))
+    return AlgebraElement._adopt(x.space, _starred(x.space, x.coeffs))
 
 
 def coproduct(x: AlgebraElement) -> TensorSquare:
@@ -393,7 +400,7 @@ def antipode(x: AlgebraElement, weight_fn=None) -> AlgebraElement:
     sqrt(mu[s(omega)] mu[r(xi)] / (mu[r(omega)] mu[s(xi)])); `weight_fn`
     replaces it (same four endpoint arguments) for perturbation studies.
     """
-    return AlgebraElement(x.space, _starred(x.space, x.coeffs, _endpoint_weights(x.space, weight_fn)))
+    return AlgebraElement._adopt(x.space, _starred(x.space, x.coeffs, _endpoint_weights(x.space, weight_fn)))
 
 
 # -- axiom verification -----------------------------------------------------------
@@ -674,8 +681,8 @@ def verify_axioms(
     factor.  Failures are residuals, never raised; an empty check (no
     samples, or a negative `max_length`), a negative `seed` and a tolerance
     that is not finite and positive raise `PathHopfError`, and a
-    `max_length` whose (x y) z would pass the cutoff raises `CutoffError`,
-    before any work.
+    `max_length` whose (x y) z would pass the cutoff or `JUNCTION_BUDGET`
+    raises `CutoffError`, before any work.
     """
     if samples < 1:
         raise PathHopfError(f"samples must be at least 1, got {samples}")
@@ -686,6 +693,7 @@ def verify_axioms(
     if seed < 0:
         raise PathHopfError(f"seed must be nonnegative, got {seed}")
     _check_cutoff(space, 2 * max_length, max_length)  # (x y) z
+    _check_size(space, 2 * max_length, max_length)
     bases = [essential_basis(space, n) for n in range(max_length + 1)]
     keys = [(n, a, b) for n, basis in enumerate(bases) for a in range(len(basis)) for b in range(len(basis))]
     rng = np.random.default_rng(seed)

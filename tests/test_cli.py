@@ -313,6 +313,17 @@ def test_verify_refuses_associativity_past_the_cutoff(capture):
     assert "pathhopf: error" in err and "cutoff 12" in err
 
 
+def test_verify_refuses_junction_arrays_past_the_budget(capture, tmp_path):
+    # K4 (beta = 3) at --max-length 3 is within the cutoff, but its junction
+    # arrays for (x y) z would hold 4.0e9 floats
+    k4 = tmp_path / "k4.json"
+    k4.write_text(json.dumps({"name": "K4", "vertices": list("0123"),
+                              "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]}))
+    code, out, err = capture("verify", str(k4), "--max-length", "3")
+    assert code == 1 and out == ""
+    assert "pathhopf: error" in err and "4.0e+09 floats" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

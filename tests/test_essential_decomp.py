@@ -409,6 +409,8 @@ FUSION_GRAPHS = {
     "E8": (8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)], 10),
     "A_aff_2": (3, [(0, 1), (1, 2), (0, 2)], 8),
     "D_aff_4": (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 7),
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 6),  # beta = 3
+    "triangle_tail": (4, [(0, 1), (0, 2), (1, 2), (2, 3)], 8),  # beta = 2.170
 }
 
 

@@ -3,7 +3,9 @@
 import gc
 import itertools
 import math
+import time
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -166,6 +168,8 @@ JUNCTION_GRAPHS = {
     "A_aff_2": [(0, 1), (1, 2), (0, 2)],
     "D_aff_4": [(0, 1), (0, 2), (0, 3), (0, 4)],
     "E8": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)],
+    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],  # beta = 3
+    "triangle_tail": [(0, 1), (0, 2), (1, 2), (2, 3)],  # beta = 2.170
 }
 
 
@@ -726,7 +730,7 @@ def test_space_is_freed_without_the_cycle_collector(a3):
     x = AlgebraElement.basis_element(space, 1, 0, 0)
     one = identity(space)
     assert not multiply(one, x).is_zero() and not star_alg(x).is_zero()
-    assert space.cache["junctions"] and space.cache["junction_rows"] and space.cache["star_columns"]
+    assert space.cache["junctions"] and space.cache["junction_rows"]
     walk = PathVector.unit((0, 1, 2, 1, 2))
     assert decompose(space, walk).terms and not projector_P(space, walk, walk).is_zero()
     assert space.cache["level_maps"] and space.cache["word_gram_inverse"]
@@ -753,7 +757,7 @@ def test_repeated_algebra_calls_reuse_every_table():
         assert coefficient_C(space, [0], [0], 1) != 0
 
     once()
-    tables = {"essential_basis", "junctions", "junction_rows", "star_columns", "star_nonzero", "coefficient_C"}
+    tables = {"essential_basis", "junctions", "junction_rows", "coefficient_C"}
     assert tables <= set(space.cache) and all(space.cache[name] for name in tables)
     first = {name: dict(table) for name, table in space.cache.items()}
     once()
@@ -761,6 +765,32 @@ def test_repeated_algebra_calls_reuse_every_table():
     for name, table in space.cache.items():
         assert table.keys() == first[name].keys(), name
         assert all(table[key] is value for key, value in first[name].items()), name
+    # the star matrices are the bases' own, already built for every length
+    # the products reach
+    for n in range(5):
+        basis = essential_basis(space, n)
+        assert "star" in vars(basis) and _star_matrix(space, n) is basis.star, n
+
+
+def test_each_star_matrix_is_built_once_from_the_basis_below(monkeypatch):
+    # a cold S_6 builds S_0 ... S_6 once each, each from the basis one length
+    # down, and later reads of any of them build nothing
+    true_star = EssentialBasis.star.func
+    built = []
+
+    def counted(basis):
+        built.append(basis.length)
+        return true_star(basis)
+
+    star_property = cached_property(counted)
+    star_property.__set_name__(EssentialBasis, "star")
+    monkeypatch.setattr(EssentialBasis, "star", star_property)
+    space = junction_space("A_aff_2")
+    _star_matrix(space, 6)
+    assert sorted(built) == list(range(7))
+    for n in range(7):
+        assert np.abs(_star_matrix(space, n) - walk_star_matrix(space, n)).max(initial=0.0) < 1e-13, n
+    assert sorted(built) == list(range(7))
 
 
 def test_chain_algebra_dimension(a3):
@@ -1140,8 +1170,10 @@ BENT = lambda s_l, r_l, s_r, r_r: 1.0 + s_l + 2 * r_r
 
 @pytest.mark.parametrize("space_name", ["a3", "tri", "d4"])
 def test_public_maps_match_their_structure_constant_forms(space_name, request):
-    # the verifier checks the axioms on these forms, not on the public maps;
-    # every key of length <= 2, with a complex coefficient z
+    # the public star and antipode are the verifier's block forms
+    # S conj(X) S^T and (S (W o X) S^T)^T, which on one key are the entry
+    # products S[a', a] S[b', b]; every key of length <= 2, with a complex
+    # coefficient z, and the coproduct and counit on the same keys
     from pathhopf.weak_hopf import _star_matrix
 
     space = request.getfixturevalue(space_name)
@@ -1172,13 +1204,16 @@ def test_public_maps_match_their_structure_constant_forms(space_name, request):
         ("a3", 2, 20, BENT),
         ("tri", 2, 10, None),
         ("d4", 3, 10, None),
+        ("K4", 1, 10, None),
+        ("triangle_tail", 1, 10, None),
     ],
-    ids=["a3", "a3-flat", "a3-bent", "tri", "d4"],
+    ids=["a3", "a3-flat", "a3-bent", "tri", "d4", "K4", "triangle-tail"],
 )
 def test_verify_axioms_matches_direct_evaluation(space_name, max_length, samples, weight_fn, request):
     # the linear unary axioms are evaluated per basis key and combined by
-    # linearity; the oracle evaluates every element of the pool directly
-    space = request.getfixturevalue(space_name)
+    # linearity; the oracle evaluates every element of the pool directly;
+    # K4 and the triangle with a tail have beta > 2
+    space = junction_space(space_name) if space_name in JUNCTION_GRAPHS else request.getfixturevalue(space_name)
     report = verify_axioms(space, max_length, samples=samples, seed=0, weight_fn=weight_fn)
     direct = direct_axiom_residuals(space, max_length, samples, 0, weight_fn)
     assert len(report.results) == len(direct) == 15
@@ -1458,6 +1493,33 @@ def test_a_scaled_star_entry_fails_star_involution_at_its_keys(monkeypatch):
     assert result.residual > 1e-3 and not report.all_passed
     (keys,) = result.witness
     assert any(n == 2 and {a, b} & {i, j} for n, a, b in keys), (keys, i, j)
+
+
+def test_verify_axioms_refuses_junction_arrays_past_the_budget():
+    # on K4 (beta = 3) the cutoff admits (x y) z at max length 3, but the
+    # junction arrays of lengths 6 and 3 would hold 4.0e9 floats: refused
+    # before any basis or table is built.  Max length 2 needs 1.2e7
+    space = junction_space("K4")
+    report = verify_axioms(space, 2, samples=5, seed=0)
+    checked = {r.name: r.checked for r in report.results}
+    assert report.all_passed and checked["unit element"] == 1184 and checked["star antihomomorphism"] == 87616
+    tables = {name: set(table) for name, table in space.cache.items()}
+    start = time.perf_counter()
+    with pytest.raises(CutoffError, match=r"lengths 6 and 3 would hold 4\.0e\+09 floats"):
+        verify_axioms(space, 3, samples=20, seed=0)
+    assert time.perf_counter() - start < 1
+    assert {name: set(table) for name, table in space.cache.items()} == tables
+
+
+def test_multiply_refuses_junction_arrays_past_the_budget():
+    # two K4 loop keys of length 6 meet, within the cutoff 12, but the
+    # junction arrays of lengths 6 and 6 would hold 1.3e12 floats
+    space = junction_space("K4")
+    a = next(i for i, (s, r) in enumerate(essential_basis(space, 6).endpoints) if s == r)
+    x = AlgebraElement.basis_element(space, 6, a, a)
+    with pytest.raises(CutoffError, match="lengths 6 and 6 would hold 1.3e"):
+        multiply(x, x)
+    assert not space.cache.get("junctions") and not space.cache.get("junction_rows")
 
 
 def test_verify_axioms_rejects_cutoff_overflow(tri):
