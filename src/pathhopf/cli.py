@@ -385,8 +385,6 @@ def _dispatch(args, out: list) -> int:
         out.append(json.dumps(doc, indent=2))
         return 0
 
-    raise PathHopfError(f"unknown subcommand {args.command!r}")
-
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BasisError, CutoffError, PathHopfError
-from .essential_decomp import essential_basis, pair_levels
+from .essential_decomp import _check_length, essential_basis, pair_levels
 from .path_space import (
     PathSpace,
     PathVector,
@@ -149,31 +149,48 @@ def _junction_scalars(beta: float, n1: int, n2: int) -> tuple:
     return tuple(out)
 
 
-def _check_cutoff(space, n1, n2) -> None:
-    """Refuse a product of lengths n1 and n2 whose longest built length,
-    min(n1 + n2, h - 2) on a finite graph and n1 + n2 on an affine one,
-    exceeds the cutoff."""
-    if n1 + n2 > space.cutoff and space.top_length > space.cutoff:
-        raise CutoffError(f"product of lengths {n1}+{n2} exceeds the cutoff {space.cutoff}")
-
-
-#: The most floats that the junction arrays of one pair of lengths may hold (0.8 GB).
+#: The most floats that the junction arrays of one pair of lengths, or the
+#: packed arrays of `verify_axioms`' pair sweep, may hold (0.8 GB).
 JUNCTION_BUDGET = 10**8
+
+
+def _block_counts(space, top) -> np.ndarray:
+    """v[n] = N_n 1 for n = 0..top by v_(n+1) = A v_n - v_(n-1), as the fusion matrices N_n commute
+    with the symmetric A; zero from the first zero count on, and +inf where a count overflows."""
+    v = np.ones((top + 1, space.graph.num_vertices))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(top):  # from v_0 = 1 and v_(-1) = 0
+            v[n + 1] = space.graph.adjacency @ v[n] - (v[n - 1] if n else 0.0) if v[n].any() else 0.0
+    v[~np.isfinite(v)] = np.inf  # an overflow, or inf - inf after one
+    return v
 
 
 def _check_size(space, n1, n2) -> None:
     """Refuse lengths whose junction arrays, d_n1 d_n2 sum_l d_(n1+n2-2l)
-    floats, would pass `JUNCTION_BUDGET`; d_n is the entry sum of N_n, from
-    N_0 = I by N_(n+1) = N_n A - N_(n-1) up to the first zero N_n."""
-    A, d = space.graph.adjacency, []
-    N, below = np.eye(len(A)), np.zeros(A.shape)  # float: no overflow
-    for _ in range(n1 + n2 + 1):
-        d.append(N.sum())
-        N, below = (N @ A - below if N.any() else N), N
-    size = d[n1] * d[n2] * sum(d[abs(n1 - n2) :: 2])  # m = n1 + n2 - 2l, l = 0..min(n1, n2)
-    if size > JUNCTION_BUDGET:
-        raise CutoffError(f"the junction arrays of lengths {n1} and {n2} would hold {size:.1e} floats, "
-                          f"more than {JUNCTION_BUDGET:.0e}")
+    floats with d_n the sum of v_n (`_block_counts`), would not fit in
+    `JUNCTION_BUDGET`: an overflowed size, inf or NaN, is refused too."""
+    d = [sum(v) for v in _block_counts(space, n1 + n2).tolist()]  # Python floats: no overflow warning
+    _check_budget(d[n1] * d[n2] * sum(d[abs(n1 - n2) :: 2]), f"the junction arrays of lengths {n1} and {n2}")
+
+
+def _check_sweep(space, top) -> None:
+    """Refuse a `verify_axioms` pair sweep whose largest allocation would not
+    fit in `JUNCTION_BUDGET`: the meeting rows of lengths n1, n2 <= `top`
+    number R = v_n1 . v_n2 (`_block_counts`), and `_key_pair_residuals`
+    holds up to R^2 sum_l d_(n1+n2-2l) floats in its packed arrays."""
+    v = _block_counts(space, 2 * top).tolist()
+    d, sizes = [sum(c) for c in v], {}
+    for n1, n2 in itertools.product(range(top + 1), repeat=2):
+        rows = sum(map(float.__mul__, v[n1], v[n2]))
+        sizes[n1, n2] = rows * rows * sum(d[abs(n1 - n2) : n1 + n2 + 1 : 2])
+    n1, n2 = max(sizes, key=sizes.get)
+    _check_budget(sizes[n1, n2], f"the pair sweep of lengths {n1} and {n2}")
+
+
+def _check_budget(size, what) -> None:
+    """Raise `CutoffError` naming `what` unless `size` <= `JUNCTION_BUDGET`."""
+    if not size <= JUNCTION_BUDGET:
+        raise CutoffError(f"{what} would hold {size:.1e} floats, more than {JUNCTION_BUDGET:.0e}")
 
 
 @space_cached("junctions")
@@ -241,7 +258,7 @@ def _meeting_pairs(space, left: dict, right: dict):
     longest terms are too long to multiply, whether their endpoints meet or
     not."""
     if left and right:
-        _check_cutoff(space, max(left)[0], max(right)[0])  # the largest key (n, a, b) has the largest n
+        _check_length(space, min(max(left)[0] + max(right)[0], space.top_length))  # max() picks the largest n
     ends: dict = {}  # each length's endpoints, from one `essential_basis` call
     partners: dict = {}
     for kr, zr in right.items():
@@ -315,13 +332,22 @@ def _star_matrix(space, n):
 
 def _endpoint_weights(space, weight_fn=None) -> np.ndarray:
     """W[s, r, s', r']: the antipode's endpoint factor, by default the
-    Perron-Frobenius ratio sqrt(mu[s'] mu[r] / (mu[r'] mu[s])) in one
-    broadcast, else `weight_fn` called once on every four vertices."""
+    Perron-Frobenius table (`_perron_weights`), else `weight_fn` called once
+    on every four vertices."""
     if weight_fn is None:
-        s, r, s2, r2 = np.ix_(*[np.array(space.mu)] * 4)
-        return np.sqrt((s2 * r) / (r2 * s))
+        return _perron_weights(space)
     nv = space.graph.num_vertices
     return np.array(list(itertools.starmap(weight_fn, itertools.product(range(nv), repeat=4)))).reshape((nv,) * 4)
+
+
+@space_cached("perron_weights")
+def _perron_weights(space) -> np.ndarray:
+    """The default endpoint factor sqrt(mu[s'] mu[r] / (mu[r'] mu[s])) in
+    one broadcast, built once per space and read-only."""
+    s, r, s2, r2 = np.ix_(*[np.array(space.mu)] * 4)
+    W = np.sqrt((s2 * r) / (r2 * s))
+    W.flags.writeable = False
+    return W
 
 
 def _starred(space, coeffs: dict, weights=None) -> dict:
@@ -681,8 +707,9 @@ def verify_axioms(
     factor.  Failures are residuals, never raised; an empty check (no
     samples, or a negative `max_length`), a negative `seed` and a tolerance
     that is not finite and positive raise `PathHopfError`, and a
-    `max_length` whose (x y) z would pass the cutoff or `JUNCTION_BUDGET`
-    raises `CutoffError`, before any work.
+    `max_length` whose (x y) z would pass the cutoff, or whose junction
+    arrays or pair sweep would pass `JUNCTION_BUDGET`, raises `CutoffError`,
+    before any work.
     """
     if samples < 1:
         raise PathHopfError(f"samples must be at least 1, got {samples}")
@@ -692,8 +719,9 @@ def verify_axioms(
         raise PathHopfError(f"max_length must be nonnegative, got {max_length}")
     if seed < 0:
         raise PathHopfError(f"seed must be nonnegative, got {seed}")
-    _check_cutoff(space, 2 * max_length, max_length)  # (x y) z
+    _check_length(space, min(3 * max_length, space.top_length))  # (x y) z
     _check_size(space, 2 * max_length, max_length)
+    _check_sweep(space, min(max_length, space.top_length))
     bases = [essential_basis(space, n) for n in range(max_length + 1)]
     keys = [(n, a, b) for n, basis in enumerate(bases) for a in range(len(basis)) for b in range(len(basis))]
     rng = np.random.default_rng(seed)
@@ -751,7 +779,8 @@ def verify_axioms(
         at = np.lexsort((c[j], c[i], a[j], a[i]))[0]
         return ((n1, int(a[i[at]]), int(a[j[at]])),), ((n2, int(c[i[at]]), int(c[j[at]])),)
 
-    witness = dict.fromkeys(residuals, on_key_pair) | {"product associativity": on_triple}  # the pair axioms' names
+    witness = dict.fromkeys(("star antihomomorphism", "coproduct multiplicative", "counit of product",
+                             "antipode product rule"), on_key_pair) | {"product associativity": on_triple}
     names = ("product associativity", "unit element", "star involution", "star antihomomorphism",
              "coproduct multiplicative", "coproduct star-compatible", "coassociativity", "counit left inverse",
              "counit right inverse", "counit of product", "counit positivity", "antipode product rule",

@@ -13,9 +13,11 @@ from pathhopf import (
     PathSpace,
     PathVector,
     element_in_path_coordinates,
+    essential_basis,
     fixture_path,
     format_path,
     load_fixture,
+    multiply,
     projector_P,
 )
 from pathhopf.cli import run
@@ -81,6 +83,27 @@ def test_dims_json(capture):
     assert doc["total"] == 18
 
 
+@pytest.mark.parametrize("graph, coxeter, top", [(A3, 4, 2), (TRI, None, None)])
+def test_spectrum_json(capture, graph, coxeter, top):
+    code, out, _ = capture("spectrum", graph, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    space = PathSpace(load_fixture(Path(graph).stem))
+    assert doc == {"graph": space.graph.name, "beta": pytest.approx(space.beta, abs=1e-9),
+                   "mu": pytest.approx(space.mu, abs=1e-9), "coxeter_number": coxeter, "max_essential_length": top}
+
+
+def test_essentials_json(capture):
+    code, out, _ = capture("essentials", A3, "--length", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["graph"], doc["length"], doc["dimension"]) == ("A3", 2, 3)
+    basis = essential_basis(PathSpace(load_fixture("a3")), 2)
+    assert [(v["index"], v["source"], v["range"]) for v in doc["vectors"]] == [
+        (a, s, r) for a, (s, r) in enumerate(basis.endpoints)]
+    assert all(v["terms"] for v in doc["vectors"])
+
+
 def test_essentials_listing(capture):
     code, out, _ = capture("essentials", A3, "--length", "2")
     assert code == 0
@@ -130,6 +153,30 @@ def test_project_json_matches_schema(capture):
     want = {(format_path(p), format_path(q)): z for (p, q), z in element_in_path_coordinates(element).items()}
     assert set(want) <= set(coords)
     assert all(abs(coords[k] - want.get(k, 0)) < 1e-8 for k in coords)
+
+
+def test_project_text_lists_the_json_terms(capture):
+    argv = ("project", TRI, "--left", "0-1-2-1-0", "--right", "2-1-0-1-2")
+    code, out, _ = capture(*argv)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "projection of 0-1-2-1-0 (x) 2-1-0-1-2 on A_aff_2:"
+    doc = json.loads(capture(*argv, "--format", "json")[1])
+    # three lines per term: its length and coefficient, then each vector
+    assert [l.split(":")[0] for l in lines[::3]] == [f"length {e['length']}" for e in doc]
+    assert all(l.startswith("  left : ") for l in lines[1::3]) and all(l.startswith("  right: ") for l in lines[2::3])
+
+
+def test_multiply_json_matches_the_library_product(capture):
+    code, out, _ = capture("multiply", A3, "--a", "(21|12)", "--b", "(12|21)", "--format", "json")
+    assert code == 0
+    space = PathSpace(load_fixture("a3"))
+    x = projector_P(space, PathVector.unit((2, 1)), PathVector.unit((1, 2)))
+    y = projector_P(space, PathVector.unit((1, 2)), PathVector.unit((2, 1)))
+    want = multiply(x, y).terms()
+    doc = json.loads(out)
+    assert [e["length"] for e in doc] == [n for (n, _, _), _ in want]
+    assert [complex(*e["coeff"]) for e in doc] == pytest.approx([z for _, z in want], abs=1e-9)
 
 
 def test_multiply_shorthand_literals(capture):
@@ -254,6 +301,35 @@ def test_unknown_subcommand_exits_one(capture):
     assert code == 1
 
 
+def test_no_subcommand_prints_help_and_exits_one(capture):
+    code, out, err = capture()
+    assert code == 1 and err == ""
+    assert out.startswith("usage:") and "verify" in out
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("", "empty path literal"),
+        ("0,1", "cannot parse path literal '0,1'"),
+        ("0-x", "cannot parse path literal '0-x'"),
+        ("0-5", "vertex 5 out of range in path '0-5'"),
+    ],
+)
+def test_unreadable_path_literal_exits_one(capture, path, message):
+    code, out, err = capture("decompose", A3, "--path", path)
+    assert code == 1 and out == ""
+    assert err == f"pathhopf: error: {message}\n"
+
+
+def test_empty_vertex_list_exits_one(tmp_path, capture):
+    bad = tmp_path / "empty.json"
+    bad.write_text('{"vertices": [], "edges": []}')
+    code, out, err = capture("spectrum", str(bad))
+    assert code == 1 and out == ""
+    assert err == "pathhopf: error: vertex list is empty\n"
+
+
 def test_bad_path_literal_exits_one(capture):
     code, _, err = capture("decompose", A3, "--path", "0-2")
     assert code == 1
@@ -322,6 +398,17 @@ def test_verify_refuses_junction_arrays_past_the_budget(capture, tmp_path):
     code, out, err = capture("verify", str(k4), "--max-length", "3")
     assert code == 1 and out == ""
     assert "pathhopf: error" in err and "4.0e+09 floats" in err
+
+
+def test_verify_refuses_counts_that_overflow(capture, tmp_path):
+    # with --cutoff 3000 the junction size for (x y) z on K4 overflows a
+    # float; it is refused, not passed as NaN
+    k4 = tmp_path / "k4.json"
+    k4.write_text(json.dumps({"name": "K4", "vertices": list("0123"),
+                              "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]}))
+    code, out, err = capture("verify", str(k4), "--cutoff", "3000", "--max-length", "300")
+    assert code == 1 and out == ""
+    assert err == "pathhopf: error: the junction arrays of lengths 600 and 300 would hold inf floats, more than 1e+08\n"
 
 
 @pytest.mark.parametrize(

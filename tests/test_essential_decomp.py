@@ -34,7 +34,7 @@ from pathhopf.graph_core import Spectrum
 from pathhopf.path_space import PRUNE_TOL
 from pathhopf import essential_decomp
 from pathhopf.essential_decomp import _level_maps, _positions, creation_words, word_gram
-from pathhopf.weak_hopf import coefficient_C, projector_P
+from pathhopf.weak_hopf import _block_counts, coefficient_C, projector_P
 import frozen_cases
 from helpers import (
     assert_decomposition,
@@ -456,6 +456,19 @@ def test_block_dims_match_fusion_recursion(name):
         for s, r in essential_basis(space, n).endpoints:
             got[s, r] += 1
         assert np.array_equal(got, fusion[n]), (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(FUSION_GRAPHS))
+def test_block_counts_match_fusion_recursion(name):
+    # the size guard's counts v_n = N_n 1, by a vector recursion, are the
+    # row sums of the fusion matrices, and their sums the dimensions of E_n
+    graph = edge_graph(name)
+    top = FUSION_GRAPHS[name][2]
+    fusion = fusion_dims(graph.adjacency, top)
+    v = _block_counts(PathSpace(graph, cutoff=top), top)
+    assert v.shape == (top + 1, len(graph.vertices))
+    assert np.array_equal(v, [f.sum(1) for f in fusion]), name
+    assert v.sum(1).tolist() == [f.sum() for f in fusion], name
 
 
 def test_e8_length_ten_basis_is_orthonormal_and_essential():

@@ -41,8 +41,10 @@ from pathhopf import (
     verify_axioms,
 )
 from pathhopf.essential_decomp import EssentialBasis
+from pathhopf import weak_hopf
 from pathhopf.weak_hopf import (
     TensorSquare,
+    _block_counts,
     _endpoint_weights,
     _junction_arrays,
     _junction_scalars,
@@ -1520,6 +1522,66 @@ def test_multiply_refuses_junction_arrays_past_the_budget():
     with pytest.raises(CutoffError, match="lengths 6 and 6 would hold 1.3e"):
         multiply(x, x)
     assert not space.cache.get("junctions") and not space.cache.get("junction_rows")
+
+
+def test_verify_axioms_refuses_the_pair_sweep_past_the_budget(monkeypatch):
+    # K4 at max length 2: the junction arrays of lengths 4 and 2 hold
+    # 1.24e7 floats, the pair sweep of lengths 2 and 2 256^2 * 256 = 1.68e7
+    space = junction_space("K4")
+    monkeypatch.setattr(weak_hopf, "JUNCTION_BUDGET", 1.5 * 10**7)
+    with pytest.raises(CutoffError, match=r"the pair sweep of lengths 2 and 2 would hold 1\.7e\+07 floats"):
+        verify_axioms(space, 2, samples=5, seed=0)
+    assert not space.cache.get("junctions")
+
+
+@pytest.mark.parametrize("max_length", [247, 300, 700])
+def test_verify_axioms_refuses_counts_that_overflow(max_length):
+    # with the cutoff at 3000, the junction size for (x y) z on K4, a product
+    # of counts that grow like 2.618^n, overflows a float from max length
+    # 247 on: inf, refused at once
+    space = PathSpace(junction_space("K4").graph, cutoff=3000)
+    start = time.perf_counter()
+    with pytest.raises(CutoffError, match="would hold inf floats"):
+        verify_axioms(space, max_length, samples=5, seed=0)
+    assert time.perf_counter() - start < 1
+    assert not space.cache.get("essential_basis")
+
+
+def test_block_counts_hold_an_overflow_as_inf():
+    # no RuntimeWarning escapes (warnings are errors here); every count from
+    # the first one that overflows on is +inf, and the finite ones grow
+    v = _block_counts(junction_space("K4"), 1000)
+    finite = np.isfinite(v).all(1)
+    first = int(np.argmin(finite))
+    assert 700 < first < 800 and not finite[first:].any() and (v[first:] == np.inf).all()
+    assert (np.diff(v[:first, 0]) > 0).all()
+    # on a finite graph the counts are zero from the first zero count on
+    assert _block_counts(junction_space("A3"), 10)[3:].tolist() == [[0.0] * 3] * 8
+
+
+def test_antipode_and_verifier_read_one_default_endpoint_table(monkeypatch):
+    # the Perron-Frobenius table is built once per space; a weight_fn table
+    # is built per call
+    space = junction_space("E6")
+    seen, starred, unary = [], weak_hopf._starred, weak_hopf._unary_residuals
+
+    def starred_spy(space, coeffs, weights=None):
+        seen.append(weights)
+        return starred(space, coeffs, weights)
+
+    def unary_spy(space, n, weights):
+        seen.append(weights)
+        return unary(space, n, weights)
+
+    monkeypatch.setattr(weak_hopf, "_starred", starred_spy)
+    monkeypatch.setattr(weak_hopf, "_unary_residuals", unary_spy)
+    x = AlgebraElement.basis_element(space, 1, 0, 0)
+    antipode(x)
+    antipode(x)
+    verify_axioms(space, 1, samples=3, seed=0)
+    assert len(seen) == 4 and all(w is seen[0] for w in seen)
+    assert not seen[0].flags.writeable
+    assert antipode(x, lambda *e: 1.0) is not None and seen[-1] is not seen[0]
 
 
 def test_verify_axioms_rejects_cutoff_overflow(tri):
